@@ -14,7 +14,7 @@ from .errors import BudgetExceeded
 from .grids import GridField, SliceGrid
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly
-from .roots import all_roots, cluster_roots, quadratic_roots_many
+from .roots import all_roots, cluster_roots, fiber_roots
 
 __all__ = [
     "EscapeParams",
@@ -167,29 +167,16 @@ def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20,
                   policy: NumericPolicy = DEFAULT):
     """All d^n depth-n preimages of a, counted with multiplicity.
 
-    Degree-2 polynomials use a vectorized per-level quadratic solve; higher
-    degrees fall back to per-target Aberth solves.
+    Each level is one `fiber_roots` solve over all the points of the level
+    above; coincident points are then merged.
     """
     d = p.degree
     if d ** n > budget:
         raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {budget}")
-    points = [complex(a)]
-    mults = [1]
-    for depth in range(n):
-        if d == 2:
-            c0, c1, c2 = p.coeffs[0], p.coeffs[1], p.coeffs[2]
-            targets = np.asarray(points)
-            rts = quadratic_roots_many(c0 - targets, c1, c2)
-            new_points = rts.reshape(-1)
-            new_mults = np.repeat(mults, 2)
-        else:
-            new_points, new_mults = [], []
-            for pt, m in zip(points, mults):
-                for r, k in solve_fiber(p, pt, policy):
-                    new_points.append(r)
-                    new_mults.append(m * k)
-            new_points = np.asarray(new_points)
-            new_mults = np.asarray(new_mults)
+    points, mults = [complex(a)], [1]
+    for _ in range(n):
+        new_points = fiber_roots(p.coeffs, points, policy).reshape(-1)
+        new_mults = np.repeat(mults, d)
         scale = 1.0 + float(np.max(np.abs(new_points)))
         points, mults = _merge_level(new_points, new_mults, scale, policy)
     assert sum(mults) == d ** n
@@ -224,12 +211,11 @@ def is_exceptional(p: ComplexPoly, a: complex, depth: int | None = None,
         depth = policy.exceptional_depth
     current = [complex(a)]
     for _ in range(depth):
-        pts = []
-        for pt in current:
-            pts.extend(r for r, _ in solve_fiber(p, pt, policy))
-        scale = 1.0 + max(abs(pt) for pt in pts)
-        merged = cluster_roots(np.asarray(pts), scale, policy)
-        current = [c for c, _ in merged]
+        rows = fiber_roots(p.coeffs, current, policy)
+        # a row repeats each cluster center by its multiplicity: keep one
+        pts = rows[np.diff(rows, axis=1, prepend=np.nan) != 0]
+        scale = 1.0 + float(np.max(np.abs(pts)))
+        current = [c for c, _ in cluster_roots(pts, scale, policy)]
         if len(current) > p.degree:
             return False
     return True

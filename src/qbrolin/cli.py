@@ -44,6 +44,8 @@ MODES = ("julia", "equilibrium", "green", "delta-star", "lyapunov", "entropy",
 _TOP_KEYS = {"mode", "polynomial", "policy", "grid", "quad_level", "seed",
              "out", "params"}
 _GRID_KEYS = {"center", "half_width", "h"}
+# every other param is one number (equilibrium also takes target as [number])
+_NON_NUMBER_PARAMS = {"kind", "center", "h_list", "eps_list", "box", "n_list"}
 
 _MODE_PARAMS = {
     "julia": {"max_iter"},
@@ -86,6 +88,11 @@ def write_pgm(path: Path, image: np.ndarray):
         fh.write(img.tobytes())
 
 
+def _is_number(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def load_config(path: str, overrides) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -114,10 +121,22 @@ def load_config(path: str, overrides) -> dict:
     bad = set(cfg["params"]) - _MODE_PARAMS[mode]
     if bad:
         raise ConfigError(f"unknown params for mode {mode}: {sorted(bad)}")
+    for key, value in cfg["params"].items():
+        if (key, mode) == ("target", "equilibrium") and isinstance(value, list) and value:
+            value = value[0]
+        if key not in _NON_NUMBER_PARAMS and not _is_number(value):
+            raise ConfigError(f"params.{key} must be a finite number, got {value!r}")
     if "grid" in cfg:
         g = cfg["grid"]
         if not isinstance(g, dict) or set(g) - _GRID_KEYS:
             raise ConfigError(f"grid keys must be within {sorted(_GRID_KEYS)}")
+        if not all(_is_number(g.get(k, 1)) and g.get(k, 1) > 0
+                   for k in ("half_width", "h")):
+            raise ConfigError("grid.half_width and grid.h must be positive numbers")
+        center = g.get("center", [0, 0])
+        if not (isinstance(center, list) and len(center) == 2
+                and all(map(_is_number, center))):
+            raise ConfigError(f"grid.center must be two numbers, got {center!r}")
     if "policy" in cfg:
         pol = cfg["policy"]
         known = {f.name for f in dataclasses.fields(NumericPolicy)}
@@ -136,9 +155,12 @@ def _policy(cfg) -> NumericPolicy:
 
 def _qpoly(cfg) -> QPolynomial:
     try:
-        return QPolynomial.from_json(cfg["polynomial"])
+        p = QPolynomial.from_json(cfg["polynomial"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad polynomial spec: {exc}")
+    if p.degree < 2:
+        raise ConfigError(f"polynomial degree must be >= 2, got {p.degree}")
+    return p
 
 
 def _cpoly(cfg, policy) -> ComplexPoly:
@@ -179,6 +201,8 @@ def run_julia(cfg, out: Path, policy):
 
 def run_equilibrium(cfg, out: Path, policy):
     p = _qpoly(cfg)
+    if not p.has_real_coeffs():
+        raise ConfigError("equilibrium mode needs real coefficients")
     depth = int(cfg["params"].get("depth", 10))
     target = cfg["params"].get("target", 0.0)
     if isinstance(target, (list, tuple)):
@@ -489,24 +513,14 @@ def main(argv=None) -> int:
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     try:
-        cfg = load_config(args.config,
-                          {"mode": args.mode, "seed": args.seed,
-                           "out": args.out})
-    except ConfigError as exc:
-        json.dump({"error": "ConfigError", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    try:
-        return run(cfg)
-    except ConfigError as exc:
-        json.dump({"error": "ConfigError", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return run(load_config(args.config, {"mode": args.mode,
+                                             "seed": args.seed,
+                                             "out": args.out}))
     except QBrolinError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)},
                   sys.stderr)
         sys.stderr.write("\n")
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _sstats
 
-from .cdyn import is_exceptional, solve_fiber
+from .cdyn import is_exceptional
 from .errors import DegenerateSample, SolverFailure
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
 from .quat import ImaginaryUnit, Quaternion, SlicePoint, UNIT_I, sphere_quadrature
-from .roots import quadratic_roots_many
+from .roots import fiber_roots
 
 __all__ = [
     "EstimateReport",
@@ -74,19 +74,11 @@ class AxialBox:
 
 
 def _chain_step(p: ComplexPoly, targets, rng, policy):
-    """One backward step for an array of chain heads."""
-    d = p.degree
-    if d == 2:
-        roots = quadratic_roots_many(p.coeffs[0] - targets, p.coeffs[1],
-                                     p.coeffs[2])
-        pick = rng.integers(0, 2, size=len(targets))
-        return roots[np.arange(len(targets)), pick]
-    out = np.empty(len(targets), dtype=complex)
-    for i, t in enumerate(targets):
-        clusters = solve_fiber(p, complex(t), policy)
-        flat = [r for r, m in clusters for _ in range(m)]
-        out[i] = flat[rng.integers(0, len(flat))]
-    return out
+    """One backward step for an array of chain heads: a uniform pick among
+    each head's d fiber roots, counted with multiplicity."""
+    roots = fiber_roots(p.coeffs, targets, policy)
+    pick = rng.integers(0, p.degree, size=len(targets))
+    return roots[np.arange(len(targets)), pick]
 
 
 def sample_mu(p: ComplexPoly, count: int, seed: int,
@@ -132,8 +124,9 @@ def lyapunov_slice(p: ComplexPoly, n_samples: int, seed: int,
                    policy: NumericPolicy = DEFAULT) -> EstimateReport:
     """Slice-direction exponent: Birkhoff average of log|p'(z)| over mu_I.
 
-    Samples within tolerance of a critical point are dropped and counted
-    (resampled by drawing extra points).
+    Samples with |p'(z)| <= 1e-12 (at a critical point, where the log
+    diverges) are dropped, not resampled: the mean runs over the rest, and
+    params["dropped_critical"] counts the dropped ones.
     """
     dp = p.derivative()
     z = sample_mu(p, n_samples, seed, policy=policy)
@@ -183,10 +176,7 @@ def lyapunov_sphere_direction(p: QPolynomial, q0: SlicePoint, n: int,
 def transfer_apply(p: ComplexPoly, f, z: complex,
                    policy: NumericPolicy = DEFAULT) -> float:
     """(Perron-Frobenius) (1/d) sum_{p(w)=z} f(w) with multiplicity."""
-    total = 0.0
-    for w, m in solve_fiber(p, z, policy):
-        total += m * f(w)
-    return total / p.degree
+    return sum(f(w) for w in fiber_roots(p.coeffs, [z], policy)[0]) / p.degree
 
 
 def _slice_values(f, z):
@@ -210,30 +200,15 @@ def _level_phi_means(p: ComplexPoly, phi, z, n_max, policy, batch=1024):
     """(L^n phi)(z_t) for n = 0..n_max: fiber-tree averages per sample.
 
     L is the normalized transfer operator (Lf)(z) = d^-1 sum_{p(w)=z} f(w);
-    one depth-n_max preimage tree per sample yields every level at once.
-    Degree 2 runs on the vectorized quadratic path; higher degrees solve
-    fibers one by one and are only practical for small n_max.
+    one depth-n_max preimage tree per sample yields every level at once,
+    each level one `fiber_roots` solve over the whole batch.
     """
-    d = p.degree
     out = np.empty((n_max + 1, len(z)))
     out[0] = _slice_values(phi, z)
     for lo in range(0, len(z), batch):
         w = np.asarray(z[lo:lo + batch])[:, None]
         for n in range(1, n_max + 1):
-            if d == 2:
-                flat = w.ravel()
-                roots = quadratic_roots_many(p.coeffs[0] - flat, p.coeffs[1],
-                                             p.coeffs[2])
-                w = roots.reshape(w.shape[0], -1)
-            else:
-                nxt = np.empty((w.shape[0], w.shape[1] * d), dtype=complex)
-                for i, row in enumerate(w):
-                    col = 0
-                    for t in row:
-                        for r, m in solve_fiber(p, complex(t), policy):
-                            nxt[i, col:col + m] = r
-                            col += m
-                w = nxt
+            w = fiber_roots(p.coeffs, w.ravel(), policy).reshape(w.shape[0], -1)
             vals = _slice_values(phi, w.ravel()).reshape(w.shape)
             out[n, lo:lo + w.shape[0]] = vals.mean(axis=1)
     return out
@@ -449,9 +424,10 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
     """Kolmogorov entropy of the refined partition via itinerary coding.
 
     Chain samples give sliding itinerary words (the forward orbit of z_t is
-    z_{t-1}, z_{t-2}, ...). H_n is the n-gram entropy with the Miller-Madow
-    bias correction; the reported value is the least-squares slope of H_n vs
-    n on the last max(3, n_max//2) points.
+    z_{t-1}, z_{t-2}, ...). A point outside every cell breaks the chain: no
+    word spans it. H_n is the n-gram entropy with the Miller-Madow bias
+    correction; the reported value is the least-squares slope of H_n vs n on
+    the last max(3, n_max//2) points.
     """
     pc = p.restrict_to_slice(UNIT_I, policy)
     if isinstance(samples, np.ndarray):
@@ -463,7 +439,8 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
     for k, cell in enumerate(partition):
         inside = cell.contains(alpha, beta) & (symbols < 0)
         symbols[inside] = k
-    symbols = symbols[symbols >= 0]
+    # gaps[t] = number of out-of-partition points among the first t
+    gaps = np.concatenate([[0], np.cumsum(symbols < 0)])
     m = len(partition) + 1
     hs = []
     for n in range(1, n_max + 1):
@@ -471,6 +448,7 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
         codes = np.zeros(len(symbols) - n + 1, dtype=np.int64)
         for j in range(n):
             codes = codes * m + symbols[j:len(symbols) - n + 1 + j]
+        codes = codes[gaps[n:] == gaps[:len(gaps) - n]]
         _, counts = np.unique(codes, return_counts=True)
         probs = counts / counts.sum()
         h = float(-np.sum(probs * np.log(probs)))
@@ -483,6 +461,6 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
     return EstimateReport("partition_entropy", float(slope), resid,
-                          len(symbols), {"n_max": n_max, "seed": seed,
-                                         "cells": len(partition),
-                                         "H_n": hs})
+                          int(np.sum(symbols >= 0)),
+                          {"n_max": n_max, "seed": seed,
+                           "cells": len(partition), "H_n": hs})

@@ -2,7 +2,9 @@
 
 Aberth-Ehrlich simultaneous iteration with deterministic initial guesses on a
 circle, followed by Newton polish, with multiplicity detection by clustering.
-Degrees 1 and 2 use closed forms (they dominate the preimage workloads).
+It runs on rows: `fiber_roots` solves p(z) = t for many targets t at once
+(every p - t shares all but the constant term), `all_roots` is its one-row
+case. Degrees 1 and 2 use closed forms (they dominate the preimage workloads).
 """
 
 from __future__ import annotations
@@ -12,19 +14,20 @@ import numpy as np
 from .errors import SolverFailure
 from .policy import DEFAULT, NumericPolicy
 
-__all__ = ["all_roots", "cluster_roots", "quadratic_roots_many"]
+__all__ = ["all_roots", "cluster_roots", "fiber_roots", "quadratic_roots_many"]
+
+# complex entries in one (rows, d, d) repulsion block: a batched solve takes
+# max(1, _BLOCK // d^2) rows at a time, about 4 MB per temporary
+_BLOCK = 1 << 18
 
 
 def _horner(coeffs, z):
-    """Evaluate sum coeffs[k] z^k (ascending) at scalar or array z."""
-    acc = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in coeffs[::-1]:
+    """sum coeffs[k] z^k (ascending) at z; a coefficient may be a scalar or
+    a per-row column broadcasting against z."""
+    acc = np.zeros(z.shape, z.dtype)
+    for c in reversed(coeffs):
         acc = acc * z + c
     return acc
-
-
-def _horner_pair(coeffs, dcoeffs, z):
-    return _horner(coeffs, z), _horner(dcoeffs, z)
 
 
 def all_roots(coeffs, policy: NumericPolicy = DEFAULT):
@@ -36,39 +39,59 @@ def all_roots(coeffs, policy: NumericPolicy = DEFAULT):
     coeffs = np.asarray(coeffs, dtype=complex)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
+    if len(coeffs) < 2:
+        return np.array([], dtype=complex)
+    return _certified_rows(coeffs, coeffs[:1], policy)[0]
+
+
+def fiber_roots(coeffs, targets, policy: NumericPolicy = DEFAULT):
+    """Every root of p(z) = t (coeffs ascending, leading one nonzero) for
+    each target t: an (N, d) array, one row per target.
+
+    Degrees 1 and 2 give the closed forms in `quadratic_roots_many` order,
+    uncertified. Higher degrees run the certified Aberth solve on all rows at
+    once (SolverFailure carries the worst residual of any row); a row is then
+    bit for bit `solve_fiber`'s clusters, each center repeated by its
+    multiplicity.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    c0s = coeffs[0] - np.asarray(targets, dtype=complex).reshape(-1)
+    deg = len(coeffs) - 1
+    if deg <= 2:
+        return _closed_form(coeffs, c0s)
+    out = np.empty((len(c0s), deg), dtype=complex)
+    step = max(1, _BLOCK // (deg * deg))
+    for lo in range(0, len(c0s), step):
+        rows = _certified_rows(coeffs, c0s[lo:lo + step], policy)
+        out[lo:lo + step] = _clustered(rows, policy)
+    return out
+
+
+def _closed_form(coeffs, c0s):
     deg = len(coeffs) - 1
     if deg < 1:
-        return np.array([], dtype=complex)
+        return np.empty((len(c0s), 0), dtype=complex)
     if deg == 1:
-        roots = np.array([-coeffs[0] / coeffs[1]])
-    elif deg == 2:
-        roots = _quadratic(coeffs[0], coeffs[1], coeffs[2])
-    else:
-        roots = _aberth(coeffs, policy)
-        roots = _newton_polish(coeffs, roots)
+        return (-c0s / coeffs[1])[:, None]
+    return quadratic_roots_many(c0s, coeffs[1], coeffs[2])
+
+
+def _certified_rows(coeffs, c0s, policy: NumericPolicy):
+    """Roots of the polynomials coeffs with constant terms c0s, one row each:
+    polished, residual-certified and sorted by (real, imag) within rows."""
+    z = (_closed_form(coeffs, c0s) if len(coeffs) <= 3
+         else _aberth(coeffs, c0s, policy))
     # backward-error residual: |p(z)| against sum |c_k| max(1,|z|)^k
     # (the max keeps clustered roots near the origin certifiable)
-    bound = _horner(np.abs(coeffs), np.maximum(np.abs(roots), 1.0)).real
-    resid = np.abs(_horner(coeffs, roots)) / np.maximum(bound, 1e-300)
-    worst = float(np.max(resid)) if len(resid) else 0.0
-    if worst > policy.fiber_residual_tol:
-        raise SolverFailure(worst)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
-
-
-def _quadratic(c0, c1, c2):
-    # numerically stable quadratic formula
-    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    qq = -(c1 + disc) if (c1.conjugate() * disc).real >= 0 else -(c1 - disc)
-    qq = qq / 2.0
-    if qq == 0:
-        # c1 == 0 and c0 == 0: double root at origin
-        if c0 == 0:
-            return np.array([0.0 + 0j, 0.0 + 0j])
-        r = np.sqrt(-c0 / c2)
-        return np.array([r, -r])
-    return np.array([qq / c2, c0 / qq])
+    col = c0s[:, None]
+    bound = _horner([np.abs(col), *np.abs(coeffs[1:])],
+                    np.maximum(np.abs(z), 1.0))
+    resid = np.abs(_horner([col, *coeffs[1:]], z)) / np.maximum(bound, 1e-300)
+    worst = np.max(resid, axis=1)
+    if not np.all(worst <= policy.fiber_residual_tol):
+        raise SolverFailure(float(np.max(worst)))
+    order = np.lexsort((z.imag, z.real), axis=-1)
+    return np.take_along_axis(z, order, axis=1)
 
 
 def quadratic_roots_many(c0s, c1, c2):
@@ -82,59 +105,82 @@ def quadratic_roots_many(c0s, c1, c2):
     qq = -(c1 + sign * disc) / 2.0
     out = np.empty(c0s.shape + (2,), dtype=complex)
     nz = qq != 0
-    out[nz, 0] = qq[nz] / c2
-    out[nz, 1] = c0s[nz] / qq[nz]
-    if np.any(~nz):
+    np.divide(qq, c2, out=out[..., 0])
+    np.divide(c0s, qq, out=out[..., 1], where=nz)
+    if not nz.all():
         r = np.sqrt(-c0s[~nz] / c2)
         out[~nz, 0] = r
         out[~nz, 1] = -r
     return out
 
 
-def _aberth(coeffs, policy: NumericPolicy):
+def _aberth(coeffs, c0s, policy: NumericPolicy):
+    """Aberth-Ehrlich iteration on every row, then a 3-step Newton polish.
+
+    A row leaves the active set when its own step test passes, so it does
+    exactly the arithmetic of a one-row solve.
+    """
     deg = len(coeffs) - 1
-    dcoeffs = coeffs[1:] * np.arange(1, deg + 1)
-    # Fujiwara root bound, via logs (iterated polynomials have huge
+    hi, dco = list(coeffs[1:]), list(coeffs[1:] * np.arange(1, deg + 1))
+    # Fujiwara root bound per row, via logs (iterated polynomials have huge
     # mid-range coefficients; the Cauchy bound would overflow the solver)
+    lower = np.empty((len(c0s), deg), dtype=complex)
+    lower[:], lower[:, 0] = coeffs[:-1], c0s
     with np.errstate(divide="ignore"):
-        logc = np.log(np.abs(coeffs[:-1]))
-    k = np.arange(deg, 0, -1)
+        logc = np.log(np.abs(lower))
     finite = np.isfinite(logc)
-    log_lead = np.log(abs(coeffs[-1]))
-    radius = 2.0 * float(np.exp(np.max((logc[finite] - log_lead) / k[finite]))) \
-        if np.any(finite) else 1e-12
-    radius = max(radius, 1e-12)
+    ratios = (logc - np.log(abs(coeffs[-1]))) / np.arange(deg, 0, -1)
+    bound = np.max(np.where(finite, ratios, -np.inf), axis=1)
+    radius = np.where(finite.any(axis=1), 2.0 * np.exp(bound), 1e-12)
     # deterministic start: slightly irrational phase offset breaks symmetry
     angles = 2.0 * np.pi * (np.arange(deg) + 0.25) / deg + 0.5 / deg
-    z = radius * np.exp(1j * angles)
-    for _ in range(policy.aberth_max_iter):
-        p, dp = _horner_pair(coeffs, dcoeffs, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dp != 0, p / np.where(dp != 0, dp, 1), 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulse = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - newton * repulse
-            step = np.where(denom != 0, newton / np.where(denom != 0, denom, 1), newton)
-        z = z - step
-        if np.max(np.abs(step)) < policy.aberth_tol * (1.0 + np.max(np.abs(z))):
-            break
-    return z
-
-
-def _newton_polish(coeffs, roots, iters=3):
-    deg = len(coeffs) - 1
-    dcoeffs = coeffs[1:] * np.arange(1, deg + 1)
-    z = roots.copy()
-    for _ in range(iters):
-        p, dp = _horner_pair(coeffs, dcoeffs, z)
-        ok = (dp != 0) & (np.abs(p) > 0)
-        step = np.zeros_like(z)
-        step[ok] = p[ok] / dp[ok]
+    z = np.maximum(radius, 1e-12)[:, None] * np.exp(1j * angles)
+    active, za, col = np.arange(len(c0s)), z.copy(), c0s[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(policy.aberth_max_iter):
+            p, dp = _horner([col, *hi], za), _horner(dco, za)
+            newton = np.divide(p, dp, out=np.zeros(p.shape, complex),
+                               where=dp != 0)
+            diff = za[:, :, None] - za[:, None, :]
+            diff.reshape(len(za), -1)[:, ::deg + 1] = np.inf   # 1/inf: no self term
+            denom = 1.0 - newton * (1.0 / diff).sum(axis=2)
+            step = np.divide(newton, denom, out=newton.copy(), where=denom != 0)
+            za = za - step
+            done = (np.abs(step).max(axis=1)
+                    < policy.aberth_tol * (1.0 + np.abs(za).max(axis=1)))
+            if done.any():
+                z[active[done]] = za[done]
+                if done.all():
+                    break
+                active, za, col = active[~done], za[~done], col[~done]
+        else:   # aberth_max_iter reached: rows still active keep their last iterate
+            z[active] = za
+    for _ in range(3):
+        p, dp = _horner([c0s[:, None], *hi], z), _horner(dco, z)
+        step = np.divide(p, dp, out=np.zeros(z.shape, complex),
+                         where=(dp != 0) & (np.abs(p) > 0))
         # do not polish across a cluster: cap the step
-        step = np.where(np.abs(step) < 1e-2 * (1 + np.abs(z)), step, 0.0)
-        z = z - step
+        z = z - np.where(np.abs(step) < 1e-2 * (1 + np.abs(z)), step, 0.0)
     return z
+
+
+def _clustered(rows, policy: NumericPolicy):
+    """Sorted root rows -> cluster centers repeated by multiplicity.
+
+    A row with no two roots within the cluster radius is final (a lone
+    root's cluster mean is the root plus 0, which only clears signed zeros);
+    the other rows go through cluster_roots one by one.
+    """
+    scale = 1.0 + np.max(np.abs(rows), axis=1)
+    tol = policy.cluster_tol * np.maximum(scale, 1.0)
+    close = np.abs(rows[:, :, None] - rows[:, None, :]) <= tol[:, None, None]
+    out = rows + 0.0
+    # every root is close to itself: a row with more close pairs than roots
+    # has a cluster
+    for i in np.flatnonzero(close.sum(axis=(1, 2)) > rows.shape[1]):
+        clusters = cluster_roots(rows[i], float(scale[i]), policy)
+        out[i] = np.repeat([c for c, _ in clusters], [m for _, m in clusters])
+    return out
 
 
 def cluster_roots(roots, scale, policy: NumericPolicy = DEFAULT):

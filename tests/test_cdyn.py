@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qbrolin.cdyn import (EscapeParams, escape_radius, filled_julia_mask,
-                          green_field, green_n, is_exceptional, iterate,
-                          preimage_tree, solve_fiber)
+from qbrolin.cdyn import (EscapeParams, _merge_level, escape_radius,
+                          filled_julia_mask, green_field, green_n,
+                          is_exceptional, iterate, preimage_tree, solve_fiber)
 from qbrolin.errors import BudgetExceeded
 from qbrolin.grids import SliceGrid
+from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly
 
 SQ = ComplexPoly([0.0, 0.0, 1.0])          # z^2
@@ -93,6 +94,42 @@ def test_preimage_tree_merges_multiplicity():
     nodes = preimage_tree(SQ, 0.0, 5)
     assert len(nodes) == 1
     assert nodes[0].multiplicity == 32
+
+
+def _ref_preimage_tree(p, a, n):
+    """The former per-target loop: one solve_fiber per node of each level."""
+    points, mults = [complex(a)], [1]
+    for _ in range(n):
+        new_points, new_mults = [], []
+        for pt, m in zip(points, mults):
+            for r, k in solve_fiber(p, pt):
+                new_points.append(r)
+                new_mults.append(m * k)
+        new_points = np.asarray(new_points)
+        scale = 1.0 + float(np.max(np.abs(new_points)))
+        points, mults = _merge_level(new_points, np.asarray(new_mults), scale,
+                                     DEFAULT)
+    return points, mults
+
+
+@pytest.mark.parametrize("coeffs, a", [
+    ([0.2, 0.0, 0.0, 1.0], 0.1),      # z^3 + 0.2
+    ([0.0, -1.0, 0.0, 1.0], 0.0),     # z^3 - z, target a fixed point
+])
+def test_cubic_preimage_tree_depth_6_unchanged(coeffs, a):
+    p = ComplexPoly(coeffs)
+    nodes = preimage_tree(p, a, 6)
+    points, mults = _ref_preimage_tree(p, a, 6)
+    assert [nd.multiplicity for nd in nodes] == mults
+    got = np.array([nd.point for nd in nodes])
+    assert got.tobytes() == np.array(points).tobytes()
+    assert sum(mults) == 3 ** 6
+
+
+def test_is_exceptional_cubic():
+    # 0 is totally invariant for z^3; z^3 - z has no exceptional point
+    assert is_exceptional(ComplexPoly([0.0, 0.0, 0.0, 1.0]), 0.0)
+    assert not is_exceptional(ComplexPoly([0.0, -1.0, 0.0, 1.0]), 0.0)
 
 
 def test_filled_julia_mask_disk():

@@ -100,3 +100,43 @@ def test_general_gap_mode(tmp_path):
     rows = (out / "gap.csv").read_text().splitlines()
     assert rows[0].startswith("n,")
     assert len(rows) == 3
+
+
+def _config_error(tmp_path, capsys, cfg):
+    path = _write(tmp_path, "c.json", dict(cfg, out=str(tmp_path / "out")))
+    code = main([path])
+    err = json.loads(capsys.readouterr().err)
+    return code, err
+
+
+def test_equilibrium_rejects_complex_coefficients(tmp_path, capsys):
+    code, err = _config_error(tmp_path, capsys, {
+        "mode": "equilibrium",
+        "polynomial": {"coeffs": [[-1, 0.5, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"depth": 3}})
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "real coefficients" in err["message"]
+
+
+def test_lyapunov_rejects_degree_one(tmp_path, capsys):
+    code, err = _config_error(tmp_path, capsys, {
+        "mode": "lyapunov",
+        "polynomial": {"coeffs": [[0.5, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"n_samples": 10}})
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "degree" in err["message"]
+
+
+def test_zero_grid_spacing_is_a_config_error(tmp_path, capsys):
+    code, err = _config_error(tmp_path, capsys, {
+        "mode": "julia", "polynomial": SQ_MINUS_2, "grid": {"h": 0}})
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "grid.h" in err["message"]
+
+
+def test_non_numeric_target_is_a_config_error(tmp_path, capsys):
+    code, err = _config_error(tmp_path, capsys, {
+        "mode": "equilibrium", "polynomial": SQ_MINUS_2,
+        "params": {"target": "abc", "depth": 3}})
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "params.target" in err["message"]

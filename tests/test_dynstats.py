@@ -141,6 +141,20 @@ def test_interval_partition():
     assert cells[1].contains(-0.5, 0.2)
 
 
+def test_partition_entropy_breaks_words_at_dropped_points():
+    # runs of three points in cell 0, then in cell 1, each run followed by a
+    # point outside the partition: every 2-word stays inside one run, so only
+    # (0, 0) and (1, 1) occur, in equal numbers
+    run = [0.5, 0.5, 0.5, 5.0, 1.5, 1.5, 1.5, 5.0]
+    z = np.array(run * 50, dtype=complex)
+    rep = partition_entropy(QPolynomial.from_real([0.0, 0.0, 1.0]),
+                            interval_partition(0.0, 2.0, 2), 3, samples=z)
+    h = dict(rep.params["H_n"])
+    words = 4 * 50      # two 2-words per run, two runs per repeat
+    assert h[2] == pytest.approx(math.log(2.0) + 1.0 / (2.0 * words))
+    assert rep.n_samples == 6 * 50
+
+
 def test_partition_entropy_chebyshev():
     p = QPolynomial.from_real([-2.0, 0.0, 1.0])
     rep = partition_entropy(p, interval_partition(-2.0, 2.0, 8), 8,
