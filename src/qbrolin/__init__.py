@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .errors import (BudgetExceeded, CoefficientOffSlice, ConfigError,
                      DegenerateSample, DegenerateVariance, ExceptionalTarget,
-                     ProbeOnFiber, QBrolinError, SingularNode, SolverFailure,
-                     ZeroDivisor)
+                     InvariantViolation, ProbeOnFiber, QBrolinError,
+                     SingularNode, SolverFailure, ZeroDivisor)
 from .policy import DEFAULT, NumericPolicy
 from .quat import (ImaginaryUnit, Quaternion, SlicePoint, Sphere2,
                    SphereQuadrature, UNIT_I, UNIT_J, UNIT_K, slice_decompose,
@@ -22,9 +22,9 @@ from .grids import GridField, SliceGrid
 from .cdyn import (EscapeParams, OrbitValue, escape_radius, filled_julia_mask,
                    green_field, green_n, is_exceptional, iterate,
                    preimage_tree, solve_fiber)
-from .measures import (AtomicMass, EmpiricalMeasure, TestFunction,
-                       brolin_pullback, measure_from_complex_atoms, pair,
-                       pullback, pushforward, slice_marginal, standard_panel,
+from .measures import (EmpiricalMeasure, TestFunction, brolin_pullback,
+                       measure_from_complex_atoms, pair, pullback,
+                       pushforward, slice_marginal, standard_panel,
                        weak_distance)
 from .laplacian import (fundamental_solution_check, log_distance_field,
                         measure_from_green, raster_to_measure,

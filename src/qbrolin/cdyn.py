@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 from .grids import GridField, SliceGrid
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly
@@ -179,7 +179,8 @@ def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20,
         new_mults = np.repeat(mults, d)
         scale = 1.0 + float(np.max(np.abs(new_points)))
         points, mults = _merge_level(new_points, new_mults, scale, policy)
-    assert sum(mults) == d ** n
+    if sum(mults) != d ** n:
+        raise InvariantViolation(f"multiplicities sum to {sum(mults)}, not {d ** n}")
     return [PreimageNode(pt, n, m) for pt, m in zip(points, mults)]
 
 

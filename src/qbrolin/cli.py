@@ -46,6 +46,12 @@ _TOP_KEYS = {"mode", "polynomial", "policy", "grid", "quad_level", "seed",
 _GRID_KEYS = {"center", "half_width", "h"}
 # every other param is one number (equilibrium also takes target as [number])
 _NON_NUMBER_PARAMS = {"kind", "center", "h_list", "eps_list", "box", "n_list"}
+# count params are integers of at least the smallest value with a meaning;
+# a (mode, key) entry overrides the key's: a mixing slope needs lags 2 and 3
+_COUNT_MIN = {"depth": 0, "n_max": 2, "samples": 1, "n_samples": 2,
+              "n_terms": 1, "null_reps": 1, "max_iter": 1, "grid_density": 1,
+              "cells": 1, "sphere_n": 1, "probe_count": 1,
+              ("mixing", "n_max"): 3, ("one-slice", "depth"): 1}
 
 _MODE_PARAMS = {
     "julia": {"max_iter"},
@@ -126,6 +132,9 @@ def load_config(path: str, overrides) -> dict:
             value = value[0]
         if key not in _NON_NUMBER_PARAMS and not _is_number(value):
             raise ConfigError(f"params.{key} must be a finite number, got {value!r}")
+        low = _COUNT_MIN.get((mode, key), _COUNT_MIN.get(key))
+        if low is not None and not (isinstance(value, int) and value >= low):
+            raise ConfigError(f"params.{key} must be an integer >= {low}, got {value!r}")
     if "grid" in cfg:
         g = cfg["grid"]
         if not isinstance(g, dict) or set(g) - _GRID_KEYS:
@@ -139,9 +148,15 @@ def load_config(path: str, overrides) -> dict:
             raise ConfigError(f"grid.center must be two numbers, got {center!r}")
     if "policy" in cfg:
         pol = cfg["policy"]
-        known = {f.name for f in dataclasses.fields(NumericPolicy)}
-        if not isinstance(pol, dict) or set(pol) - known:
-            raise ConfigError(f"policy keys must be within {sorted(known)}")
+        types = {f.name: f.type for f in dataclasses.fields(NumericPolicy)}
+        if not isinstance(pol, dict) or set(pol) - set(types):
+            raise ConfigError(f"policy keys must be within {sorted(types)}")
+        for key, value in pol.items():
+            # integer fields are counts >= 1, float fields positive tolerances
+            if not (_is_number(value) and value > 0
+                    and (types[key] is float or isinstance(value, int))):
+                raise ConfigError(f"policy.{key} must be a positive "
+                                  f"{types[key].__name__}, got {value!r}")
     if mode != "verify" and "polynomial" not in cfg:
         raise ConfigError(f"mode {mode} requires a polynomial")
     return cfg
@@ -210,8 +225,7 @@ def run_equilibrium(cfg, out: Path, policy):
     m = brolin_pullback(p, float(target), depth, policy=policy)
     write_json(out / "measure.json", m.to_json())
     write_csv(out / "measure.csv", ["kind", "alpha", "rho", "weight"],
-              [["point" if a.is_real_point else "sphere", a.alpha, a.rho,
-                a.weight] for a in m.atoms])
+              m.rows())
     _manifest(out, "measure", cfg, {"atoms": len(m)})
     print(f"equilibrium: {len(m)} atoms, mass {m.total_mass():.6f}")
     return 0
@@ -367,8 +381,7 @@ def run_one_slice(cfg, out: Path, policy):
     write_json(out / "gn_pullback.json", mg.to_json())
     write_json(out / "one_slice.json",
                {"weak_distance": dist, "depth": depth, "target": target,
-                "real_mass": sum(a.weight for a in mp.atoms
-                                 if a.is_real_point)})
+                "real_mass": sum(mp.weight[mp.rho == 0.0].tolist())})
     _manifest(out, "one_slice", cfg)
     print(f"one-slice: distance {dist:.4f} at depth {depth}")
     return 0

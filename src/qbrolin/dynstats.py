@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats as _sstats
 
 from .cdyn import is_exceptional
-from .errors import DegenerateSample, SolverFailure
+from .errors import DegenerateSample, InvariantViolation, SolverFailure
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
 from .quat import ImaginaryUnit, Quaternion, SlicePoint, UNIT_I, sphere_quadrature
@@ -243,7 +243,7 @@ def fit_log_slope(pairs, n_min=1, n_max=None):
         xs.append(n)
         ys.append(math.log(abs(v)))
     if len(xs) < 2:
-        raise ValueError("not enough points for a slope fit")
+        raise InvariantViolation("not enough points for a slope fit")
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)
 
@@ -425,9 +425,10 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
 
     Chain samples give sliding itinerary words (the forward orbit of z_t is
     z_{t-1}, z_{t-2}, ...). A point outside every cell breaks the chain: no
-    word spans it. H_n is the n-gram entropy with the Miller-Madow bias
-    correction; the reported value is the least-squares slope of H_n vs n on
-    the last max(3, n_max//2) points.
+    word spans it, and a length left with no word raises InvariantViolation.
+    H_n is the n-gram entropy with the Miller-Madow bias correction; the
+    reported value is the least-squares slope of H_n vs n on the last
+    max(3, n_max//2) points.
     """
     pc = p.restrict_to_slice(UNIT_I, policy)
     if isinstance(samples, np.ndarray):
@@ -449,6 +450,8 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
         for j in range(n):
             codes = codes * m + symbols[j:len(symbols) - n + 1 + j]
         codes = codes[gaps[n:] == gaps[:len(gaps) - n]]
+        if not len(codes):
+            raise InvariantViolation(f"no itinerary word of length {n}")
         _, counts = np.unique(codes, return_counts=True)
         probs = counts / counts.sum()
         h = float(-np.sum(probs * np.log(probs)))

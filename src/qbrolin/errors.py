@@ -57,3 +57,9 @@ class ProbeOnFiber(QBrolinError):
 
 class ConfigError(QBrolinError):
     """Invalid run configuration."""
+
+
+class InvariantViolation(QBrolinError):
+    """An internal numerical check failed: a mass or multiplicity balance,
+    the Laplacian clamp limit, or an estimate left without data (a slope fit
+    on fewer than two points, no itinerary word of some length)."""

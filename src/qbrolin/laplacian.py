@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .cdyn import green_field
-from .errors import SingularNode
+from .errors import InvariantViolation, SingularNode
 from .grids import GridField, SliceGrid
 from .measures import EmpiricalMeasure, TestFunction, measure_from_complex_atoms
 from .policy import DEFAULT, NumericPolicy
@@ -143,7 +143,7 @@ def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid,
     density = np.maximum(density, 0.0)
     total = float(np.sum(density) * grid.h ** 2)
     if total > 0 and clamp_mass > clamp_limit * total:
-        raise AssertionError(
+        raise InvariantViolation(
             f"clamped negative mass {clamp_mass:.3g} exceeds "
             f"{clamp_limit:.0%} of total {total:.3g}")
     return GridField(grid, density, lap.mask), clamp_mass

@@ -1,30 +1,36 @@
-"""Atomic measures on H with point-or-sphere atoms.
+"""Axially symmetric measures on H, stored as arrays of point-or-sphere atoms.
 
-Normalization: each complex fiber root on the reference slice carries mass
-1/d^n, so a real root of multiplicity m becomes a RealPoint atom of weight
-m/d^n and a conjugate pair {z, z bar} becomes one Sphere2 atom of weight
-2m/d^n. This makes every pullback measure a probability measure and
-reproduces the slice-integral form mu = (1/4pi) int mu_I dI exactly through
-slice_marginal.
+The paper's equilibrium measure is mu = (1/4pi) int mu_I dI, so a measure is
+fully described by three arrays: alpha, rho and weight. An atom with rho = 0
+is a real point; one with rho > 0 is the 2-sphere S_{alpha+I rho}.
+
+Every measure built from complex slice atoms goes through one fold and one
+merge. The fold sends z and its conjugate to the same (Re z, |Im z|), with
+rho snapped to 0 within real_axis_tol of the real axis. The merge sums atoms
+that coincide within cluster_tol. A depth-n pullback gives each complex
+fiber root mass 1/d^n, so a real root of multiplicity m becomes a real point
+of weight m/d^n, and a conjugate pair {z, z bar} one sphere of weight 2m/d^n.
+Every pullback is then a probability measure, and slice_marginal gives back
+mu_I exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cdyn import is_exceptional, preimage_tree, solve_fiber
-from .errors import ExceptionalTarget
+from .cdyn import is_exceptional, preimage_tree
+from .errors import ExceptionalTarget, InvariantViolation
 from .policy import DEFAULT, NumericPolicy
 from .poly import QPolynomial
 from .quat import (Quaternion, Sphere2, SphereQuadrature, UNIT_I,
-                   slice_decompose, sphere_quadrature)
+                   sphere_quadrature)
+from .roots import fiber_roots
 
 __all__ = [
-    "AtomicMass",
     "EmpiricalMeasure",
     "TestFunction",
     "standard_panel",
@@ -38,73 +44,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AtomicMass:
-    """Weighted atom: a real point (rho = 0) or a 2-sphere S_{alpha+I rho}."""
-
-    alpha: float
-    rho: float  # 0 for a real point, > 0 for a sphere
-    weight: float
-
-    def __post_init__(self):
-        if not (self.weight > 0 and math.isfinite(self.weight)):
-            raise ValueError("atom weight must be positive and finite")
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
-
-    @property
-    def is_real_point(self):
-        return self.rho == 0.0
-
-    def sphere(self) -> Sphere2:
-        return Sphere2(self.alpha, self.rho)
-
-
 class EmpiricalMeasure:
-    """Finite list of atoms plus provenance metadata.
+    """Atoms as arrays alpha, rho, weight, plus provenance metadata.
 
-    Atoms are kept sorted by (rho>0, alpha, rho) so folds over them are
-    deterministic regardless of construction order.
+    Atoms are sorted by (rho > 0, alpha, rho), stably, so folds over them
+    are deterministic regardless of construction order. Every weight must be
+    positive and finite, every rho >= 0.
     """
 
-    def __init__(self, atoms, meta=None):
-        self.atoms = tuple(sorted(atoms,
-                                  key=lambda a: (a.rho > 0, a.alpha, a.rho)))
+    def __init__(self, alpha, rho, weight, meta=None):
+        alpha, rho, weight = (np.asarray(x, dtype=float).reshape(-1)
+                              for x in (alpha, rho, weight))
+        if not len(alpha) == len(rho) == len(weight):
+            raise ValueError("alpha, rho and weight must have one length")
+        if not np.all((weight > 0) & np.isfinite(weight)):
+            raise ValueError("atom weight must be positive and finite")
+        if not np.all(rho >= 0):
+            raise ValueError("rho must be >= 0")
+        order = np.lexsort((rho, alpha, rho > 0))
+        self.alpha, self.rho, self.weight = alpha[order], rho[order], weight[order]
         self.meta = dict(meta or {})
 
     def total_mass(self):
-        return float(sum(a.weight for a in self.atoms))
-
-    def arrays(self):
-        """(alpha, rho, weight) as ndarrays, in the deterministic atom order."""
-        if not self.atoms:
-            return (np.zeros(0), np.zeros(0), np.zeros(0))
-        alpha = np.array([a.alpha for a in self.atoms])
-        rho = np.array([a.rho for a in self.atoms])
-        weight = np.array([a.weight for a in self.atoms])
-        return alpha, rho, weight
+        # the builtin float sum: raster normalization depends on its rounding
+        return float(sum(self.weight.tolist()))
 
     def scaled(self, factor):
-        return EmpiricalMeasure(
-            [AtomicMass(a.alpha, a.rho, a.weight * factor) for a in self.atoms],
-            self.meta)
+        return EmpiricalMeasure(self.alpha, self.rho, self.weight * factor,
+                                self.meta)
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.weight)
+
+    def rows(self):
+        """(kind, alpha, rho, weight) per atom; kind is "point" or "sphere"."""
+        return [("point" if r == 0.0 else "sphere", a, r, w) for a, r, w
+                in zip(self.alpha.tolist(), self.rho.tolist(),
+                       self.weight.tolist())]
 
     def to_json(self):
-        return {
-            "atoms": [{"kind": "point" if a.is_real_point else "sphere",
-                       "alpha": a.alpha, "rho": a.rho, "weight": a.weight}
-                      for a in self.atoms],
-            "meta": self.meta,
-        }
+        return {"atoms": [{"kind": k, "alpha": a, "rho": r, "weight": w}
+                          for k, a, r, w in self.rows()],
+                "meta": self.meta}
 
     @staticmethod
     def from_json(data):
-        atoms = [AtomicMass(d["alpha"], d["rho"], d["weight"])
-                 for d in data["atoms"]]
-        return EmpiricalMeasure(atoms, data.get("meta"))
+        atoms = data["atoms"]
+        return EmpiricalMeasure([d["alpha"] for d in atoms],
+                                [d["rho"] for d in atoms],
+                                [d["weight"] for d in atoms], data.get("meta"))
 
 
 @dataclass(frozen=True)
@@ -153,23 +141,48 @@ def standard_panel():
     ]
 
 
-def _classify_roots(nodes, dn, policy: NumericPolicy):
-    """Fiber roots on the reference slice -> point/sphere atoms.
+def _fold(z, weight, policy: NumericPolicy):
+    """Complex slice atoms -> (alpha, rho, weight) arrays.
 
-    Real roots (|Im| below the cluster scale) become RealPoint atoms of
-    weight mult/dn; conjugate pairs merge into one sphere atom of weight
-    2*mult/dn (only the Im > 0 representative is consumed; the multiset is
-    asserted conjugation-closed by the callers' tests).
+    z and its conjugate fold onto the same rho = |Im z|; rho snaps to 0 when
+    |Im z| <= real_axis_tol * (1 + |z|).
     """
-    atoms = []
-    for node in nodes:
-        z, m = node.point, node.multiplicity
-        scale = 1.0 + abs(z)
-        if abs(z.imag) <= policy.real_axis_tol * scale:
-            atoms.append(AtomicMass(z.real, 0.0, m / dn))
-        elif z.imag > 0:
-            atoms.append(AtomicMass(z.real, z.imag, 2.0 * m / dn))
-    return atoms
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    rho = np.abs(z.imag)
+    rho[rho <= policy.real_axis_tol * (1.0 + np.abs(z))] = 0.0
+    return z.real, rho, np.asarray(weight, dtype=float).reshape(-1)
+
+
+def _merge(alpha, rho, weight, meta, policy: NumericPolicy) -> EmpiricalMeasure:
+    """Sum coincident atoms into one measure.
+
+    In the (rho > 0, alpha, rho) order, each run of atoms of one kind that
+    lie within cluster_tol * (1 + |alpha| + rho) of the run's first atom, in
+    both coordinates, merges into that first atom; weights add left to right.
+    """
+    order = np.lexsort((rho, alpha, rho > 0))
+    alpha, rho, weight = alpha[order], rho[order], weight[order]
+    sphere = rho > 0
+    tol = policy.cluster_tol * (1.0 + np.abs(alpha) + rho)
+    # a run's first merge is always with the atom right before it
+    near_next = ((sphere[1:] == sphere[:-1])
+                 & (np.abs(alpha[1:] - alpha[:-1]) <= tol[:-1])
+                 & (np.abs(rho[1:] - rho[:-1]) <= tol[:-1]))
+    first = np.ones(len(alpha), dtype=bool)
+    if np.any(near_next):
+        a, r, s, t = (x.tolist() for x in (alpha, rho, sphere, tol))
+        j = 0
+        for b in np.flatnonzero(near_next).tolist():
+            if b < j:
+                continue  # b already joined the run of an earlier atom
+            j = b + 1
+            while (j < len(a) and s[j] == s[b] and abs(a[j] - a[b]) <= t[b]
+                   and abs(r[j] - r[b]) <= t[b]):
+                first[j] = False
+                j += 1
+    run = np.cumsum(first) - 1
+    return EmpiricalMeasure(alpha[first], rho[first],
+                            np.bincount(run, weight), meta)
 
 
 def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
@@ -189,11 +202,12 @@ def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
     if screen and is_exceptional(pc, complex(a), policy=policy):
         raise ExceptionalTarget(f"target {a} is exceptional for this polynomial")
     nodes = preimage_tree(pc, complex(a), n, budget, policy)
-    atoms = _classify_roots(nodes, float(d) ** n, policy)
+    mults = np.array([nd.multiplicity for nd in nodes])
     meta = {"polynomial": p.to_json(), "target": a, "depth": n}
-    m = EmpiricalMeasure(atoms, meta)
+    m = _merge(*_fold([nd.point for nd in nodes], mults / float(d) ** n,
+                      policy), meta, policy)
     if abs(m.total_mass() - 1.0) > 1e-9:
-        raise AssertionError(f"pullback mass {m.total_mass()} != 1")
+        raise InvariantViolation(f"pullback mass {m.total_mass()} != 1")
     return m
 
 
@@ -205,17 +219,16 @@ def pair(m: EmpiricalMeasure, f: TestFunction,
     axial function is its value at (alpha, rho), exactly).
     """
     if f.axial is not None:
-        alpha, rho, weight = m.arrays()
-        return float(np.sum(weight * f.axial(alpha, rho)))
+        return float(np.sum(m.weight * f.axial(m.alpha, m.rho)))
     if quad is None:
         quad = sphere_quadrature(3)
     total = 0.0
-    for a in m.atoms:
-        if a.is_real_point:
-            total += a.weight * f(Quaternion.real(a.alpha))
+    for kind, alpha, rho, weight in m.rows():
+        if kind == "point":
+            total += weight * f(Quaternion.real(alpha))
         else:
-            sph = a.sphere()
-            total += a.weight * quad.average(lambda u: f(sph.point(u)))
+            sph = Sphere2(alpha, rho)
+            total += weight * quad.average(lambda u: f(sph.point(u)))
     return total
 
 
@@ -236,14 +249,8 @@ def pushforward(p: QPolynomial, m: EmpiricalMeasure,
     if not p.has_real_coeffs():
         raise ValueError("pushforward requires real coefficients")
     pc = p.restrict_to_slice(UNIT_I, policy)
-    atoms = []
-    for a in m.atoms:
-        img = pc(complex(a.alpha, a.rho))
-        rho = abs(img.imag)
-        if rho <= policy.real_axis_tol * (1.0 + abs(img)):
-            rho = 0.0
-        atoms.append(AtomicMass(img.real, rho, a.weight))
-    return _coalesce(atoms, m.meta, policy)
+    images = pc(m.alpha + 1j * m.rho)
+    return _merge(*_fold(images, m.weight, policy), m.meta, policy)
 
 
 def pullback(p: QPolynomial, m: EmpiricalMeasure,
@@ -253,41 +260,15 @@ def pullback(p: QPolynomial, m: EmpiricalMeasure,
     if not p.has_real_coeffs():
         raise ValueError("pullback requires real coefficients")
     pc = p.restrict_to_slice(UNIT_I, policy)
-    atoms = []
-    for a in m.atoms:
-        targets = [complex(a.alpha, a.rho)]
-        shares = [a.weight]
-        if a.rho > 0:
-            # a sphere atom marginalizes to the conjugate pair, half each
-            targets = [complex(a.alpha, a.rho), complex(a.alpha, -a.rho)]
-            shares = [a.weight / 2.0, a.weight / 2.0]
-        for tgt, share in zip(targets, shares):
-            for z, mult in solve_fiber(pc, tgt, policy):
-                scale = 1.0 + abs(z)
-                if abs(z.imag) <= policy.real_axis_tol * scale:
-                    atoms.append(AtomicMass(z.real, 0.0, share * mult))
-                else:
-                    # complex roots appear once per half-plane; weight carries
-                    # the full share of that root
-                    atoms.append(AtomicMass(z.real, abs(z.imag), share * mult))
-    return _coalesce(atoms, m.meta, policy)
-
-
-def _coalesce(atoms, meta, policy: NumericPolicy):
-    """Merge atoms at coincident (alpha, rho) within cluster tolerance."""
-    atoms = sorted(atoms, key=lambda a: (a.rho > 0, a.alpha, a.rho))
-    merged = []
-    for a in atoms:
-        if merged:
-            b = merged[-1]
-            scale = 1.0 + abs(b.alpha) + b.rho
-            if ((a.rho > 0) == (b.rho > 0)
-                    and abs(a.alpha - b.alpha) <= policy.cluster_tol * scale
-                    and abs(a.rho - b.rho) <= policy.cluster_tol * scale):
-                merged[-1] = AtomicMass(b.alpha, b.rho, b.weight + a.weight)
-                continue
-        merged.append(a)
-    return EmpiricalMeasure(merged, meta)
+    # a sphere atom marginalizes to the conjugate pair, half the weight each
+    sphere = m.rho > 0
+    targets = np.concatenate([m.alpha + 1j * m.rho,
+                              m.alpha[sphere] - 1j * m.rho[sphere]])
+    shares = np.concatenate([np.where(sphere, m.weight / 2.0, m.weight),
+                             m.weight[sphere] / 2.0])
+    roots = fiber_roots(pc.coeffs, targets, policy)
+    return _merge(*_fold(roots, np.repeat(shares, pc.degree), policy),
+                  m.meta, policy)
 
 
 def slice_marginal(m: EmpiricalMeasure, unit=UNIT_I):
@@ -297,12 +278,12 @@ def slice_marginal(m: EmpiricalMeasure, unit=UNIT_I):
     weight each; real points keep their weight.
     """
     out = []
-    for a in m.atoms:
-        if a.is_real_point:
-            out.append((complex(a.alpha, 0.0), a.weight))
+    for kind, alpha, rho, weight in m.rows():
+        if kind == "point":
+            out.append((complex(alpha, 0.0), weight))
         else:
-            out.append((complex(a.alpha, a.rho), a.weight / 2.0))
-            out.append((complex(a.alpha, -a.rho), a.weight / 2.0))
+            out.append((complex(alpha, rho), weight / 2.0))
+            out.append((complex(alpha, -rho), weight / 2.0))
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 
@@ -313,17 +294,13 @@ def measure_from_complex_atoms(points, weights, meta=None,
     """Build an axially symmetric measure from complex slice atoms.
 
     Conjugate mass is folded onto rho = |Im z|; callers supply both halves
-    (or a density raster covering both half-planes).
+    (or a density raster covering both half-planes). Atoms of weight <= 0
+    are dropped.
     """
-    atoms = []
-    for z, w in zip(points, weights):
-        if w <= 0:
-            continue
-        rho = abs(z.imag)
-        if rho <= policy.real_axis_tol * (1.0 + abs(z)):
-            rho = 0.0
-        atoms.append(AtomicMass(z.real, rho, float(w)))
-    m = _coalesce(atoms, meta or {}, policy)
+    points = np.asarray(points, dtype=complex).reshape(-1)
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    keep = ~(weights <= 0)  # a NaN weight is kept, and refused
+    m = _merge(*_fold(points[keep], weights[keep], policy), meta or {}, policy)
     if normalize and m.total_mass() > 0:
         m = m.scaled(1.0 / m.total_mass())
     return m

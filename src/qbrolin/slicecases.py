@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdyn import is_exceptional, preimage_tree, solve_fiber
-from .errors import BudgetExceeded, ExceptionalTarget, ProbeOnFiber
+from .errors import (BudgetExceeded, ExceptionalTarget, InvariantViolation,
+                     ProbeOnFiber)
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
@@ -43,7 +44,7 @@ __all__ = [
 
 def _realify(f: QPolynomial, scale: float | None = None,
              tol: float = 1e-10) -> QPolynomial:
-    """Assert coefficients are real to tolerance, then drop the imaginary parts.
+    """Check coefficients are real to tolerance, then drop the imaginary parts.
 
     scale is the magnitude the convolution producing f actually summed
     (symmetrization cancels heavily, so the output coefficients can sit many
@@ -52,7 +53,7 @@ def _realify(f: QPolynomial, scale: float | None = None,
     if scale is None:
         scale = max(abs(c) for c in f.coeffs) or 1.0
     if f.max_imag_coeff() > tol * scale:
-        raise AssertionError(
+        raise InvariantViolation(
             f"expected real coefficients, worst imaginary part {f.max_imag_coeff():.3g}")
     return QPolynomial.from_real([c.w for c in f.coeffs])
 
@@ -98,7 +99,7 @@ class GeneralIterate:
     def __post_init__(self):
         d = self.source.degree
         if self.hn.degree != 2 * d ** self.n:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"deg h_n = {self.hn.degree}, expected {2 * d ** self.n}")
 
 
@@ -140,20 +141,13 @@ def _binned(points, weights, bin_width, meta, policy):
     points = np.asarray(points, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     alpha, rho = points.real, np.abs(points.imag)
-    ia = np.floor(alpha / bin_width).astype(np.int64)
-    ir = np.floor(rho / bin_width).astype(np.int64)
-    keys = {}
-    for k in range(len(points)):
-        keys.setdefault((ia[k], ir[k]), []).append(k)
-    out_pts, out_w = [], []
-    for key in sorted(keys):
-        idx = keys[key]
-        w = weights[idx].sum()
-        a_mean = float(np.average(alpha[idx], weights=weights[idx]))
-        r_mean = float(np.average(rho[idx], weights=weights[idx]))
-        out_pts.append(complex(a_mean, r_mean))
-        out_w.append(w)
-    return measure_from_complex_atoms(out_pts, out_w, meta=meta, policy=policy)
+    keys = np.floor(np.stack([alpha, rho], axis=1) / bin_width).astype(np.int64)
+    _, bin_of = np.unique(keys, axis=0, return_inverse=True)
+    bin_of = bin_of.reshape(-1)
+    w = np.bincount(bin_of, weights)
+    means = (np.bincount(bin_of, weights * alpha)
+             + 1j * np.bincount(bin_of, weights * rho)) / w
+    return measure_from_complex_atoms(means, w, meta=meta, policy=policy)
 
 
 def mu_prime_estimate(P: OneSlicePolynomial, quad: SphereQuadrature, n: int,
@@ -203,7 +197,7 @@ def mu_prime_estimate(P: OneSlicePolynomial, quad: SphereQuadrature, n: int,
         meta["debug_atoms"] = debug
     m = _binned(points, weights, bin_width, meta, policy)
     if abs(m.total_mass() - 1.0) > 1e-9:
-        raise AssertionError(f"mu' mass {m.total_mass()} != 1")
+        raise InvariantViolation(f"mu' mass {m.total_mass()} != 1")
     return m
 
 
@@ -212,27 +206,18 @@ def gn_pullback_measure(P: OneSlicePolynomial, a: float, n: int,
     """Normalized fiber measure of the real target a under g_n.
 
     g_n has real coefficients and degree 2 d^n; each complex fiber root
-    carries 1/(2 d^n), spheres fold conjugate pairs as usual.
+    carries 1/(2 d^n), and conjugate roots fold onto one sphere.
     """
     g = gn_build(P, n, policy)
     _screen_gn_target(P, a, policy)
     gc = g.restrict_to_slice(UNIT_I, policy)
-    deg = gc.degree
-    pts, ws = [], []
-    for z, mult in solve_fiber(gc, complex(a), policy):
-        if abs(z.imag) <= policy.real_axis_tol * (1.0 + abs(z)):
-            pts.append(complex(z.real, 0.0))
-            ws.append(mult / deg)
-        else:
-            # one atom per conjugate pair; its mirror root carries the
-            # other half, so the sphere weight is 2 mult / deg
-            if z.imag > 0:
-                pts.append(z)
-                ws.append(2.0 * mult / deg)
+    fiber = solve_fiber(gc, complex(a), policy)
     meta = {"estimator": "gn_pullback", "depth": n, "target": a}
-    m = measure_from_complex_atoms(pts, ws, meta=meta, policy=policy)
+    m = measure_from_complex_atoms([z for z, _ in fiber],
+                                   [mult / gc.degree for _, mult in fiber],
+                                   meta=meta, policy=policy)
     if abs(m.total_mass() - 1.0) > 1e-6:
-        raise AssertionError(f"g_n fiber mass {m.total_mass()} != 1")
+        raise InvariantViolation(f"g_n fiber mass {m.total_mass()} != 1")
     return m
 
 

@@ -140,3 +140,38 @@ def test_non_numeric_target_is_a_config_error(tmp_path, capsys):
         "params": {"target": "abc", "depth": 3}})
     assert code == 2 and err["error"] == "ConfigError"
     assert "params.target" in err["message"]
+
+
+def _q2_minus_1(mode, params, **extra):
+    poly = {"coeffs": [[-1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
+    return dict({"mode": mode, "polynomial": poly, "params": params}, **extra)
+
+
+def test_bad_count_params_are_config_errors(tmp_path, capsys):
+    for cfg, key in [
+            # n_max 2 leaves the mixing slope fit a single lag
+            (_q2_minus_1("mixing", {"n_max": 2, "samples": 10}), "n_max"),
+            (_q2_minus_1("equilibrium", {"depth": -1}), "depth"),
+            (_q2_minus_1("equilibrium", {"depth": 2.5}), "depth"),
+            # n_max 1 fits an entropy slope through one point
+            (_q2_minus_1("entropy", {"kind": "partition", "n_max": 1,
+                                     "samples": 100}), "n_max")]:
+        code, err = _config_error(tmp_path, capsys, cfg)
+        assert code == 2 and err["error"] == "ConfigError"
+        assert f"params.{key}" in err["message"]
+
+
+def test_bad_policy_values_are_config_errors(tmp_path, capsys):
+    for policy in ({"burn_in": "x"}, {"cluster_tol": -1}, {"burn_in": 0},
+                   {"aberth_max_iter": 2.5}, {"aberth_tol": float("nan")}):
+        code, err = _config_error(tmp_path, capsys, _q2_minus_1(
+            "equilibrium", {"depth": 3}, policy=policy))
+        assert code == 2 and err["error"] == "ConfigError"
+        assert f"policy.{next(iter(policy))}" in err["message"]
+
+
+def test_valid_policy_values_run(tmp_path):
+    path = _write(tmp_path, "c.json", _q2_minus_1(
+        "equilibrium", {"depth": 3}, out=str(tmp_path / "out"),
+        policy={"burn_in": 5, "cluster_tol": 1e-8, "aberth_tol": 1}))
+    assert main([path]) == 0

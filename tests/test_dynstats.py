@@ -9,7 +9,7 @@ from qbrolin.dynstats import (AxialBox, calibrate_ks_null, clt_harness,
                               mixing_correlation, partition_entropy, sample_mu,
                               sample_mu_chains, separated_count,
                               topological_entropy, transfer_apply)
-from qbrolin.errors import DegenerateSample
+from qbrolin.errors import DegenerateSample, InvariantViolation
 from qbrolin.measures import axial_test_function
 from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.quat import SlicePoint, UNIT_I
@@ -92,10 +92,17 @@ def test_mixing_correlation_decays():
     assert abs(corr[6]) < abs(corr[1])
 
 
+def test_partition_entropy_needs_words_of_every_length():
+    part = interval_partition(-2.0, 2.0, 4)
+    with pytest.raises(InvariantViolation):
+        partition_entropy(QPolynomial.from_real([-2.0, 0.0, 1.0]), part, 4,
+                          samples=np.array([0.5 + 0j, 1.5 + 0j, -0.3 + 0j]))
+
+
 def test_fit_log_slope():
     pairs = [(n, 3.0 * 0.5 ** n) for n in range(8)]
     assert fit_log_slope(pairs, n_min=1) == pytest.approx(math.log(0.5), abs=1e-9)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         fit_log_slope([(1, 1.0)], n_min=1)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbrolin.errors import SingularNode
+from qbrolin.errors import InvariantViolation, SingularNode
 from qbrolin.grids import GridField, SliceGrid
 from qbrolin.laplacian import (fundamental_solution_check, log_distance_field,
                                measure_from_green, raster_to_measure,
@@ -76,6 +76,14 @@ def test_measure_from_green_unit_mass():
     density, clamp = measure_from_green(p, 8, SliceGrid.square(0j, 2.5, 1.0 / 64))
     assert density.cell_sum() == pytest.approx(1.0, abs=0.05)
     assert clamp < 0.05
+
+
+def test_measure_from_green_clamp_limit():
+    # the stencil overshoots at the level curve, so some mass is clamped
+    p = QPolynomial.from_real([-2.0, 0.0, 1.0])
+    with pytest.raises(InvariantViolation):
+        measure_from_green(p, 8, SliceGrid.square(0j, 2.5, 1.0 / 16),
+                           clamp_limit=0.0)
 
 
 def test_raster_vs_preimage_measure():

@@ -1,11 +1,15 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbrolin.errors import ExceptionalTarget
-from qbrolin.measures import (AtomicMass, EmpiricalMeasure, axial_test_function,
+from qbrolin.measures import (EmpiricalMeasure, axial_test_function,
                               brolin_pullback, measure_from_complex_atoms, pair,
                               pullback, pushforward, slice_marginal,
                               standard_panel, weak_distance)
+from qbrolin.policy import DEFAULT
 from qbrolin.poly import QPolynomial
 from qbrolin.quat import sphere_quadrature
 
@@ -13,19 +17,94 @@ CHEB = QPolynomial.from_real([-2.0, 0.0, 1.0])
 SQ = QPolynomial.from_real([0.0, 0.0, 1.0])
 
 
+def _arrays(m):
+    return m.alpha, m.rho, m.weight
+
+
 def test_atom_validation():
+    for weight in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            EmpiricalMeasure([0.0], [0.0], [weight])
     with pytest.raises(ValueError):
-        AtomicMass(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        AtomicMass(0.0, -1.0, 1.0)
+        EmpiricalMeasure([0.0], [-1.0], [1.0])
 
 
 def test_measure_sorted_and_json():
-    m = EmpiricalMeasure([AtomicMass(1.0, 0.5, 0.5), AtomicMass(-1.0, 0.0, 0.5)],
-                         {"tag": 1})
-    assert m.atoms[0].is_real_point
+    m = EmpiricalMeasure([1.0, -1.0], [0.5, 0.0], [0.5, 0.5], {"tag": 1})
+    assert m.rows() == [("point", -1.0, 0.0, 0.5), ("sphere", 1.0, 0.5, 0.5)]
     again = EmpiricalMeasure.from_json(m.to_json())
-    assert again.atoms == m.atoms and again.meta == m.meta
+    assert all(np.array_equal(x, y) for x, y in zip(_arrays(again), _arrays(m)))
+    assert again.meta == m.meta
+
+
+# Reference for the fold and merge: the former per-atom fold of
+# measure_from_complex_atoms and the former _coalesce, on plain tuples.
+_Atom = namedtuple("_Atom", "alpha rho weight")
+
+
+def _reference_fold_merge(points, weights, policy=DEFAULT):
+    atoms = []
+    for z, w in zip(points, weights):
+        if w <= 0:
+            continue
+        rho = abs(z.imag)
+        if rho <= policy.real_axis_tol * (1.0 + abs(z)):
+            rho = 0.0
+        atoms.append(_Atom(z.real, rho, float(w)))
+    atoms = sorted(atoms, key=lambda a: (a.rho > 0, a.alpha, a.rho))
+    merged = []
+    for a in atoms:
+        if merged:
+            b = merged[-1]
+            scale = 1.0 + abs(b.alpha) + b.rho
+            if ((a.rho > 0) == (b.rho > 0)
+                    and abs(a.alpha - b.alpha) <= policy.cluster_tol * scale
+                    and abs(a.rho - b.rho) <= policy.cluster_tol * scale):
+                merged[-1] = _Atom(b.alpha, b.rho, b.weight + a.weight)
+                continue
+        merged.append(a)
+    return tuple(np.array([getattr(a, k) for a in merged], dtype=float)
+                 for k in _Atom._fields)
+
+
+@st.composite
+def _clouds(draw):
+    """Slice atoms with exact and near duplicates, conjugates, chains of
+    near duplicates, near-real points and zero weights, in random order."""
+    points = []
+    for a, b in draw(st.lists(st.tuples(st.floats(-3, 3), st.floats(-2, 2)),
+                              min_size=1, max_size=10)):
+        z = complex(a, b)
+        points.append(z)
+        step = draw(st.floats(0.5, 2.0)) * DEFAULT.cluster_tol * (1 + abs(z))
+        kind = draw(st.sampled_from(["dup", "near", "chain", "conj", "real", "-"]))
+        if kind == "dup":
+            points.append(z)
+        elif kind == "near":
+            dz = draw(st.sampled_from([step, 1j * step, step - 1j * step]))
+            points.append(z + dz)
+        elif kind == "chain":
+            points.extend(z + k * 0.6 * step for k in (1, 2, 3))
+        elif kind == "conj":
+            points.append(z.conjugate())
+        elif kind == "real":
+            near_axis = step / DEFAULT.cluster_tol * DEFAULT.real_axis_tol
+            points.append(complex(a, draw(st.sampled_from([1, -1])) * near_axis))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.25]) | st.floats(1e-6, 1.0),
+                            min_size=len(points), max_size=len(points)))
+    order = draw(st.permutations(range(len(points))))
+    return [points[i] for i in order], [weights[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clouds())
+def test_fold_merge_matches_reference(cloud):
+    points, weights = cloud
+    want = _reference_fold_merge(points, weights)
+    got = _arrays(measure_from_complex_atoms(points, weights))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def test_pullback_mass_one():
@@ -74,7 +153,7 @@ def test_pullback_operator_mass():
 
 
 def test_slice_marginal_splits_spheres():
-    m = EmpiricalMeasure([AtomicMass(0.0, 1.0, 1.0)])
+    m = EmpiricalMeasure([0.0], [1.0], [1.0])
     marg = slice_marginal(m)
     assert marg == [(complex(0.0, -1.0), 0.5), (complex(0.0, 1.0), 0.5)]
 
@@ -88,9 +167,9 @@ def test_measure_from_complex_atoms_folds_conjugates():
     pts = [1.0 + 0.5j, 1.0 - 0.5j, 0.3 + 0j]
     m = measure_from_complex_atoms(pts, [0.25, 0.25, 0.5])
     assert len(m) == 2
-    sphere = [a for a in m.atoms if not a.is_real_point][0]
-    assert sphere.weight == pytest.approx(0.5)
-    assert sphere.rho == pytest.approx(0.5)
+    sphere = m.rho > 0
+    assert m.weight[sphere] == pytest.approx([0.5])
+    assert m.rho[sphere] == pytest.approx([0.5])
 
 
 def test_standard_panel_shape():
@@ -105,7 +184,7 @@ def test_chebyshev_moments():
     # nu_n for z^2 - 2 approaches the arcsine law on [-2, 2]:
     # odd moments 0, second moment 2, fourth moment 6
     m = brolin_pullback(CHEB, 0.0, 12)
-    alpha, rho, w = m.arrays()
+    alpha, rho, w = _arrays(m)
     assert rho.max() == 0.0  # supported on the real segment
     assert np.sum(w * alpha) == pytest.approx(0.0, abs=1e-6)
     assert np.sum(w * alpha ** 2) == pytest.approx(2.0, abs=1e-6)
@@ -114,6 +193,6 @@ def test_chebyshev_moments():
 
 def test_basilica_pullback_has_spheres():
     m = brolin_pullback(QPolynomial.from_real([-1.0, 0.0, 1.0]), 0.5, 8)
-    kinds = {a.is_real_point for a in m.atoms}
+    kinds = set((m.rho == 0.0).tolist())
     assert kinds == {True, False}
     assert m.total_mass() == pytest.approx(1.0, abs=1e-12)

@@ -117,7 +117,7 @@ def test_gn_pullback_measure_atoms():
     # g_1 = q^4 + 1 above 0: roots of q^4 = -1, two conjugate sphere pairs
     m = gn_pullback_measure(P_I, 0.0, 1)
     assert m.total_mass() == pytest.approx(1.0, abs=1e-9)
-    alpha, rho, w = m.arrays()
+    alpha, rho, w = m.alpha, m.rho, m.weight
     assert np.allclose(np.sort(alpha), [-2 ** -0.5, 2 ** -0.5], atol=1e-12)
     assert np.allclose(rho, 2 ** -0.5, atol=1e-12)
     assert np.allclose(w, 0.5)
