@@ -35,8 +35,8 @@ from .measures import (axial_test_function, brolin_pullback, pair,
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
 from .quat import Quaternion, SlicePoint, UNIT_I, sphere_quadrature
-from .slicecases import (OneSlicePolynomial, brolin3_gap, gn_pullback_measure,
-                         mu_prime_estimate)
+from .slicecases import (OneSlicePolynomial, annulus_probes, brolin3_gap,
+                         gn_pullback_measure, mu_prime_estimate)
 
 MODES = ("julia", "equilibrium", "green", "delta-star", "lyapunov", "entropy",
          "mixing", "clt", "one-slice", "general-gap", "verify")
@@ -406,7 +406,9 @@ def run_general_gap(cfg, out: Path, policy):
     a = float(params.get("a", 0.0))
     b = float(params.get("b", 1.0))
     n_list = params.get("n_list", list(range(1, 9)))
-    rows = [[n, brolin3_gap(p, a, b, int(n), policy=policy)] for n in n_list]
+    probes = annulus_probes(int(params.get("probe_count", 100)))
+    rows = [[n, brolin3_gap(p, a, b, int(n), probes, policy=policy)]
+            for n in n_list]
     write_csv(out / "gap.csv", ["n", "gap"], rows)
     write_json(out / "gap.json",
                {"a": a, "b": b, "final_gap": rows[-1][1],

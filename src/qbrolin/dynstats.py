@@ -3,8 +3,10 @@
 Sampling realization: the backward random orbit (repeatedly pick a uniformly
 random fiber root, multiplicity-weighted) equidistributes toward the slice
 equilibrium measure; after burn-in the chain points are treated as mu_I
-samples. One chain also encodes forward orbits for free: p(z_{t}) = z_{t-1},
-so lagged statistics of the chain are forward-orbit statistics.
+samples. The sampler runs several chains in lockstep, one batched fiber solve
+per step. Within each chain p(z_{t}) = z_{t-1}, so lagged statistics of a
+chain are forward-orbit statistics; no forward orbit crosses from one chain
+into the next.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special as _special
 from scipy import stats as _sstats
+from scipy.spatial import cKDTree
 
 from .cdyn import is_exceptional
 from .errors import DegenerateSample, InvariantViolation, SolverFailure
@@ -25,8 +29,8 @@ from .roots import fiber_roots
 __all__ = [
     "EstimateReport",
     "AxialBox",
+    "SAMPLER_CHAINS",
     "sample_mu",
-    "sample_mu_chains",
     "lyapunov_slice",
     "lyapunov_sphere_direction",
     "transfer_apply",
@@ -42,6 +46,10 @@ __all__ = [
 ]
 
 _DEFAULT_START = complex(0.41, 0.37)
+# Chains of the backward-orbit sampler: enough rows for one batched fiber
+# solve per step to pay off, few enough that each chain runs long past its
+# burn-in at the sample counts the estimators use.
+SAMPLER_CHAINS = 64
 
 
 @dataclass(frozen=True)
@@ -81,43 +89,48 @@ def _chain_step(p: ComplexPoly, targets, rng, policy):
     return roots[np.arange(len(targets)), pick]
 
 
-def sample_mu(p: ComplexPoly, count: int, seed: int,
-              start: complex = _DEFAULT_START, burn_in: int | None = None,
-              policy: NumericPolicy = DEFAULT) -> np.ndarray:
-    """One backward random orbit: `count` mu_I-distributed points after burn-in.
+def _chain_lengths(count: int, chains: int) -> np.ndarray:
+    """Lengths of min(count, chains) chains (one if count is 0) holding
+    count points in all, differing by at most one, longer chains first."""
+    k = max(1, min(count, chains))
+    base, extra = divmod(count, k)
+    return np.where(np.arange(k) < extra, base + 1, base)
 
-    Consecutive points satisfy p(z_{t+1}) = z_t exactly (up to the solver).
+
+def sample_mu(p: ComplexPoly, count: int, seed: int, *,
+              chains: int = SAMPLER_CHAINS, start: complex = _DEFAULT_START,
+              burn_in: int | None = None,
+              policy: NumericPolicy = DEFAULT) -> np.ndarray:
+    """`count` mu_I-distributed points from backward random orbits run in
+    lockstep, as one flat chain-major array.
+
+    min(count, chains) chains all start at `start`; each step solves the
+    fibers of every chain head in one `fiber_roots` call and draws one pick
+    per chain. After `burn_in` steps, each chain records its head, then
+    steps. Chain lengths differ by at most one, longer chains first; within a chain
+    consecutive points satisfy p(z_{t+1}) = z_t (up to the solver).
     Deterministic given (seed, params).
     """
     if p.degree < 2:
         raise ValueError("sampling needs degree >= 2")
+    if chains < 1:
+        raise ValueError("sampling needs at least one chain")
     if burn_in is None:
         burn_in = policy.burn_in
     if is_exceptional(p, start, policy=policy):
         raise ValueError(f"start point {start} is exceptional")
+    lengths = _chain_lengths(count, chains)
+    steps = int(lengths[0])
     rng = np.random.default_rng(seed)
-    z = np.array([start], dtype=complex)
+    z = np.full(len(lengths), start, dtype=complex)
     for _ in range(burn_in):
         z = _chain_step(p, z, rng, policy)
-    out = np.empty(count, dtype=complex)
-    for t in range(count):
-        z = _chain_step(p, z, rng, policy)
-        out[t] = z[0]
-    return out
-
-
-def sample_mu_chains(p: ComplexPoly, n_chains: int, seed: int,
-                     start: complex = _DEFAULT_START,
-                     burn_in: int | None = None,
-                     policy: NumericPolicy = DEFAULT) -> np.ndarray:
-    """Independent mu_I samples: one backward orbit per chain, one draw each."""
-    if burn_in is None:
-        burn_in = policy.burn_in
-    rng = np.random.default_rng(seed)
-    z = np.full(n_chains, start, dtype=complex)
-    for _ in range(burn_in):
-        z = _chain_step(p, z, rng, policy)
-    return z
+    out = np.empty((len(lengths), steps), dtype=complex)
+    for t in range(steps):
+        out[:, t] = z
+        if t + 1 < steps:
+            z = _chain_step(p, z, rng, policy)
+    return out[np.arange(steps) < lengths[:, None]]
 
 
 def lyapunov_slice(p: ComplexPoly, n_samples: int, seed: int,
@@ -265,8 +278,9 @@ def clt_harness(p: ComplexPoly, phi, n_terms: int, n_samples: int, seed: int,
     A sigma below 1e-6 is reported as degenerate (coboundary candidate), not
     failed.
     """
-    starts = sample_mu_chains(p, n_samples, seed, policy=policy)
-    z = starts.copy()
+    # many independent one-point chains, not a few long ones: the sums
+    # need independent starts
+    z = sample_mu(p, n_samples, seed, chains=n_samples, policy=policy)
     if np.max(np.abs(z.imag)) <= 1e-8:
         # burn-in leaves a residual transverse component that the forward
         # expansion would double each step; a real Julia set is numerically
@@ -291,14 +305,25 @@ def clt_harness(p: ComplexPoly, phi, n_terms: int, n_samples: int, seed: int,
 def calibrate_ks_null(n_samples: int, reps: int = 200, seed: int = 0,
                       quantile: float = 0.95) -> float:
     """KS pass bar: the given quantile of the same-size Gaussian null,
-    fitted the same way (sigma estimated from the data)."""
+    fitted the same way (sigma estimated from the data).
+
+    Replications are drawn in blocks of rows from one stream, so the result
+    does not depend on the block size; each row's statistic is kstest's
+    two-sided D against N(0, sigma^2).
+    """
     rng = np.random.default_rng(seed)
     ks_vals = np.empty(reps)
-    for r in range(reps):
-        s = rng.normal(size=n_samples)
-        sigma = float(np.std(s, ddof=1))
-        mean = float(np.mean(s))
-        ks_vals[r] = _sstats.kstest(s - mean, "norm", args=(0.0, sigma)).statistic
+    block = max(1, 2 ** 18 // n_samples)   # rows of about 2 MB of normals
+    up = np.arange(1.0, n_samples + 1) / n_samples
+    down = np.arange(0.0, n_samples) / n_samples
+    for lo in range(0, reps, block):
+        s = rng.normal(size=(min(block, reps - lo), n_samples))
+        sigma = np.std(s, axis=1, ddof=1, keepdims=True)
+        s -= np.mean(s, axis=1, keepdims=True)
+        s.sort(axis=1)
+        cdf = _special.ndtr(s / sigma)
+        ks_vals[lo:lo + len(s)] = np.maximum(np.max(up - cdf, axis=1),
+                                             np.max(cdf - down, axis=1))
     return float(np.quantile(ks_vals, quantile))
 
 
@@ -357,22 +382,26 @@ def separated_count(p: QPolynomial, box: AxialBox, n: int, eps: float,
     else:
         orbits = _orbits[:, :n, :]
     orbits = np.asarray(orbits, dtype=np.float32)
-    N = orbits.shape[0]
-    first = orbits[:, 0, :]
-    alive = np.ones(N, dtype=bool)
+    last = orbits[:, -1, :].astype(float)
+    if not np.all(np.isfinite(last)):
+        # rounding drift off the Julia set grows like d^n until the orbit
+        # escapes; no distance to a point at infinity can be measured
+        raise SolverFailure(math.inf, f"forward orbit escaped within {n} "
+                            "iterates; lower n")
+    # dis_n >= distance of the last iterate, the most spread out one, so a
+    # k-d tree on it gives every pair the exact float32 test below can
+    # accept; the inflated radius covers float32 rounding
+    tree = cKDTree(last)
+    radius = eps * (1.0 + 1e-4) + 1e-12
+    alive = np.ones(orbits.shape[0], dtype=bool)
     count = 0
     eps2 = np.float32(eps * eps)
-    idx = np.arange(N)
-    while True:
-        live_idx = idx[alive]
-        if len(live_idx) == 0:
-            break
-        i = live_idx[0]
+    for i in range(orbits.shape[0]):
+        if not alive[i]:
+            continue
         count += 1
-        # dis_n >= distance of the first iterate, so only pairs close at
-        # j = 0 need the full max over iterates
-        d0 = first[live_idx] - first[i]
-        near = live_idx[np.sum(d0 * d0, axis=1) < eps2]
+        near = np.array(tree.query_ball_point(last[i], radius), dtype=np.intp)
+        near = near[alive[near]]
         diff = orbits[near] - orbits[i]
         d2 = np.max(np.sum(diff * diff, axis=2), axis=1)
         alive[near[d2 < eps2]] = False
@@ -425,7 +454,9 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
 
     Chain samples give sliding itinerary words (the forward orbit of z_t is
     z_{t-1}, z_{t-2}, ...). A point outside every cell breaks the chain: no
-    word spans it, and a length left with no word raises InvariantViolation.
+    word spans it, nor a boundary between two sampler chains; a length left
+    with no word raises InvariantViolation. An array of samples is read as
+    one chain.
     H_n is the n-gram entropy with the Miller-Madow bias correction; the
     reported value is the least-squares slope of H_n vs n on the last
     max(3, n_max//2) points.
@@ -433,19 +464,25 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
     pc = p.restrict_to_slice(UNIT_I, policy)
     if isinstance(samples, np.ndarray):
         z = samples
+        lengths = [len(z)]
     else:
         z = sample_mu(pc, int(samples), seed, policy=policy)
+        lengths = _chain_lengths(int(samples), SAMPLER_CHAINS)
     alpha, beta = z.real, np.abs(z.imag)
     symbols = np.full(len(z), -1, dtype=np.int64)
     for k, cell in enumerate(partition):
         inside = cell.contains(alpha, beta) & (symbols < 0)
         symbols[inside] = k
+    n_inside = int(np.sum(symbols >= 0))
+    # an out-of-partition symbol between chains breaks words there too
+    symbols = np.insert(symbols, np.cumsum(lengths)[:-1], -1)
     # gaps[t] = number of out-of-partition points among the first t
     gaps = np.concatenate([[0], np.cumsum(symbols < 0)])
     m = len(partition) + 1
     hs = []
     for n in range(1, n_max + 1):
-        # word for position t covers symbols of (z_t, p z_t, ..., p^{n-1} z_t)
+        # word for position t is the itinerary of w = z_{t+n-1} read
+        # backwards, (p^{n-1} w, ..., p w, w): the same n-gram entropy
         codes = np.zeros(len(symbols) - n + 1, dtype=np.int64)
         for j in range(n):
             codes = codes * m + symbols[j:len(symbols) - n + 1 + j]
@@ -463,7 +500,6 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
     ys = np.array([h for _, h in tail])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return EstimateReport("partition_entropy", float(slope), resid,
-                          int(np.sum(symbols >= 0)),
+    return EstimateReport("partition_entropy", float(slope), resid, n_inside,
                           {"n_max": n_max, "seed": seed,
                            "cells": len(partition), "H_n": hs})

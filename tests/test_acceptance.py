@@ -8,8 +8,10 @@ them noted alongside.
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,11 +257,16 @@ def test_criterion_11_general_case():
 def test_criterion_12_determinism(tmp_path):
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({"mode": "verify", "seed": 9}))
+    # the child interpreter imports qbrolin from this checkout's src/
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
     outs = []
     for sub in ("run1", "run2"):
         out = tmp_path / sub
         r = subprocess.run([sys.executable, "-m", "qbrolin.cli", str(cfg),
-                            "--out", str(out)], capture_output=True)
+                            "--out", str(out)], capture_output=True, env=env)
         assert r.returncode == 0, r.stderr.decode()
         outs.append(out)
     files = sorted(f.name for f in outs[0].iterdir())

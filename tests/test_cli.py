@@ -102,6 +102,27 @@ def test_general_gap_mode(tmp_path):
     assert len(rows) == 3
 
 
+def test_general_gap_probe_count_reaches_brolin3_gap(tmp_path, monkeypatch):
+    import qbrolin.cli as cli
+    seen = []
+
+    def gap(p, a, b, n, probe_points=None, **kw):
+        seen.append(len(probe_points))
+        return 0.5
+
+    monkeypatch.setattr(cli, "brolin3_gap", gap)
+    cfg = {"mode": "general-gap",
+           "polynomial": {"coeffs": [[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+           "params": {"n_list": [2, 3]}}
+    assert main([_write(tmp_path, "a.json",
+                        dict(cfg, out=str(tmp_path / "a")))]) == 0
+    cfg["params"]["probe_count"] = 9
+    assert main([_write(tmp_path, "b.json",
+                        dict(cfg, out=str(tmp_path / "b")))]) == 0
+    # the default is annulus_probes()'s own 100 (10 x 10), then 3 x 3
+    assert seen == [100, 100, 9, 9]
+
+
 def _config_error(tmp_path, capsys, cfg):
     path = _write(tmp_path, "c.json", dict(cfg, out=str(tmp_path / "out")))
     code = main([path])

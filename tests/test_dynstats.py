@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from qbrolin.dynstats import (AxialBox, calibrate_ks_null, clt_harness,
+from scipy import stats
+
+from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
+                              _orbit_matrix, calibrate_ks_null, clt_harness,
                               fit_log_slope, interval_partition,
                               lyapunov_slice, lyapunov_sphere_direction,
                               mixing_correlation, partition_entropy, sample_mu,
-                              sample_mu_chains, separated_count,
-                              topological_entropy, transfer_apply)
-from qbrolin.errors import DegenerateSample, InvariantViolation
+                              separated_count, topological_entropy,
+                              transfer_apply)
+from qbrolin.errors import (DegenerateSample, InvariantViolation,
+                            SolverFailure)
 from qbrolin.measures import axial_test_function
+from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.quat import SlicePoint, UNIT_I
+from qbrolin.roots import fiber_roots
 
 CHEB = ComplexPoly([-2.0, 0.0, 1.0])
 BASILICA = ComplexPoly([-1.0, 0.0, 1.0])
@@ -29,9 +35,21 @@ def test_sampler_deterministic():
 
 
 def test_sampler_chain_inverts_forward():
+    z = sample_mu(BASILICA, 100, seed=0, chains=4).reshape(4, 25)
+    # consecutive points of a chain satisfy p(z_{t+1}) = z_t
+    assert np.max(np.abs(BASILICA(z[:, 1:]) - z[:, :-1])) < 1e-9
+    # the chains start together but part within burn-in
+    assert len(np.unique(z[:, 0])) == 4
+
+
+def test_sampler_chain_lengths():
+    # 100 points in 64 chains: 36 chains of two points, then 28 of one
     z = sample_mu(BASILICA, 100, seed=0)
-    # consecutive points satisfy p(z_{t+1}) = z_t
-    assert np.max(np.abs(BASILICA(z[1:]) - z[:-1])) < 1e-9
+    assert z.shape == (100,)
+    pairs = z[:72].reshape(36, 2)
+    assert np.max(np.abs(BASILICA(pairs[:, 1]) - pairs[:, 0])) < 1e-9
+    assert sample_mu(BASILICA, 10, seed=0).shape == (10,)
+    assert SAMPLER_CHAINS == 64
 
 
 def test_sampler_lands_on_support():
@@ -46,15 +64,33 @@ def test_sampler_rejects_exceptional_start():
 
 
 def test_sample_mu_chains_shape():
-    z = sample_mu_chains(CHEB, 64, seed=2)
+    z = sample_mu(CHEB, 64, seed=2, chains=64)
     assert z.shape == (64,)
     assert np.max(np.abs(z.real)) <= 2.0 + 1e-9
 
 
+def _former_sample_mu_chains(p, n_chains, seed, start=complex(0.41, 0.37),
+                             policy=DEFAULT):
+    """The former one-draw-per-chain sampler: burn-in, then the heads."""
+    rng = np.random.default_rng(seed)
+    z = np.full(n_chains, start, dtype=complex)
+    for _ in range(policy.burn_in):
+        roots = fiber_roots(p.coeffs, z, policy)
+        pick = rng.integers(0, p.degree, size=len(z))
+        z = roots[np.arange(len(z)), pick]
+    return z
+
+
+@pytest.mark.parametrize("p", [CHEB, ComplexPoly([0.2, 0.0, 0.0, 1.0])])
+def test_one_point_chains_equal_former_sampler(p):
+    got = sample_mu(p, 300, seed=5, chains=300)
+    assert np.array_equal(got, _former_sample_mu_chains(p, 300, seed=5))
+
+
 def test_cubic_chain_step():
     p = ComplexPoly([0.0, -1.0, 0.0, 1.0])  # z^3 - z, Aberth path
-    z = sample_mu(p, 50, seed=0)
-    assert np.max(np.abs(p(z[1:]) - z[:-1])) < 1e-7
+    z = sample_mu(p, 50, seed=0, chains=5).reshape(5, 10)
+    assert np.max(np.abs(p(z[:, 1:]) - z[:, :-1])) < 1e-7
 
 
 def test_lyapunov_power_map_exact():
@@ -120,6 +156,25 @@ def test_calibrate_ks_null_deterministic():
     assert 0.01 < a < 0.1
 
 
+def _former_calibrate_ks_null(n_samples, reps, seed, quantile=0.95):
+    """The former one-replication-at-a-time loop through kstest."""
+    rng = np.random.default_rng(seed)
+    ks_vals = np.empty(reps)
+    for r in range(reps):
+        s = rng.normal(size=n_samples)
+        sigma = float(np.std(s, ddof=1))
+        mean = float(np.mean(s))
+        ks_vals[r] = stats.kstest(s - mean, "norm", args=(0.0, sigma)).statistic
+    return float(np.quantile(ks_vals, quantile))
+
+
+@pytest.mark.parametrize("n, reps, seed", [(500, 50, 1), (10000, 60, 5),
+                                           (37, 200, 0), (3000, 7, 2)])
+def test_calibrate_ks_null_equals_former_loop(n, reps, seed):
+    assert calibrate_ks_null(n, reps, seed) == _former_calibrate_ks_null(
+        n, reps, seed)
+
+
 def test_separated_count_monotone():
     p = QPolynomial.from_real([0.0, 0.0, 1.0])
     box = AxialBox(-1.5, 1.5, 0.0, 1.5)
@@ -129,6 +184,56 @@ def test_separated_count_monotone():
     assert n_small <= n_large
     assert n_coarse <= n_large
     assert n_small >= 2
+
+
+def _former_separated_count(orbits, eps):
+    """The former greedy loop: first live point, kill its eps-ball, repeat."""
+    orbits = np.asarray(orbits, dtype=np.float32)
+    N = orbits.shape[0]
+    first = orbits[:, 0, :]
+    alive = np.ones(N, dtype=bool)
+    count = 0
+    eps2 = np.float32(eps * eps)
+    idx = np.arange(N)
+    while True:
+        live_idx = idx[alive]
+        if len(live_idx) == 0:
+            break
+        i = live_idx[0]
+        count += 1
+        d0 = first[live_idx] - first[i]
+        near = live_idx[np.sum(d0 * d0, axis=1) < eps2]
+        diff = orbits[near] - orbits[i]
+        d2 = np.max(np.sum(diff * diff, axis=2), axis=1)
+        alive[near[d2 < eps2]] = False
+    return count
+
+
+@pytest.mark.parametrize("coeffs, box, n_max, eps_list", [
+    ([0.0, 0.0, 1.0], (-1.5, 1.5, 0.0, 1.5), 6, [0.2, 0.3]),
+    ([0.0, -1.0, 0.0, 1.0], (-1.8, 1.8, 0.0, 1.2), 4, [0.35, 0.45]),
+    ([-2.0, 0.0, 1.0], (-2.2, 2.2, 0.0, 0.5), 6, [0.2, 0.3]),
+])
+def test_separated_count_equals_former_greedy(coeffs, box, n_max, eps_list):
+    p = QPolynomial.from_real(coeffs)
+    box = AxialBox(*box)
+    pc = p.restrict_to_slice(UNIT_I)
+    z, units = _candidate_points(pc, box, 3000, 0, n_units=6, policy=DEFAULT)
+    orbits = _orbit_matrix(pc, z, units, n_max)
+    for n in range(1, n_max + 1):
+        for eps in eps_list:
+            assert (separated_count(p, box, n, eps, _orbits=orbits)
+                    == _former_separated_count(orbits[:, :n, :], eps))
+
+
+def test_separated_count_refuses_escaped_orbits():
+    # an orbit that overflowed has no distance to measure (the former
+    # greedy loop never killed such a point and did not return)
+    orbits = np.zeros((3, 2, 4))
+    orbits[1, 1, 0] = np.inf
+    with pytest.raises(SolverFailure):
+        separated_count(QPolynomial.from_real([0.0, 0.0, 1.0]),
+                        AxialBox(-1.0, 1.0, 0.0, 1.0), 2, 0.3, _orbits=orbits)
 
 
 def test_topological_entropy_report():
@@ -160,6 +265,23 @@ def test_partition_entropy_breaks_words_at_dropped_points():
     words = 4 * 50      # two 2-words per run, two runs per repeat
     assert h[2] == pytest.approx(math.log(2.0) + 1.0 / (2.0 * words))
     assert rep.n_samples == 6 * 50
+
+
+def test_partition_entropy_breaks_words_at_chain_boundaries(monkeypatch):
+    # four chains, each constant in its own cell: a word across a boundary
+    # would pair two cells, so every 2-word must be (k, k)
+    import qbrolin.dynstats as dyn
+    lengths = dyn._chain_lengths(40, 4)
+    cells = np.repeat([0.25, 0.75, 1.25, 1.75], lengths).astype(complex)
+    monkeypatch.setattr(dyn, "SAMPLER_CHAINS", 4)
+    monkeypatch.setattr(dyn, "sample_mu", lambda *a, **k: cells)
+    rep = dyn.partition_entropy(QPolynomial.from_real([0.0, 0.0, 1.0]),
+                                interval_partition(0.0, 2.0, 4), 3,
+                                samples=40)
+    h = dict(rep.params["H_n"])
+    words = 4 * 9       # nine 2-words per chain of ten
+    assert h[2] == pytest.approx(math.log(4.0) + 3.0 / (2.0 * words))
+    assert rep.n_samples == 40
 
 
 def test_partition_entropy_chebyshev():
