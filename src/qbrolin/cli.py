@@ -26,7 +26,7 @@ from .dynstats import (AxialBox, calibrate_ks_null, clt_harness,
                        fit_log_slope, interval_partition, lyapunov_slice,
                        lyapunov_sphere_direction, mixing_correlation,
                        partition_entropy, sample_mu, topological_entropy)
-from .errors import ConfigError, QBrolinError
+from .errors import CoefficientOffSlice, ConfigError, QBrolinError
 from .grids import SliceGrid
 from .laplacian import (fundamental_solution_check, measure_from_green,
                         refinement_order, sphere_kernel_check)
@@ -99,6 +99,28 @@ def _is_number(x) -> bool:
             and math.isfinite(x))
 
 
+def _numbers(value, length=None) -> bool:
+    return (isinstance(value, list) and len(value) > 0
+            and all(map(_is_number, value)) and length in (None, len(value)))
+
+
+# list params: (test, what it asks). delta-star's grids span [-2, 2]^2: its
+# singularity must lie inside and off the real axis, and a refinement order
+# needs two spacings, each at most 1 so the grid has interior nodes
+_LIST_PARAMS = {
+    "box": (lambda v, kind: _numbers(v, 4 if kind == "topological" else 2)
+            and all(lo < hi for lo, hi in zip(v[::2], v[1::2])),
+            "increasing bounds, 4 (topological) or 2 (partition)"),
+    "center": (lambda v, _: _numbers(v, 2) and max(map(abs, v)) < 2
+               and v[1] != 0, "[alpha, beta] in (-2, 2)^2 with beta != 0"),
+    "h_list": (lambda v, _: _numbers(v) and all(0 < h <= 1 for h in v)
+               and len(set(v)) > 1, "two or more distinct spacings in (0, 1]"),
+    "eps_list": (lambda v, _: _numbers(v) and min(v) > 0, "positive numbers"),
+    "n_list": (lambda v, _: _numbers(v) and all(
+        isinstance(n, int) and n >= 1 for n in v), "integers >= 1"),
+}
+
+
 def load_config(path: str, overrides) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
@@ -135,6 +157,13 @@ def load_config(path: str, overrides) -> dict:
         low = _COUNT_MIN.get((mode, key), _COUNT_MIN.get(key))
         if low is not None and not (isinstance(value, int) and value >= low):
             raise ConfigError(f"params.{key} must be an integer >= {low}, got {value!r}")
+        if key == "bin_width" and not value > 0:
+            raise ConfigError(f"params.bin_width must be positive, got {value!r}")
+    kind = cfg["params"].get("kind", "topological")
+    for key, (ok, what) in _LIST_PARAMS.items():
+        if key in cfg["params"] and not ok(cfg["params"][key], kind):
+            raise ConfigError(f"params.{key} must be a list of finite numbers: "
+                              f"{what}; got {cfg['params'][key]!r}")
     if "grid" in cfg:
         g = cfg["grid"]
         if not isinstance(g, dict) or set(g) - _GRID_KEYS:
@@ -143,8 +172,7 @@ def load_config(path: str, overrides) -> dict:
                    for k in ("half_width", "h")):
             raise ConfigError("grid.half_width and grid.h must be positive numbers")
         center = g.get("center", [0, 0])
-        if not (isinstance(center, list) and len(center) == 2
-                and all(map(_is_number, center))):
+        if not _numbers(center, 2):
             raise ConfigError(f"grid.center must be two numbers, got {center!r}")
     if "policy" in cfg:
         pol = cfg["policy"]
@@ -171,7 +199,7 @@ def _policy(cfg) -> NumericPolicy:
 def _qpoly(cfg) -> QPolynomial:
     try:
         p = QPolynomial.from_json(cfg["polynomial"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad polynomial spec: {exc}")
     if p.degree < 2:
         raise ConfigError(f"polynomial degree must be >= 2, got {p.degree}")
@@ -179,7 +207,15 @@ def _qpoly(cfg) -> QPolynomial:
 
 
 def _cpoly(cfg, policy) -> ComplexPoly:
-    return _qpoly(cfg).restrict_to_slice(UNIT_I, policy)
+    """The config polynomial over the reference slice C_i, or ConfigError."""
+    try:
+        pc = _qpoly(cfg).restrict_to_slice(UNIT_I, policy)
+    except CoefficientOffSlice as exc:
+        raise ConfigError(f"polynomial must lie in the reference slice: {exc}")
+    if pc.degree < 2:
+        raise ConfigError("polynomial degree over the reference slice must be "
+                          f">= 2, got {pc.degree}")
+    return pc
 
 
 def _grid(cfg, default_half=2.0, default_h=1.0 / 128.0) -> SliceGrid:
@@ -280,8 +316,7 @@ def run_delta_star(cfg, out: Path, policy):
 
 
 def run_lyapunov(cfg, out: Path, policy):
-    p = _qpoly(cfg)
-    pc = p.restrict_to_slice(UNIT_I, policy)
+    p, pc = _qpoly(cfg), _cpoly(cfg, policy)
     params = cfg["params"]
     rep = lyapunov_slice(pc, int(params.get("n_samples", 20000)),
                          cfg["seed"], policy)
@@ -300,6 +335,7 @@ def run_lyapunov(cfg, out: Path, policy):
 
 def run_entropy(cfg, out: Path, policy):
     p = _qpoly(cfg)
+    _cpoly(cfg, policy)  # the estimators work in the reference slice
     params = cfg["params"]
     kind = params.get("kind", "topological")
     if kind == "topological":
@@ -366,8 +402,7 @@ def run_clt(cfg, out: Path, policy):
 
 
 def run_one_slice(cfg, out: Path, policy):
-    pc_base = _cpoly_one_slice(cfg)
-    P = OneSlicePolynomial(pc_base, UNIT_I)
+    P = OneSlicePolynomial(_cpoly(cfg, policy), UNIT_I)
     params = cfg["params"]
     depth = int(params.get("depth", 6))
     target = float(params.get("target", 0.0))
@@ -385,19 +420,6 @@ def run_one_slice(cfg, out: Path, policy):
     _manifest(out, "one_slice", cfg)
     print(f"one-slice: distance {dist:.4f} at depth {depth}")
     return 0
-
-
-def _cpoly_one_slice(cfg) -> ComplexPoly:
-    """The one-slice modes read the polynomial as complex coefficients over
-    the reference slice (x + I y stored as [x, y, 0, 0])."""
-    q = _qpoly(cfg)
-    coeffs = []
-    for c in q.coeffs:
-        if abs(c.y) > 1e-12 or abs(c.z) > 1e-12:
-            raise ConfigError(
-                "one-slice mode expects coefficients in the reference slice")
-        coeffs.append(complex(c.w, c.x))
-    return ComplexPoly(coeffs)
 
 
 def run_general_gap(cfg, out: Path, policy):
@@ -420,7 +442,6 @@ def run_general_gap(cfg, out: Path, policy):
 
 def run_verify(cfg, out: Path, policy):
     """Fast invariant suite; exit 0 iff all checks pass."""
-    from .dynstats import sample_mu as _sample
     seed = cfg["seed"]
     checks = []
 
@@ -430,15 +451,14 @@ def run_verify(cfg, out: Path, policy):
     rng = np.random.default_rng(seed)
 
     def rand_qpoly(deg):
-        return QPolynomial([Quaternion(*rng.normal(size=4))
-                            for _ in range(deg + 1)])
+        return QPolynomial(rng.normal(size=(deg + 1, 4)))
 
     worst = 0.0
     for _ in range(100):
         f, g = rand_qpoly(3), rand_qpoly(2)
         lhs, rhs = f.star_mul(g).conj(), g.conj().star_mul(f.conj())
-        worst = max(worst, max(abs(a - b) for a, b
-                               in zip(lhs.coeffs, rhs.coeffs)))
+        diff = np.linalg.norm((lhs - rhs).coeffs, axis=1)
+        worst = max(worst, float(np.max(diff, initial=0.0)))
     check("conj antihomomorphism", worst < 1e-10, f"worst {worst:.2e}")
 
     worst = max(rand_qpoly(3).symmetrize().max_imag_coeff()
@@ -468,8 +488,8 @@ def run_verify(cfg, out: Path, policy):
     check("pushforward invariance", dist < 0.05, f"distance {dist:.4f}")
 
     pc = p2.restrict_to_slice(UNIT_I, policy)
-    s1 = _sample(pc, 500, seed, policy=policy)
-    s2 = _sample(pc, 500, seed, policy=policy)
+    s1 = sample_mu(pc, 500, seed, policy=policy)
+    s2 = sample_mu(pc, 500, seed, policy=policy)
     check("sampler determinism", np.array_equal(s1, s2))
     check("sampler stays on Julia set",
           float(np.max(np.abs(s1.imag))) < 1e-9

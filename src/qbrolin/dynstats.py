@@ -20,7 +20,8 @@ from scipy import stats as _sstats
 from scipy.spatial import cKDTree
 
 from .cdyn import is_exceptional
-from .errors import DegenerateSample, InvariantViolation, SolverFailure
+from .errors import (DegenerateSample, ExceptionalTarget, InvariantViolation,
+                     SolverFailure)
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
 from .quat import ImaginaryUnit, Quaternion, SlicePoint, UNIT_I, sphere_quadrature
@@ -118,7 +119,7 @@ def sample_mu(p: ComplexPoly, count: int, seed: int, *,
     if burn_in is None:
         burn_in = policy.burn_in
     if is_exceptional(p, start, policy=policy):
-        raise ValueError(f"start point {start} is exceptional")
+        raise ExceptionalTarget(f"start point {start} is exceptional")
     lengths = _chain_lengths(count, chains)
     steps = int(lengths[0])
     rng = np.random.default_rng(seed)
@@ -419,6 +420,9 @@ def topological_entropy(p: QPolynomial, box: AxialBox, n_max: int,
     pc = p.restrict_to_slice(UNIT_I, policy)
     z, units_xyz = _candidate_points(pc, box, grid_density, seed,
                                      n_units=6, policy=policy)
+    if not len(z):
+        raise InvariantViolation("no sampled point of the Julia set lies in "
+                                 "the entropy box")
     orbits = _orbit_matrix(pc, z, units_xyz, n_max)
     best = None
     for eps in eps_list:

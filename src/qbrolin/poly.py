@@ -4,6 +4,9 @@ Implements the star product (coefficient convolution), slice conjugate,
 symmetrization f^s = f^c * f, slice derivative, bullet composition, and
 restriction of one-slice polynomials to their complex plane.
 
+Both polynomial types keep their coefficients in one read-only array; the
+array algebra is bit-identical to the scalar Quaternion arithmetic.
+
 Coefficient convention is right coefficients q^n a_n throughout; the test
 suite locks the orientation ((q i)*(q j) has q^2 coefficient ij = k).
 """
@@ -14,16 +17,17 @@ import numpy as np
 
 from .errors import CoefficientOffSlice, ZeroDivisor
 from .policy import DEFAULT, NumericPolicy
-from .quat import ImaginaryUnit, Quaternion, slice_decompose
+from .quat import ImaginaryUnit, Quaternion
 from . import roots as _roots
 
 __all__ = ["QPolynomial", "ComplexPoly", "critical_points_slice"]
 
 
 class QPolynomial:
-    """Finite right-coefficient list, ascending degree, trailing zeros trimmed.
+    """Right coefficients: a (D, 4) array of [w, x, y, z] rows (or a list of
+    Quaternions and reals), ascending degree, trailing zero rows trimmed.
 
-    The zero polynomial is the empty list. Trimming removes exact zeros only:
+    The zero polynomial has no rows. Trimming removes exact zeros only:
     near-zero leading coefficients are kept because the degree drives d^-n
     normalizations downstream.
     """
@@ -31,79 +35,80 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [c if isinstance(c, Quaternion) else Quaternion.real(c)
-                  for c in coeffs]
-        while coeffs and coeffs[-1] == Quaternion():
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        if not isinstance(coeffs, np.ndarray):
+            coeffs = [(c.w, c.x, c.y, c.z) if isinstance(c, Quaternion)
+                      else (float(c), 0.0, 0.0, 0.0) for c in coeffs]
+        arr = np.array(coeffs, dtype=float).reshape(-1, 4)
+        n = len(arr)
+        while n > 0 and not arr[n - 1].any():
+            n -= 1
+        self.coeffs = arr[:n]
+        self.coeffs.setflags(write=False)
 
     @staticmethod
     def from_real(values):
-        return QPolynomial([Quaternion.real(v) for v in values])
-
-    @staticmethod
-    def identity():
-        """The polynomial q."""
-        return QPolynomial([Quaternion(), Quaternion.real(1.0)])
+        values = np.asarray(values, dtype=float)
+        return QPolynomial(np.column_stack([values, np.zeros((len(values), 3))]))
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not len(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return (isinstance(other, QPolynomial)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __repr__(self):
         return f"QPolynomial(deg={self.degree})"
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Quaternion()] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Quaternion()] * (n - len(other.coeffs))
-        return QPolynomial([x + y for x, y in zip(a, b)])
+        a, b = self.coeffs, other.coeffs
+        padded = np.zeros((2, max(len(a), len(b)), 4))
+        padded[0, :len(a)], padded[1, :len(b)] = a, b
+        return QPolynomial(padded[0] + padded[1])
 
     def __sub__(self, other):
-        return self + QPolynomial([-c for c in other.coeffs])
+        return self + QPolynomial(-other.coeffs)
 
     def eval(self, q: Quaternion) -> Quaternion:
         """sum q^n a_n: powers of q multiply coefficients from the left."""
         acc = Quaternion()
         power = Quaternion.real(1.0)
-        for a in self.coeffs:
-            acc = acc + power * a
+        for a in self.coeffs.tolist():
+            acc = acc + power * Quaternion(*a)
             power = power * q
         return acc
 
     def star_mul(self, other: "QPolynomial") -> "QPolynomial":
-        """(f*g) by coefficient convolution with order a_j b_k."""
-        if self.is_zero() or other.is_zero():
+        """(f*g) by coefficient convolution with order a_j b_k.
+
+        The products a_j b_k take Quaternion.__mul__'s term order, and each
+        output row sums them from zero in ascending j, as a double loop would.
+        """
+        a, b = self.coeffs, other.coeffs
+        if not len(a) or not len(b):
             return QPolynomial([])
-        out = [Quaternion()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for j, a in enumerate(self.coeffs):
-            for k, b in enumerate(other.coeffs):
-                out[j + k] = out[j + k] + a * b
+        (aw, ax, ay, az), (bw, bx, by, bz) = a.T[:, :, None], b.T[:, None, :]
+        prods = np.empty((len(a), len(b), 4))
+        prods[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+        prods[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+        prods[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+        prods[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+        out = np.zeros((len(a) + len(b) - 1, 4))
+        for j in range(len(a)):
+            out[j:j + len(b)] += prods[j]
         return QPolynomial(out)
 
     def conj(self) -> "QPolynomial":
         """Coefficient-wise quaternionic conjugation (the slice conjugate)."""
-        return QPolynomial([c.conj() for c in self.coeffs])
+        return QPolynomial(self.coeffs * [1.0, -1.0, -1.0, -1.0])
 
     def symmetrize(self) -> "QPolynomial":
         """f^s = f^c * f: slice preserving, all coefficients real."""
         return self.conj().star_mul(self)
-
-    def star_power(self, n: int) -> "QPolynomial":
-        """n-fold star power by repeated convolution (w^{*0} = 1)."""
-        acc = QPolynomial([Quaternion.real(1.0)])
-        for _ in range(n):
-            acc = acc.star_mul(self)
-        return acc
 
     def star_conjugation_point(self, q: Quaternion) -> Quaternion:
         """T_f(q) = f(q)^-1 q f(q); requires f(q) != 0."""
@@ -115,21 +120,24 @@ class QPolynomial:
     def bullet_compose(self, w: "QPolynomial") -> "QPolynomial":
         """(self . w) = sum_n w^{*n} * a_n with a_n the coefficients of self."""
         acc = QPolynomial([])
-        power = QPolynomial([Quaternion.real(1.0)])
-        for a in self.coeffs:
-            acc = acc + power.star_mul(QPolynomial([a]))
-            power = power.star_mul(w)
+        power = QPolynomial([1.0])
+        for n in range(len(self.coeffs)):
+            if n:
+                power = power.star_mul(w)
+            acc = acc + power.star_mul(QPolynomial(self.coeffs[n:n + 1]))
         return acc
 
     def slice_derivative(self) -> "QPolynomial":
         """sum n q^{n-1} a_n (formal derivative, right coefficients)."""
-        return QPolynomial([c * float(n) for n, c in enumerate(self.coeffs)][1:])
+        n = np.arange(1.0, len(self.coeffs))
+        return QPolynomial(self.coeffs[1:] * n[:, None])
 
     def has_real_coeffs(self, tol=1e-12):
-        return all(c.im_norm() <= tol for c in self.coeffs)
+        return self.max_imag_coeff() <= tol
 
     def max_imag_coeff(self):
-        return max((c.im_norm() for c in self.coeffs), default=0.0)
+        _, x, y, z = self.coeffs.T
+        return float(np.max(np.sqrt(x * x + y * y + z * z), initial=0.0))
 
     def restrict_to_slice(self, unit: ImaginaryUnit,
                           policy: NumericPolicy = DEFAULT) -> "ComplexPoly":
@@ -139,23 +147,29 @@ class QPolynomial:
         policy.off_slice_tol), else CoefficientOffSlice with the first
         offending index.
         """
-        out = []
-        for idx, c in enumerate(self.coeffs):
-            proj = c.x * unit.x + c.y * unit.y + c.z * unit.z
-            off2 = (c.x - proj * unit.x) ** 2 + (c.y - proj * unit.y) ** 2 \
-                + (c.z - proj * unit.z) ** 2
-            off = off2 ** 0.5
-            if off > policy.off_slice_tol * max(1.0, abs(c)):
-                raise CoefficientOffSlice(idx, off)
-            out.append(complex(c.w, proj))
+        w, x, y, z = self.coeffs.T
+        proj = x * unit.x + y * unit.y + z * unit.z
+        # hypot: squares of coefficients near 1e300 would overflow to inf
+        off = np.hypot(np.hypot(x - proj * unit.x, y - proj * unit.y),
+                       z - proj * unit.z)
+        norm = np.hypot(np.hypot(w, x), np.hypot(y, z))
+        bad = np.flatnonzero(off > policy.off_slice_tol * np.maximum(1.0, norm))
+        if bad.size:
+            raise CoefficientOffSlice(int(bad[0]), float(off[bad[0]]))
+        out = w.astype(complex)
+        out.imag = proj
         return ComplexPoly(out)
 
     def to_json(self):
-        return {"coeffs": [c.to_json() for c in self.coeffs]}
+        return {"coeffs": self.coeffs.tolist()}
 
     @staticmethod
     def from_json(data):
-        return QPolynomial([Quaternion.from_json(c) for c in data["coeffs"]])
+        """ValueError unless data["coeffs"] is (D, 4) finite [w, x, y, z] rows."""
+        arr = np.asarray(data["coeffs"], dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 4 or not np.isfinite(arr).all():
+            raise ValueError("coefficients must be finite [w, x, y, z] rows")
+        return QPolynomial(arr)
 
 
 class ComplexPoly:
@@ -222,10 +236,9 @@ class ComplexPoly:
 
     def lift(self, unit: ImaginaryUnit) -> QPolynomial:
         """Lift back to a QPolynomial with coefficients in C_I."""
-        return QPolynomial([
-            Quaternion(c.real, c.imag * unit.x, c.imag * unit.y, c.imag * unit.z)
-            for c in self.coeffs
-        ])
+        re, im = self.coeffs.real, self.coeffs.imag
+        return QPolynomial(np.stack([re, im * unit.x, im * unit.y, im * unit.z],
+                                    axis=1))
 
     def roots(self, policy: NumericPolicy = DEFAULT):
         return _roots.all_roots(self.coeffs, policy)

@@ -42,20 +42,17 @@ __all__ = [
 ]
 
 
-def _realify(f: QPolynomial, scale: float | None = None,
-             tol: float = 1e-10) -> QPolynomial:
+def _realify(f: QPolynomial, scale: float, tol: float = 1e-10) -> QPolynomial:
     """Check coefficients are real to tolerance, then drop the imaginary parts.
 
     scale is the magnitude the convolution producing f actually summed
     (symmetrization cancels heavily, so the output coefficients can sit many
     orders below the products whose rounding sets the error floor).
     """
-    if scale is None:
-        scale = max(abs(c) for c in f.coeffs) or 1.0
     if f.max_imag_coeff() > tol * scale:
         raise InvariantViolation(
             f"expected real coefficients, worst imaginary part {f.max_imag_coeff():.3g}")
-    return QPolynomial.from_real([c.w for c in f.coeffs])
+    return QPolynomial.from_real(f.coeffs[:, 0])
 
 
 @dataclass(frozen=True)
@@ -152,15 +149,14 @@ def _binned(points, weights, bin_width, meta, policy):
 
 def mu_prime_estimate(P: OneSlicePolynomial, quad: SphereQuadrature, n: int,
                       a: float = 0.0, bin_width: float = 1.0 / 128.0,
-                      policy: NumericPolicy = DEFAULT,
-                      keep_debug_atoms: bool = False) -> EmpiricalMeasure:
-    """Estimator of mu' by quadrature over units J.
+                      policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
+    """Estimator of mu' from depth-n Brolin pullbacks of the real target a.
 
-    For each node J the pair P(., J), P^c(., J) gets a depth-n complex
-    Brolin pullback of the real target a; atom clouds are averaged with
-    weights w_J / (8 pi) each (total mass 1 since sum w_J = 4 pi). With real
-    coefficients both halves coincide and the formula collapses to
-    (1/4 pi) int mu_{P(., J)} dJ, the slice-preserving corollary.
+    P(., J) has the same complex coefficients for every unit J, so in axial
+    coordinates (1/8 pi) int_S mu_{P(., J)} dJ is half of mu_{P(., I)}, and
+    likewise for P^c: the two pullback clouds are binned once, at weight 1/2
+    each, and quad only sets the reported quad_level. With real coefficients
+    both halves coincide (the slice-preserving corollary).
     """
     d = P.degree
     if d < 2:
@@ -169,32 +165,15 @@ def mu_prime_estimate(P: OneSlicePolynomial, quad: SphereQuadrature, n: int,
         raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {policy.degree_budget}")
     _screen_gn_target(P, a, policy)
 
-    clouds = {}
-    for conjugate in (False, True):
-        pc = P.rewritten(conjugate)
-        nodes = preimage_tree(pc, complex(a), n, policy.degree_budget, policy)
-        clouds[conjugate] = ([nd.point for nd in nodes],
-                            [nd.multiplicity / float(d) ** n for nd in nodes])
-
     points, weights = [], []
-    debug = []
-    total_w = sum(quad.weights)
-    for J, wj in zip(quad.units, quad.weights):
-        for conjugate in (False, True):
-            pts, ws = clouds[conjugate]
-            share = wj / (2.0 * total_w)
-            points.extend(pts)
-            weights.extend(w * share for w in ws)
-            if keep_debug_atoms:
-                debug.extend(
-                    {"unit": J.to_json(), "conjugate": conjugate,
-                     "x": z.real, "y": z.imag, "weight": w * share}
-                    for z, w in zip(pts, ws))
+    for conjugate in (False, True):
+        nodes = preimage_tree(P.rewritten(conjugate), complex(a), n,
+                              policy.degree_budget, policy)
+        points.extend(nd.point for nd in nodes)
+        weights.extend(nd.multiplicity / float(d) ** n / 2.0 for nd in nodes)
     meta = {"estimator": "mu_prime", "depth": n, "target": a,
             "quad_level": quad.level, "bin_width": bin_width,
             "binning": {"width": bin_width, "rule": "weighted-mean"}}
-    if keep_debug_atoms:
-        meta["debug_atoms"] = debug
     m = _binned(points, weights, bin_width, meta, policy)
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"mu' mass {m.total_mass()} != 1")
@@ -237,7 +216,7 @@ def hn_build(p: QPolynomial, n: int,
         it = p.bullet_compose(it)
     assert it.degree == d ** n
     hn = _realify(it.symmetrize(),
-                  scale=sum(abs(c) for c in it.coeffs) ** 2)
+                  scale=float(np.sum(np.linalg.norm(it.coeffs, axis=1))) ** 2)
     return GeneralIterate(hn, n, p)
 
 

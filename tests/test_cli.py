@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from qbrolin.cli import main
 
@@ -196,3 +202,113 @@ def test_valid_policy_values_run(tmp_path):
         "equilibrium", {"depth": 3}, out=str(tmp_path / "out"),
         policy={"burn_in": 5, "cluster_tol": 1e-8, "aberth_tol": 1}))
     assert main([path]) == 0
+
+
+def test_off_slice_coefficient_is_a_config_error(tmp_path, capsys):
+    # j-component 0.3 in the constant term: off the reference slice C_i
+    poly = {"coeffs": [[0, 0, 0.3, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
+    for mode, params in [("julia", {"max_iter": 5}),
+                         ("lyapunov", {"n_samples": 10}),
+                         ("one-slice", {"depth": 2}),
+                         ("mixing", {"n_max": 3, "samples": 5}),
+                         ("entropy", {"kind": "partition", "n_max": 2,
+                                      "samples": 10})]:
+        code, err = _config_error(tmp_path, capsys, {
+            "mode": mode, "polynomial": poly, "params": params})
+        assert code == 2 and err["error"] == "ConfigError", mode
+        assert "reference slice" in err["message"]
+
+
+def test_bad_list_params_and_coefficients_are_config_errors(tmp_path, capsys):
+    nan_poly = {"coeffs": [[float("nan"), 0, 0, 0], [0, 0, 0, 0],
+                           [1, 0, 0, 0]]}
+    for cfg, key in [
+            (_q2_minus_1("entropy", {"box": 5}), "params.box"),
+            (_q2_minus_1("entropy", {"kind": "partition", "box": [1, 0]}),
+             "params.box"),
+            (_q2_minus_1("entropy", {"eps_list": []}), "params.eps_list"),
+            (_q2_minus_1("entropy", {"kind": "x"}), "kind"),
+            (_q2_minus_1("general-gap", {"n_list": []}), "params.n_list"),
+            (_q2_minus_1("general-gap", {"n_list": ["a"]}), "params.n_list"),
+            (_q2_minus_1("delta-star", {"h_list": [0]}), "params.h_list"),
+            (_q2_minus_1("delta-star", {"center": [0.3, 0.0]}),
+             "params.center"),
+            (_q2_minus_1("delta-star", {"h_list": [0.5]}), "params.h_list"),
+            (_q2_minus_1("one-slice", {"bin_width": 0}), "params.bin_width"),
+            ({"mode": "lyapunov", "polynomial": nan_poly,
+              "params": {"n_samples": 10}}, "finite"),
+            ({"mode": "lyapunov", "polynomial": {"coeffs": [[10 ** 400] * 4]},
+              "params": {"n_samples": 10}}, "polynomial"),
+            # a j part within the slice tolerance restricts to degree 0
+            ({"mode": "julia", "polynomial": {"coeffs": [
+                [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1e-13, 0]]}}, "degree")]:
+        code, err = _config_error(tmp_path, capsys, cfg)
+        assert code == 2 and err["error"] == "ConfigError", cfg
+        assert key in err["message"]
+
+
+def test_entropy_box_off_the_julia_set_is_a_numerical_failure(tmp_path,
+                                                             capsys):
+    code, err = _config_error(tmp_path, capsys, _q2_minus_1(
+        "entropy", {"n_max": 3, "eps_list": [0.3], "box": [3, 4, 0, 1],
+                    "grid_density": 20}))
+    assert code == 3 and err["error"] == "InvariantViolation"
+
+
+# Small valid params per mode: every count is small, so that one run takes
+# milliseconds whichever keys the property below replaces.
+_SMALL_PARAMS = {
+    "julia": {"max_iter": 3},
+    "equilibrium": {"target": 0.25, "depth": 3},
+    "green": {"depth": 3},
+    "delta-star": {"center": [0.3, 0.4], "h_list": [0.5, 0.25]},
+    "lyapunov": {"n_samples": 5, "sphere_n": 3, "sphere_alpha": 0.1,
+                 "sphere_beta": 0.5},
+    "entropy": {"kind": "topological", "n_max": 3, "eps_list": [0.3],
+                "cells": 4, "samples": 20, "box": [-2, 2, 0, 1],
+                "grid_density": 20},
+    "mixing": {"n_max": 3, "samples": 5},
+    "clt": {"n_terms": 3, "n_samples": 5, "null_reps": 2},
+    "one-slice": {"depth": 2, "target": 0.0, "bin_width": 0.1},
+    "general-gap": {"a": 0.0, "b": 1.0, "n_list": [1, 2], "probe_count": 4},
+    "verify": {},
+}
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+_number = st.one_of(
+    st.integers(-2, 4),
+    st.sampled_from(_NON_FINITE + [0.0, -0.0, -1.5, 0.25, 0.5, 1.75, 1e300]))
+_json_scalar = st.one_of(st.none(), st.booleans(), st.text(max_size=2), _number)
+# numbers and lists of numbers as often as any other JSON value, so that
+# runs reach the estimators and not only the config checks
+_json_value = st.one_of(
+    _number, st.lists(_number, max_size=5),
+    st.recursive(_json_scalar, lambda inner: st.lists(inner, max_size=4),
+                 max_leaves=6))
+_coeff = st.sampled_from(_NON_FINITE + [0.0, -0.0, 0.3, -1.0, 1.0, 1e300])
+_polynomials = st.one_of(
+    _json_value,
+    st.lists(st.lists(_coeff, min_size=4, max_size=4), max_size=4)
+    .map(lambda rows: {"coeffs": rows}))
+
+
+@given(st.sampled_from(sorted(_SMALL_PARAMS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_params_keep_the_exit_code_contract(mode, data):
+    params = dict(_SMALL_PARAMS[mode])
+    cfg = {"mode": mode, "params": params, "seed": 0,
+           "polynomial": {"coeffs": [[-1, 0, 0, 0], [0, 0, 0, 0],
+                                     [1, 0, 0, 0]]}}
+    keys = sorted(params) + ["extra", "polynomial"]
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=2,
+                                  unique=True)):
+        if key == "polynomial":
+            cfg[key] = data.draw(_polynomials)
+        else:
+            params[key] = data.draw(_json_value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(dict(cfg, out=str(Path(tmp) / "out"))))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([str(path)])
+    assert code in (0, 2, 3)

@@ -12,8 +12,8 @@ from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
                               mixing_correlation, partition_entropy, sample_mu,
                               separated_count, topological_entropy,
                               transfer_apply)
-from qbrolin.errors import (DegenerateSample, InvariantViolation,
-                            SolverFailure)
+from qbrolin.errors import (DegenerateSample, ExceptionalTarget,
+                            InvariantViolation, SolverFailure)
 from qbrolin.measures import axial_test_function
 from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly, QPolynomial
@@ -59,7 +59,7 @@ def test_sampler_lands_on_support():
 
 
 def test_sampler_rejects_exceptional_start():
-    with pytest.raises(ValueError):
+    with pytest.raises(ExceptionalTarget):
         sample_mu(ComplexPoly([0.0, 0.0, 1.0]), 10, seed=0, start=0.0)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from qbrolin.errors import BudgetExceeded, ProbeOnFiber
 from qbrolin.measures import weak_distance
+from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.quat import Quaternion, UNIT_I, sphere_quadrature
 from qbrolin.slicecases import (GeneralIterate, OneSlicePolynomial,
@@ -25,7 +26,7 @@ def test_one_slice_flags():
 def test_g1_closed_form():
     # (q^2 + i)^s = (q^2 - i) * (q^2 + i) = q^4 + 1
     g1 = gn_build(P_I, 1)
-    assert [c.w for c in g1.coeffs] == [1.0, 0.0, 0.0, 0.0, 1.0]
+    assert g1.coeffs[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0]
     assert g1.has_real_coeffs()
 
 
@@ -62,7 +63,7 @@ def test_h1_closed_form():
     # (q^2 + j)^s = q^4 + 1 as well
     h1 = hn_build(P_J, 1)
     assert h1.n == 1
-    assert [c.w for c in h1.hn.coeffs] == [1.0, 0.0, 0.0, 0.0, 1.0]
+    assert h1.hn.coeffs[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def test_hn_degree_law():
@@ -138,6 +139,32 @@ def test_mu_prime_collapses_for_real_coeffs():
     m = mu_prime_estimate(real, sphere_quadrature(1), 5)
     nu = brolin_pullback(QPolynomial.from_real([-2.0, 0.0, 1.0]), 0.0, 5)
     assert weak_distance(m, nu) < 0.02
+
+
+def _former_mu_prime(P, quad, n, bin_width=1.0 / 128.0):
+    """The former estimator: both clouds once per quadrature unit J, at
+    weight w_J / (2 sum w)."""
+    from qbrolin.cdyn import preimage_tree
+    from qbrolin.slicecases import _binned
+    points, weights = [], []
+    for wj in quad.weights:
+        for conjugate in (False, True):
+            nodes = preimage_tree(P.rewritten(conjugate), 0j, n)
+            points.extend(nd.point for nd in nodes)
+            weights.extend(nd.multiplicity / 2.0 ** n * wj
+                           / (2.0 * sum(quad.weights)) for nd in nodes)
+    return _binned(points, weights, bin_width, {}, DEFAULT)
+
+
+@pytest.mark.parametrize("c", [1j, 0.3 + 0.5j, -0.8 + 0.2j])
+def test_mu_prime_matches_the_per_unit_loop(c):
+    P = OneSlicePolynomial(ComplexPoly([c, 0.0, 1.0]), UNIT_I)
+    quad = sphere_quadrature(3)
+    got, want = mu_prime_estimate(P, quad, 6), _former_mu_prime(P, quad, 6)
+    assert len(got) == len(want)
+    assert np.allclose(got.alpha, want.alpha, rtol=0, atol=1e-14)
+    assert np.allclose(got.rho, want.rho, rtol=0, atol=1e-14)
+    assert np.allclose(got.weight, want.weight, rtol=0, atol=1e-16)
 
 
 def test_unit_transport_invariance():
