@@ -10,9 +10,9 @@ coefficient constructions, behind a reproducible CLI.
 __version__ = "0.1.0"
 
 from .errors import (BudgetExceeded, CoefficientOffSlice, ConfigError,
-                     DegenerateSample, DegenerateVariance, ExceptionalTarget,
-                     InvariantViolation, ProbeOnFiber, QBrolinError,
-                     SingularNode, SolverFailure, ZeroDivisor)
+                     DegenerateSample, ExceptionalTarget, InvariantViolation,
+                     ProbeOnFiber, QBrolinError, SingularNode, SolverFailure,
+                     ZeroDivisor)
 from .policy import DEFAULT, NumericPolicy
 from .quat import (ImaginaryUnit, Quaternion, SlicePoint, Sphere2,
                    SphereQuadrature, UNIT_I, UNIT_J, UNIT_K, slice_decompose,

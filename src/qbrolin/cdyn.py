@@ -1,6 +1,8 @@
 """One-slice complex dynamics: iteration with an overflow-safe escape ledger,
 fibers and preimage trees, Green's functions G_n, filled Julia masks, and
 exceptional-point screening.
+`roots.merge_near` decides coincident points: fibers keep cluster means,
+tree levels heads with summed multiplicities; screening counts clusters.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .errors import BudgetExceeded, InvariantViolation
 from .grids import GridField, SliceGrid
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly
-from .roots import all_roots, cluster_roots, fiber_roots
+from .roots import all_roots, cluster_roots, fiber_roots, merge_near
 
 __all__ = [
     "EscapeParams",
@@ -147,41 +149,29 @@ class PreimageNode:
     multiplicity: int
 
 
-def _merge_level(points, mults, scale, policy):
-    """Merge coincident points, summing multiplicities; deterministic order."""
-    order = np.lexsort((np.imag(points), np.real(points)))
-    points = np.asarray(points)[order]
-    mults = np.asarray(mults)[order]
-    tol = policy.cluster_tol * max(scale, 1.0)
-    out_p, out_m = [], []
-    for pt, m in zip(points, mults):
-        if out_p and abs(pt - out_p[-1]) <= tol:
-            out_m[-1] += int(m)
-        else:
-            out_p.append(complex(pt))
-            out_m.append(int(m))
-    return out_p, out_m
-
-
 def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20,
                   policy: NumericPolicy = DEFAULT):
     """All d^n depth-n preimages of a, counted with multiplicity.
 
     Each level is one `fiber_roots` solve over all the points of the level
-    above; coincident points are then merged.
+    above; coincident points (merge_near, radius cluster_tol * (1 + max|z|))
+    then become their cluster head, carrying the summed multiplicity.
     """
     d = p.degree
     if d ** n > budget:
         raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {budget}")
-    points, mults = [complex(a)], [1]
+    points, mults = np.array([complex(a)]), np.array([1])
     for _ in range(n):
-        new_points = fiber_roots(p.coeffs, points, policy).reshape(-1)
-        new_mults = np.repeat(mults, d)
-        scale = 1.0 + float(np.max(np.abs(new_points)))
-        points, mults = _merge_level(new_points, new_mults, scale, policy)
-    if sum(mults) != d ** n:
-        raise InvariantViolation(f"multiplicities sum to {sum(mults)}, not {d ** n}")
-    return [PreimageNode(pt, n, m) for pt, m in zip(points, mults)]
+        points = fiber_roots(p.coeffs, points, policy).reshape(-1)
+        scale = 1.0 + float(np.max(np.abs(points)))
+        order, head = merge_near(points, policy.cluster_tol * scale)
+        heads, cluster = np.unique(head, return_inverse=True)
+        points = points[order][heads]
+        mults = np.bincount(cluster, np.repeat(mults, d)[order]).astype(int)
+    if mults.sum() != d ** n:
+        raise InvariantViolation(f"multiplicities sum to {mults.sum()}, not {d ** n}")
+    return [PreimageNode(pt, n, m)
+            for pt, m in zip(points.tolist(), mults.tolist())]
 
 
 def filled_julia_mask(p: ComplexPoly, grid: SliceGrid,
@@ -210,13 +200,12 @@ def is_exceptional(p: ComplexPoly, a: complex, depth: int | None = None,
         raise ValueError("exceptional screening needs degree >= 2")
     if depth is None:
         depth = policy.exceptional_depth
-    current = [complex(a)]
+    current = np.array([complex(a)])
     for _ in range(depth):
-        rows = fiber_roots(p.coeffs, current, policy)
-        # a row repeats each cluster center by its multiplicity: keep one
-        pts = rows[np.diff(rows, axis=1, prepend=np.nan) != 0]
+        pts = fiber_roots(p.coeffs, current, policy).reshape(-1)
         scale = 1.0 + float(np.max(np.abs(pts)))
-        current = [c for c, _ in cluster_roots(pts, scale, policy)]
+        order, head = merge_near(pts, policy.cluster_tol * scale)
+        current = pts[order][np.unique(head)]
         if len(current) > p.degree:
             return False
     return True

@@ -20,8 +20,8 @@ from scipy import stats as _sstats
 from scipy.spatial import cKDTree
 
 from .cdyn import is_exceptional
-from .errors import (DegenerateSample, ExceptionalTarget, InvariantViolation,
-                     SolverFailure)
+from .errors import (ConfigError, DegenerateSample, ExceptionalTarget,
+                     InvariantViolation, SolverFailure)
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
 from .quat import ImaginaryUnit, Quaternion, SlicePoint, UNIT_I, sphere_quadrature
@@ -339,10 +339,7 @@ def _orbit_matrix(pc: ComplexPoly, z0, units_xyz, n):
     out = np.empty((N, n, 4))
     z = np.asarray(z0, dtype=complex)
     for j in range(n):
-        out[:, j, 0] = z.real
-        out[:, j, 1] = z.imag * units_xyz[:, 0]
-        out[:, j, 2] = z.imag * units_xyz[:, 1]
-        out[:, j, 3] = z.imag * units_xyz[:, 2]
+        out[:, j, 0], out[:, j, 1:] = z.real, z.imag[:, None] * units_xyz
         z = pc(z)
     return out
 
@@ -415,9 +412,12 @@ def topological_entropy(p: QPolynomial, box: AxialBox, n_max: int,
     """sup over eps of the fitted growth slope of log N(K, n, eps).
 
     The fit is least squares on the last max(3, n_max//2) points of
-    log N vs n, reported with the fit residual as stderr.
+    log N vs n, reported with the fit residual as stderr. Slice orbits on
+    every unit are quaternion orbits only for real coefficients.
     """
     pc = p.restrict_to_slice(UNIT_I, policy)
+    if not pc.is_real():
+        raise ConfigError("topological entropy needs real coefficients")
     z, units_xyz = _candidate_points(pc, box, grid_density, seed,
                                      n_units=6, policy=policy)
     if not len(z):

@@ -47,10 +47,6 @@ class DegenerateSample(QBrolinError):
     """A sampled point landed on a critical point within tolerance."""
 
 
-class DegenerateVariance(QBrolinError):
-    """Fitted CLT variance is numerically zero (coboundary candidate)."""
-
-
 class ProbeOnFiber(QBrolinError):
     """A probe point is too close to a fiber of the gap-test targets."""
 

@@ -6,8 +6,9 @@ is a real point; one with rho > 0 is the 2-sphere S_{alpha+I rho}.
 
 Every measure built from complex slice atoms goes through one fold and one
 merge. The fold sends z and its conjugate to the same (Re z, |Im z|), with
-rho snapped to 0 within real_axis_tol of the real axis. The merge sums atoms
-that coincide within cluster_tol. A depth-n pullback gives each complex
+rho snapped to 0 within real_axis_tol of the real axis. The merge is
+`roots.merge_near`, run on real points and spheres apart; each cluster keeps
+its head atom with the summed weight. A depth-n pullback gives each complex
 fiber root mass 1/d^n, so a real root of multiplicity m becomes a real point
 of weight m/d^n, and a conjugate pair {z, z bar} one sphere of weight 2m/d^n.
 Every pullback is then a probability measure, and slice_marginal gives back
@@ -28,7 +29,7 @@ from .policy import DEFAULT, NumericPolicy
 from .poly import QPolynomial
 from .quat import (Quaternion, Sphere2, SphereQuadrature, UNIT_I,
                    sphere_quadrature)
-from .roots import fiber_roots
+from .roots import fiber_roots, merge_near
 
 __all__ = [
     "EmpiricalMeasure",
@@ -141,48 +142,25 @@ def standard_panel():
     ]
 
 
-def _fold(z, weight, policy: NumericPolicy):
-    """Complex slice atoms -> (alpha, rho, weight) arrays.
-
-    z and its conjugate fold onto the same rho = |Im z|; rho snaps to 0 when
-    |Im z| <= real_axis_tol * (1 + |z|).
-    """
+def _fold_merge(z, weight, meta, policy: NumericPolicy) -> EmpiricalMeasure:
+    """Complex slice atoms -> one measure: z and its conjugate fold onto
+    (Re z, rho = |Im z|), rho = 0 when |Im z| <= real_axis_tol * (1 + |z|);
+    then each kind (rho = 0, rho > 0) goes through merge_near on alpha + i
+    rho at radius cluster_tol * (1 + |alpha| + rho), heads keeping the
+    weights summed in (alpha, rho) order."""
     z = np.asarray(z, dtype=complex).reshape(-1)
+    weight = np.asarray(weight, dtype=float).reshape(-1)
     rho = np.abs(z.imag)
     rho[rho <= policy.real_axis_tol * (1.0 + np.abs(z))] = 0.0
-    return z.real, rho, np.asarray(weight, dtype=float).reshape(-1)
-
-
-def _merge(alpha, rho, weight, meta, policy: NumericPolicy) -> EmpiricalMeasure:
-    """Sum coincident atoms into one measure.
-
-    In the (rho > 0, alpha, rho) order, each run of atoms of one kind that
-    lie within cluster_tol * (1 + |alpha| + rho) of the run's first atom, in
-    both coordinates, merges into that first atom; weights add left to right.
-    """
-    order = np.lexsort((rho, alpha, rho > 0))
-    alpha, rho, weight = alpha[order], rho[order], weight[order]
-    sphere = rho > 0
-    tol = policy.cluster_tol * (1.0 + np.abs(alpha) + rho)
-    # a run's first merge is always with the atom right before it
-    near_next = ((sphere[1:] == sphere[:-1])
-                 & (np.abs(alpha[1:] - alpha[:-1]) <= tol[:-1])
-                 & (np.abs(rho[1:] - rho[:-1]) <= tol[:-1]))
-    first = np.ones(len(alpha), dtype=bool)
-    if np.any(near_next):
-        a, r, s, t = (x.tolist() for x in (alpha, rho, sphere, tol))
-        j = 0
-        for b in np.flatnonzero(near_next).tolist():
-            if b < j:
-                continue  # b already joined the run of an earlier atom
-            j = b + 1
-            while (j < len(a) and s[j] == s[b] and abs(a[j] - a[b]) <= t[b]
-                   and abs(r[j] - r[b]) <= t[b]):
-                first[j] = False
-                j += 1
-    run = np.cumsum(first) - 1
-    return EmpiricalMeasure(alpha[first], rho[first],
-                            np.bincount(run, weight), meta)
+    parts, sphere = [], rho > 0
+    for kind in (~sphere, sphere):
+        a, r, w = z.real[kind], rho[kind], weight[kind]
+        order, head = merge_near(a + 1j * r,
+                                 policy.cluster_tol * (1.0 + np.abs(a) + r))
+        heads, cluster = np.unique(head, return_inverse=True)
+        parts.append((a[order][heads], r[order][heads],
+                      np.bincount(cluster, w[order])))
+    return EmpiricalMeasure(*(np.concatenate(x) for x in zip(*parts)), meta)
 
 
 def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
@@ -204,8 +182,8 @@ def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
     nodes = preimage_tree(pc, complex(a), n, budget, policy)
     mults = np.array([nd.multiplicity for nd in nodes])
     meta = {"polynomial": p.to_json(), "target": a, "depth": n}
-    m = _merge(*_fold([nd.point for nd in nodes], mults / float(d) ** n,
-                      policy), meta, policy)
+    m = _fold_merge([nd.point for nd in nodes], mults / float(d) ** n, meta,
+                    policy)
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"pullback mass {m.total_mass()} != 1")
     return m
@@ -250,7 +228,7 @@ def pushforward(p: QPolynomial, m: EmpiricalMeasure,
         raise ValueError("pushforward requires real coefficients")
     pc = p.restrict_to_slice(UNIT_I, policy)
     images = pc(m.alpha + 1j * m.rho)
-    return _merge(*_fold(images, m.weight, policy), m.meta, policy)
+    return _fold_merge(images, m.weight, m.meta, policy)
 
 
 def pullback(p: QPolynomial, m: EmpiricalMeasure,
@@ -267,8 +245,7 @@ def pullback(p: QPolynomial, m: EmpiricalMeasure,
     shares = np.concatenate([np.where(sphere, m.weight / 2.0, m.weight),
                              m.weight[sphere] / 2.0])
     roots = fiber_roots(pc.coeffs, targets, policy)
-    return _merge(*_fold(roots, np.repeat(shares, pc.degree), policy),
-                  m.meta, policy)
+    return _fold_merge(roots, np.repeat(shares, pc.degree), m.meta, policy)
 
 
 def slice_marginal(m: EmpiricalMeasure, unit=UNIT_I):
@@ -300,7 +277,7 @@ def measure_from_complex_atoms(points, weights, meta=None,
     points = np.asarray(points, dtype=complex).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
     keep = ~(weights <= 0)  # a NaN weight is kept, and refused
-    m = _merge(*_fold(points[keep], weights[keep], policy), meta or {}, policy)
+    m = _fold_merge(points[keep], weights[keep], meta or {}, policy)
     if normalize and m.total_mass() > 0:
         m = m.scaled(1.0 / m.total_mass())
     return m

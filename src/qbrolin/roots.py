@@ -5,6 +5,9 @@ circle, followed by Newton polish, with multiplicity detection by clustering.
 It runs on rows: `fiber_roots` solves p(z) = t for many targets t at once
 (every p - t shares all but the constant term), `all_roots` is its one-row
 case. Degrees 1 and 2 use closed forms (they dominate the preimage workloads).
+`merge_near` is the library's one rule for which points coincide: fiber
+clusters keep their mean, preimage trees and measures their head, and
+exceptional screening counts clusters.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import numpy as np
 from .errors import SolverFailure
 from .policy import DEFAULT, NumericPolicy
 
-__all__ = ["all_roots", "cluster_roots", "fiber_roots", "quadratic_roots_many"]
+__all__ = ["all_roots", "cluster_roots", "fiber_roots", "merge_near",
+           "quadratic_roots_many"]
 
 # complex entries in one (rows, d, d) repulsion block: a batched solve takes
 # max(1, _BLOCK // d^2) rows at a time, about 4 MB per temporary
@@ -165,14 +169,14 @@ def _aberth(coeffs, c0s, policy: NumericPolicy):
 
 
 def _clustered(rows, policy: NumericPolicy):
-    """Sorted root rows -> cluster centers repeated by multiplicity.
+    """Sorted root rows -> cluster means repeated by multiplicity.
 
-    A row with no two roots within the cluster radius is final (a lone
-    root's cluster mean is the root plus 0, which only clears signed zeros);
-    the other rows go through cluster_roots one by one.
+    A row with no two roots within twice the cluster radius has nothing to
+    merge and is final (a lone root's cluster mean is the root plus 0, which
+    only clears signed zeros); the other rows go through cluster_roots.
     """
     scale = 1.0 + np.max(np.abs(rows), axis=1)
-    tol = policy.cluster_tol * np.maximum(scale, 1.0)
+    tol = 2.0 * policy.cluster_tol * np.maximum(scale, 1.0)
     close = np.abs(rows[:, :, None] - rows[:, None, :]) <= tol[:, None, None]
     out = rows + 0.0
     # every root is close to itself: a row with more close pairs than roots
@@ -186,24 +190,56 @@ def _clustered(rows, policy: NumericPolicy):
 def cluster_roots(roots, scale, policy: NumericPolicy = DEFAULT):
     """Group near-identical roots; returns list of (center, multiplicity).
 
-    The clustering radius is policy.cluster_tol * scale; centers are cluster
-    means. Output is sorted by (real, imag) for deterministic downstream use.
+    Clusters of merge_near at radius cluster_tol * max(scale, 1), centered
+    at their means and sorted by (real, imag).
     """
-    roots = np.asarray(roots, dtype=complex)
-    if len(roots) == 0:
-        return []
-    tol = policy.cluster_tol * max(scale, 1.0)
-    order = np.lexsort((roots.imag, roots.real))
+    roots = np.asarray(roots, dtype=complex).reshape(-1)
+    order, head = merge_near(roots, policy.cluster_tol * max(scale, 1.0))
     roots = roots[order]
-    used = np.zeros(len(roots), dtype=bool)
-    clusters = []
-    for i in range(len(roots)):
-        if used[i]:
-            continue
-        members = np.abs(roots - roots[i]) <= tol
-        members &= ~used
-        used |= members
-        pts = roots[members]
-        clusters.append((complex(np.mean(pts)), int(len(pts))))
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return clusters
+    heads, cluster, counts = np.unique(head, return_inverse=True,
+                                       return_counts=True)
+    centers = roots[heads] + 0.0   # a lone root's mean: plus 0
+    for k in np.flatnonzero(counts > 1):
+        centers[k] = np.mean(roots[cluster == k])
+    return sorted(zip(centers.tolist(), counts.tolist()),
+                  key=lambda c: (c[0].real, c[0].imag))
+
+
+def merge_near(points, tol):
+    """The one rule that decides which points coincide.
+
+    Points are sorted by (real, imag). In that order each point x + iy not
+    yet merged heads a cluster and absorbs every later unmerged point in
+    [x, x + tol] x [y - tol, y + tol] (tol: a scalar or one per point).
+    Returns (order, head): the sort order, and for each sorted point the
+    sorted position of its head. A head's run up its column (equal real
+    parts) is found by array operations; later columns in reach are scanned.
+    """
+    z = np.asarray(points, dtype=complex).reshape(-1)
+    order = np.lexsort((z.imag, z.real))
+    z, t = z[order], (np.zeros(len(z)) + tol)[order]
+    x, y, idx = z.real, z.imag, np.arange(len(z))
+    lo, hi = y - t, y + t
+    # k's run ends before top[k]; later columns start at col[k] and leave
+    # reach at right[k]
+    top = np.searchsorted(z, x + 1j * hi, side="right")
+    col = np.searchsorted(x, x, side="right")
+    right = np.searchsorted(x, x + t, side="right")
+    head, run_heads, scanned, last = idx.copy(), [], set(), -1
+    starts = np.flatnonzero((top > idx + 1) | (right > col)).tolist()
+    top_l, col_l, right_l = top.tolist(), col.tolist(), right.tolist()
+    for k in starts:
+        if k <= last or k in scanned:
+            continue  # k already belongs to a cluster
+        run_heads.append(k)
+        last = top_l[k] - 1
+        if right_l[k] > col_l[k]:
+            w = np.arange(col_l[k], right_l[k])
+            w = w[(head[w] == w) & (y[w] >= lo[k]) & (y[w] <= hi[k])]
+            head[w] = k
+            scanned.update(w.tolist())
+    # runs do not overlap: a point's run head is the last one at or before it
+    owner = np.maximum.accumulate(np.where(np.isin(idx, run_heads), idx, -1))
+    run = (owner >= 0) & (head == idx) & (idx < top[owner])
+    head[run] = owner[run]
+    return order, head

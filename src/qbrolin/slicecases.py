@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cdyn import is_exceptional, preimage_tree, solve_fiber
-from .errors import (BudgetExceeded, ExceptionalTarget, InvariantViolation,
-                     ProbeOnFiber)
+from .errors import (BudgetExceeded, ConfigError, ExceptionalTarget,
+                     InvariantViolation, ProbeOnFiber)
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
 from .quat import ImaginaryUnit, Quaternion, SphereQuadrature, UNIT_I, sphere_quadrature
+from .roots import merge_near
 
 __all__ = [
     "OneSlicePolynomial",
@@ -118,7 +119,8 @@ def gn_build(P: OneSlicePolynomial, n: int,
         return QPolynomial.from_real(sq.coeffs.real)
     g = pn.lift(P.unit).symmetrize()
     g = _realify(g, scale=float(np.sum(np.abs(pn.coeffs))) ** 2)
-    assert g.degree == 2 * d ** n
+    if g.degree != 2 * d ** n:
+        raise InvariantViolation(f"deg g_n = {g.degree}, expected {2 * d ** n}")
     return g
 
 
@@ -138,7 +140,10 @@ def _binned(points, weights, bin_width, meta, policy):
     points = np.asarray(points, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     alpha, rho = points.real, np.abs(points.imag)
-    keys = np.floor(np.stack([alpha, rho], axis=1) / bin_width).astype(np.int64)
+    keys = np.floor(np.stack([alpha, rho], axis=1) / bin_width)
+    if not np.all(np.abs(keys) < 2.0 ** 53):   # int64 keys exact below 2^53
+        raise ConfigError(f"bin_width {bin_width!r} is too small for atoms")
+    keys = keys.astype(np.int64)
     _, bin_of = np.unique(keys, axis=0, return_inverse=True)
     bin_of = bin_of.reshape(-1)
     w = np.bincount(bin_of, weights)
@@ -161,8 +166,6 @@ def mu_prime_estimate(P: OneSlicePolynomial, quad: SphereQuadrature, n: int,
     d = P.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
-    if d ** n > policy.degree_budget:
-        raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {policy.degree_budget}")
     _screen_gn_target(P, a, policy)
 
     points, weights = [], []
@@ -214,7 +217,6 @@ def hn_build(p: QPolynomial, n: int,
     it = p
     for _ in range(n - 1):
         it = p.bullet_compose(it)
-    assert it.degree == d ** n
     hn = _realify(it.symmetrize(),
                   scale=float(np.sum(np.linalg.norm(it.coeffs, axis=1))) ** 2)
     return GeneralIterate(hn, n, p)
@@ -224,25 +226,23 @@ def orbit_finite(p: QPolynomial, q0: Quaternion, horizon: int,
                  policy: NumericPolicy = DEFAULT) -> bool:
     """Heuristic finite-orbit test for the exceptional set of the h_n family.
 
-    True iff {h_n(q0) : n <= horizon} has fewer than horizon distinct values
-    after clustering. Heuristic at the declared horizon; callers echo the
+    True iff {h_n(q0) : n <= horizon} has fewer than horizon clusters under
+    merge_near. Heuristic at the declared horizon; callers echo the
     horizon in their reports.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    values = []
+    # h_n has real coefficients, so h_n(alpha + J beta) = Re w + J Im w with
+    # w = h_n(alpha + i beta): the values are complex points of one slice
+    z0 = complex(q0.re(), q0.im_norm())
+    values = np.empty(horizon, dtype=complex)
     for n in range(1, horizon + 1):
-        hn = hn_build(p, n, policy).hn
-        v = hn.eval(q0)
-        if abs(v) > 1e12:
+        values[n - 1] = hn_build(p, n, policy).hn.restrict_to_slice(
+            UNIT_I, policy)(z0)
+        if abs(values[n - 1]) > 1e12:
             return False
-        values.append(v)
-    tol = policy.cluster_tol * (1.0 + max(abs(v) for v in values))
-    distinct = []
-    for v in values:
-        if all(abs(v - u) > tol for u in distinct):
-            distinct.append(v)
-    return len(distinct) < horizon
+    tol = policy.cluster_tol * (1.0 + float(np.max(np.abs(values))))
+    return len(np.unique(merge_near(values, tol)[1])) < horizon
 
 
 def annulus_probes(count: int = 100, r_lo: float = 1.1,

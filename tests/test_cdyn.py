@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qbrolin.cdyn import (EscapeParams, _merge_level, escape_radius,
-                          filled_julia_mask, green_field, green_n,
-                          is_exceptional, iterate, preimage_tree, solve_fiber)
+from merge_refs import ref_merge_level
+from qbrolin.cdyn import (EscapeParams, escape_radius, filled_julia_mask,
+                          green_field, green_n, is_exceptional, iterate,
+                          preimage_tree, solve_fiber)
 from qbrolin.errors import BudgetExceeded
 from qbrolin.grids import SliceGrid
-from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly
 
 SQ = ComplexPoly([0.0, 0.0, 1.0])          # z^2
@@ -97,7 +97,8 @@ def test_preimage_tree_merges_multiplicity():
 
 
 def _ref_preimage_tree(p, a, n):
-    """The former per-target loop: one solve_fiber per node of each level."""
+    """The former per-target loop: one solve_fiber per node of each level,
+    merged by the former level merge."""
     points, mults = [complex(a)], [1]
     for _ in range(n):
         new_points, new_mults = [], []
@@ -107,8 +108,8 @@ def _ref_preimage_tree(p, a, n):
                 new_mults.append(m * k)
         new_points = np.asarray(new_points)
         scale = 1.0 + float(np.max(np.abs(new_points)))
-        points, mults = _merge_level(new_points, np.asarray(new_mults), scale,
-                                     DEFAULT)
+        points, mults = ref_merge_level(new_points, np.asarray(new_mults),
+                                        scale)
     return points, mults
 
 
@@ -124,6 +125,16 @@ def test_cubic_preimage_tree_depth_6_unchanged(coeffs, a):
     got = np.array([nd.point for nd in nodes])
     assert got.tobytes() == np.array(points).tobytes()
     assert sum(mults) == 3 ** 6
+
+
+def test_depth_16_chebyshev_tree_keeps_65404_nodes():
+    # the 65,536 preimages of 0.5 under z^2 - 2 crowd near +-2 closer than
+    # the cluster radius; the merge (as the former one) keeps 65,404 nodes,
+    # up to 13 preimages in one
+    nodes = preimage_tree(CHEB, 0.5, 16)
+    assert len(nodes) == 65404
+    assert max(nd.multiplicity for nd in nodes) == 13
+    assert sum(nd.multiplicity for nd in nodes) == 2 ** 16
 
 
 def test_is_exceptional_cubic():

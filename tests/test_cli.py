@@ -312,3 +312,33 @@ def test_arbitrary_params_keep_the_exit_code_contract(mode, data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main([str(path)])
     assert code in (0, 2, 3)
+
+
+Q2_PLUS_03I = {"coeffs": [[0, 0.3, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
+
+
+def test_one_slice_bin_width_past_exact_bin_keys(tmp_path, capsys):
+    # floor(alpha / 1e-300) is past 2^53 (or inf): bin keys would collide
+    # and mu' collapse to one atom
+    code, err = _config_error(tmp_path, capsys, {
+        "mode": "one-slice", "polynomial": Q2_PLUS_03I,
+        "params": {"depth": 4, "bin_width": 1e-300}})
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "bin_width" in err["message"]
+
+
+def test_topological_entropy_refuses_nonreal_coefficients(tmp_path, capsys):
+    params = {"n_max": 3, "eps_list": [0.3], "box": [-2, 2, 0, 1],
+              "grid_density": 20, "cells": 4, "samples": 20}
+    code, err = _config_error(tmp_path, capsys, {
+        "mode": "entropy", "polynomial": Q2_PLUS_03I,
+        "params": dict(params, kind="topological")})
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "real coefficients" in err["message"]
+    # partition entropy works on the reference slice alone: it still runs
+    cfg = {"mode": "entropy", "polynomial": Q2_PLUS_03I,
+           "params": dict(params, kind="partition", box=[-2, 2],
+                          samples=2000),
+           "out": str(tmp_path / "partition")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([_write(tmp_path, "p.json", cfg)]) == 0

@@ -12,7 +12,7 @@ from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
                               mixing_correlation, partition_entropy, sample_mu,
                               separated_count, topological_entropy,
                               transfer_apply)
-from qbrolin.errors import (DegenerateSample, ExceptionalTarget,
+from qbrolin.errors import (ConfigError, DegenerateSample, ExceptionalTarget,
                             InvariantViolation, SolverFailure)
 from qbrolin.measures import axial_test_function
 from qbrolin.policy import DEFAULT
@@ -244,6 +244,15 @@ def test_topological_entropy_report():
     assert 0.3 < rep.value < 1.1
     assert rep.params["eps"] == 0.25
     assert len(rep.params["counts"]) == 5
+
+
+def test_topological_entropy_refuses_nonreal_coefficients():
+    # off a real map the slice orbit placed on every unit is not the
+    # quaternion orbit, so a count of separated orbits measures nothing
+    p = QPolynomial(np.array([[0, 0.3, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]))
+    with pytest.raises(ConfigError):
+        topological_entropy(p, AxialBox(-1.5, 1.5, 0.0, 1.5), 3, [0.3],
+                            grid_density=200, seed=0)
 
 
 def test_interval_partition():

@@ -2,7 +2,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbrolin.errors import ExceptionalTarget
 from qbrolin.measures import (EmpiricalMeasure, axial_test_function,
@@ -37,8 +37,11 @@ def test_measure_sorted_and_json():
     assert again.meta == m.meta
 
 
-# Reference for the fold and merge: the former per-atom fold of
-# measure_from_complex_atoms and the former _coalesce, on plain tuples.
+# Reference for the fold and merge, on plain tuples: the former per-atom fold
+# of measure_from_complex_atoms, then merge_near's rule atom by atom (each
+# atom not yet merged absorbs every later unmerged atom of its kind in
+# [alpha, alpha + tol] x [rho - tol, rho + tol], not only a run of
+# consecutive ones).
 _Atom = namedtuple("_Atom", "alpha rho weight")
 
 
@@ -52,17 +55,19 @@ def _reference_fold_merge(points, weights, policy=DEFAULT):
             rho = 0.0
         atoms.append(_Atom(z.real, rho, float(w)))
     atoms = sorted(atoms, key=lambda a: (a.rho > 0, a.alpha, a.rho))
-    merged = []
-    for a in atoms:
-        if merged:
-            b = merged[-1]
-            scale = 1.0 + abs(b.alpha) + b.rho
-            if ((a.rho > 0) == (b.rho > 0)
-                    and abs(a.alpha - b.alpha) <= policy.cluster_tol * scale
-                    and abs(a.rho - b.rho) <= policy.cluster_tol * scale):
-                merged[-1] = _Atom(b.alpha, b.rho, b.weight + a.weight)
-                continue
-        merged.append(a)
+    merged, used = [], [False] * len(atoms)
+    for i, b in enumerate(atoms):
+        if used[i]:
+            continue
+        tol = policy.cluster_tol * (1.0 + abs(b.alpha) + b.rho)
+        weight = b.weight
+        for j, a in enumerate(atoms[i + 1:], i + 1):
+            if (not used[j] and (a.rho > 0) == (b.rho > 0)
+                    and a.alpha <= b.alpha + tol
+                    and b.rho - tol <= a.rho <= b.rho + tol):
+                used[j] = True
+                weight += a.weight
+        merged.append(_Atom(b.alpha, b.rho, weight))
     return tuple(np.array([getattr(a, k) for a in merged], dtype=float)
                  for k in _Atom._fields)
 
@@ -98,6 +103,9 @@ def _clouds(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_clouds())
+# 1.5e-7 + 0.5i is in reach of 0.5i, but i sorts between them: a run of
+# consecutive atoms would keep it apart
+@example(([1j, 0.5j, 1.5e-7 + 0.5j], [0.25, 0.25, 0.25]))
 def test_fold_merge_matches_reference(cloud):
     points, weights = cloud
     want = _reference_fold_merge(points, weights)
@@ -105,6 +113,15 @@ def test_fold_merge_matches_reference(cloud):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def test_real_points_and_spheres_merge_apart():
+    # the sphere lies off the real axis by more than real_axis_tol, and the
+    # real point is within its merge box: kinds still never merge
+    sphere = complex(-1.0 - 1e-9, 2e-7 + 1e-14)
+    m = measure_from_complex_atoms([sphere, -1.0], [0.5, 0.5])
+    assert m.rows() == [("point", -1.0, 0.0, 0.5),
+                        ("sphere", sphere.real, sphere.imag, 0.5)]
 
 
 def test_pullback_mass_one():

@@ -1,15 +1,20 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from merge_refs import (ref_cluster_roots, ref_fold, ref_measure_merge,
+                        ref_merge_level)
 from qbrolin.cdyn import solve_fiber
 from qbrolin.errors import SolverFailure
+from qbrolin.measures import measure_from_complex_atoms
 from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly
 from qbrolin.quat import UNIT_I
 from qbrolin.roots import (all_roots, cluster_roots, fiber_roots,
-                           quadratic_roots_many)
+                           merge_near, quadratic_roots_many)
 from qbrolin.slicecases import OneSlicePolynomial, gn_build
 
 
@@ -145,9 +150,10 @@ def _ref_all_roots(coeffs, policy=DEFAULT):
 
 
 def _ref_fiber_row(p, t):
-    """solve_fiber's clusters for one target, expanded by multiplicity."""
+    """solve_fiber's clusters for one target, expanded by multiplicity, from
+    the former solver and the former clustering."""
     roots = _ref_all_roots(p.shifted(t).coeffs)
-    clusters = cluster_roots(roots, 1.0 + float(np.max(np.abs(roots))))
+    clusters = ref_cluster_roots(roots, 1.0 + float(np.max(np.abs(roots))))
     return np.array([c for c, m in clusters for _ in range(m)])
 
 
@@ -227,3 +233,142 @@ def test_degree_128_one_row_solve_unchanged():
     expanded = [r for r, m in solve_fiber(g, 0.0) for _ in range(m)]
     assert _same_bits(rows[0], np.array(expanded))
     assert _same_bits(rows[-1], rows[0])
+
+
+# -- merge_near against the three merges it replaced -------------------------
+
+_NEAR = 1.5e-8   # offsets inside a cluster: every pair within tol/2 (tol >= 1e-7)
+_GRID = 0.125    # cluster sites lie on this lattice: other pairs >= 2 tol apart
+
+
+@st.composite
+def _separated(draw, runs=False):
+    """Clusters of exact duplicates and near copies around lattice sites in
+    [-2, 2]^2, in random order: conjugate sites tie in real part, and all
+    sites may share one column (equal real parts). With runs=True a copy
+    moves off a shared column only along imag, so no cluster interleaves
+    another point in (real, imag) order, the case where the run rules agree.
+    """
+    sites = draw(st.lists(st.tuples(st.integers(-16, 16), st.integers(-16, 16)),
+                          min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        sites = list(dict.fromkeys((sites[0][0], j) for _, j in sites))
+    if draw(st.booleans()):
+        sites = list(dict.fromkeys(sites + [(i, -j) for i, j in sites]))
+    columns = Counter(i for i, _ in sites)
+    near = st.floats(-_NEAR, _NEAR)
+    points = []
+    for i, j in sites:
+        z = complex(i * _GRID, j * _GRID)
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                points.append(z)
+            else:
+                dx = 0.0 if runs and columns[i] > 1 else draw(near)
+                points.append(z + complex(dx, draw(near)))
+    order = draw(st.permutations(range(len(points))))
+    return np.array([points[k] for k in order])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_separated())
+def test_merge_near_matches_former_cluster_roots(points):
+    scale = 1.0 + float(np.max(np.abs(points)))
+    got, want = cluster_roots(points, scale), ref_cluster_roots(points, scale)
+    assert [m for _, m in got] == [m for _, m in want]
+    assert _same_bits(np.array([c for c, _ in got]),
+                      np.array([c for c, _ in want]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_separated(runs=True), st.randoms(use_true_random=False))
+def test_merge_near_matches_former_level_merge(points, rnd):
+    # preimage_tree's level merge: heads keep the summed multiplicity
+    mults = np.array([rnd.randint(1, 3) for _ in points])
+    scale = 1.0 + float(np.max(np.abs(points)))
+    order, head = merge_near(points, DEFAULT.cluster_tol * scale)
+    heads, cluster = np.unique(head, return_inverse=True)
+    want_p, want_m = ref_merge_level(points, mults, scale)
+    assert np.bincount(cluster, mults[order]).tolist() == want_m
+    assert _same_bits(points[order][heads], np.array(want_p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_separated(runs=True), st.randoms(use_true_random=False))
+def test_merge_near_matches_former_measure_merge(points, rnd):
+    weights = np.array([rnd.choice([0.0, 0.25, rnd.uniform(1e-6, 1.0)])
+                        for _ in points])
+    keep = weights > 0
+    want = ref_measure_merge(*ref_fold(points[keep], weights[keep]), {})
+    got = measure_from_complex_atoms(points, weights)
+    for g, w in zip((got.alpha, got.rho, got.weight),
+                    (want.alpha, want.rho, want.weight)):
+        assert _same_bits(g, w)
+
+
+def test_double_roots_of_a_real_g5_form_32_clusters():
+    # g_5 = (P^5)^2 for P = z^2 - 0.12: every root of P^5 is double, and
+    # conjugate roots tie in real part, so a run of consecutive roots within
+    # a disc splits pairs (50 runs); the window rule keeps all 32
+    g = gn_build(OneSlicePolynomial(ComplexPoly([-0.12, 0.0, 1.0]), UNIT_I),
+                 5).restrict_to_slice(UNIT_I)
+    roots = all_roots(g.coeffs)
+    scale = 1.0 + float(np.max(np.abs(roots)))
+    assert [m for _, m in cluster_roots(roots, scale)] == [2] * 32
+    assert [m for _, m in solve_fiber(g, 0.0)] == [2] * 32
+    measure_tol = DEFAULT.cluster_tol * (1.0 + np.abs(roots.real)
+                                         + np.abs(roots.imag))
+    assert len(np.unique(merge_near(roots, measure_tol)[1])) == 32
+    assert len(ref_merge_level(roots, np.ones(64, int), scale)[0]) == 50
+
+
+def test_merge_near_scalar_and_empty_input():
+    order, head = merge_near(np.array([], dtype=complex), 1e-7)
+    assert order.shape == head.shape == (0,)
+    order, head = merge_near([2.0, 1.0 + 1e-9j, 1.0, 5.0], 1e-7)
+    assert order.tolist() == [2, 1, 0, 3]
+    assert head.tolist() == [0, 0, 2, 3]
+
+
+def _greedy_reference(points, tol):
+    """merge_near's rule, point by point, on plain floats."""
+    z = np.asarray(points, dtype=complex)
+    order = np.lexsort((z.imag, z.real))
+    pts = [(float(v.real), float(v.imag)) for v in z[order]]
+    tols = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)[order]
+    head = [-1] * len(pts)
+    for i, (x, y) in enumerate(pts):
+        if head[i] >= 0:
+            continue
+        head[i] = i
+        for j in range(i + 1, len(pts)):
+            if (head[j] < 0 and pts[j][0] <= x + tols[i]
+                    and y - tols[i] <= pts[j][1] <= y + tols[i]):
+                head[j] = i
+    return order, np.array(head, dtype=int)
+
+
+@st.composite
+def _crowded(draw):
+    """Points a few radii apart on a lattice of step 0.1 (so differences
+    round either side of the radius): long runs, columns of equal real
+    part, windows that span columns, duplicates; a scalar radius or one per
+    point."""
+    n = draw(st.integers(0, 60))
+    cells = st.integers(0, draw(st.integers(0, 12)))
+    points = [complex(draw(cells), draw(cells)) * 0.1 for _ in range(n)]
+    radii = st.sampled_from([0.0, 0.1, 0.15, 0.2, 0.3, 1.2])
+    if draw(st.booleans()):
+        tol = np.array([draw(radii) for _ in range(n)])
+    else:
+        tol = draw(radii)
+    return np.array(points, dtype=complex), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crowded())
+def test_merge_near_is_the_greedy_rule(cloud):
+    points, tol = cloud
+    got, want = merge_near(points, tol), _greedy_reference(points, tol)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()

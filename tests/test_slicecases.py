@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbrolin.errors import BudgetExceeded, ProbeOnFiber
+from qbrolin.errors import BudgetExceeded, InvariantViolation, ProbeOnFiber
 from qbrolin.measures import weak_distance
 from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly, QPolynomial
@@ -91,6 +91,50 @@ def test_orbit_finite():
     assert not orbit_finite(P_J, Quaternion.real(5.0), horizon=5)
     with pytest.raises(ValueError):
         orbit_finite(P_J, Quaternion.real(0.0), horizon=1)
+
+
+def _ref_orbit_finite(p, q0, horizon):
+    """The former distinct loop over the quaternion values h_n(q0)."""
+    values = [hn_build(p, n).hn.eval(q0) for n in range(1, horizon + 1)]
+    if any(abs(v) > 1e12 for v in values):
+        return False
+    tol = DEFAULT.cluster_tol * (1.0 + max(abs(v) for v in values))
+    distinct = []
+    for v in values:
+        if all(abs(v - u) > tol for u in distinct):
+            distinct.append(v)
+    return len(distinct) < horizon
+
+
+@pytest.mark.parametrize("q0", [
+    Quaternion.real(0.0), Quaternion.real(5.0), Quaternion.real(-1.0),
+    Quaternion(0.0, 0.0, 1.0, 0.0), Quaternion(0.2, 0.3, -0.4, 0.1),
+    Quaternion(0.0, 0.0, 0.0, 0.5)])
+def test_orbit_finite_matches_the_former_quaternion_loop(q0):
+    # h_n has real coefficients: its values at q0 lie in q0's slice, so
+    # they are counted as complex points of C_i
+    for p in (P_J, P_I.base.lift(UNIT_I)):
+        assert orbit_finite(p, q0, 4) == _ref_orbit_finite(p, q0, 4)
+
+
+def test_orbit_finite_tells_conjugate_values_apart():
+    # h_n(q) = q^(2^(n+1)) for q^2: from q0 = e^(J 2 pi/3) the values
+    # alternate between e^(J 2 pi/3) and its conjugate, two distinct points
+    sq = QPolynomial.from_real([0.0, 0.0, 1.0])
+    q0 = Quaternion(-0.5, 0.0, np.sqrt(3.0) / 2.0, 0.0)
+    assert not orbit_finite(sq, q0, 2)
+    assert orbit_finite(sq, q0, 3)
+
+
+def test_degree_checks_raise_invariant_violation(monkeypatch):
+    # the builders check the iterate's degree with a typed error, which
+    # python -O keeps (it strips assert statements)
+    monkeypatch.setattr(QPolynomial, "bullet_compose", lambda self, q: q)
+    with pytest.raises(InvariantViolation):
+        hn_build(P_J, 3)
+    monkeypatch.setattr(ComplexPoly, "iterate_poly", lambda self, n: self)
+    with pytest.raises(InvariantViolation):
+        gn_build(P_I, 2)
 
 
 def test_annulus_probes():
