@@ -13,7 +13,7 @@ import argparse
 import math
 
 from qbrolin.dynstats import fit_log_slope, mixing_correlation
-from qbrolin.measures import axial_test_function
+from qbrolin.measures import TestFunction
 from qbrolin.poly import QPolynomial
 from qbrolin.quat import UNIT_I
 
@@ -25,8 +25,8 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
     pc = QPolynomial.from_real([-1.0, 0.0, 1.0]).restrict_to_slice(UNIT_I)
-    phi = axial_test_function("abs2", lambda a, b: a * a + b * b)
-    psi = axial_test_function("re", lambda a, b: a)
+    phi = TestFunction("abs2", lambda a, b: a * a + b * b)
+    psi = TestFunction("re", lambda a, b: a)
     corr = mixing_correlation(pc, phi, psi, args.n_max, args.samples,
                               args.seed)
     print(f"{'n':>3} {'corr(n)':>14}")

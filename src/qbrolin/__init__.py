@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 
 from .errors import (BudgetExceeded, CoefficientOffSlice, ConfigError,
                      DegenerateSample, ExceptionalTarget, InvariantViolation,
-                     ProbeOnFiber, QBrolinError, SingularNode, SolverFailure,
-                     ZeroDivisor)
+                     ProbeOnFiber, QBrolinError, SolverFailure, ZeroDivisor)
 from .policy import DEFAULT, NumericPolicy
-from .quat import (ImaginaryUnit, Quaternion, SlicePoint, Sphere2,
-                   SphereQuadrature, UNIT_I, UNIT_J, UNIT_K, slice_decompose,
-                   sphere_quadrature)
+from .quat import (ImaginaryUnit, Quaternion, SlicePoint, SphereQuadrature,
+                   UNIT_I, UNIT_J, UNIT_K, slice_decompose, sphere_quadrature)
 from .poly import ComplexPoly, QPolynomial
 from .grids import GridField, SliceGrid
 from .cdyn import (EscapeParams, OrbitValue, escape_radius, filled_julia_mask,
@@ -34,6 +32,5 @@ from .dynstats import (AxialBox, CltResult, EstimateReport, calibrate_ks_null,
                        clt_harness, lyapunov_slice, lyapunov_sphere_direction,
                        mixing_correlation, partition_entropy, sample_mu,
                        separated_count, topological_entropy, transfer_apply)
-from .slicecases import (GeneralIterate, OneSlicePolynomial, brolin3_gap,
-                         gn_build, gn_pullback_measure, hn_build,
+from .slicecases import (brolin3_gap, gn_build, gn_pullback_measure, hn_build,
                          mu_prime_estimate, orbit_finite)

@@ -74,8 +74,7 @@ def _ledger_step(p: ComplexPoly, log_mag: float) -> float:
     return d * log_mag + math.log(abs(p.coeffs[-1]))
 
 
-def iterate(p: ComplexPoly, z: complex, n: int,
-            radius: float | None = None) -> OrbitValue:
+def iterate(p: ComplexPoly, z: complex, n: int) -> OrbitValue:
     """n-fold composition with the escape ledger.
 
     While |z| is representable the exact value is kept; once |z| exceeds the
@@ -83,8 +82,6 @@ def iterate(p: ComplexPoly, z: complex, n: int,
     log|c_d| + log|1 + sum_{k<d} c_k z^{k-d}/c_d|, evaluating the correction
     while it is representable.
     """
-    if radius is None:
-        radius = escape_radius(p)
     switch = _ledger_switch(p.degree)
     z = complex(z)
     escaped = False
@@ -187,21 +184,19 @@ def filled_julia_mask(p: ComplexPoly, grid: SliceGrid,
     return inside
 
 
-def is_exceptional(p: ComplexPoly, a: complex, depth: int | None = None,
+def is_exceptional(p: ComplexPoly, a: complex,
                    policy: NumericPolicy = DEFAULT) -> bool:
     """True iff the backward orbit of a stays a set of <= deg p points.
 
     For complex polynomials of degree >= 2 the exceptional set has at most
     one finite point (a critical fixed point of full multiplicity), so a
-    non-exceptional backward orbit exceeds d points within two levels; the
-    default depth adds margin.
+    non-exceptional backward orbit exceeds d points within two levels;
+    policy.exceptional_depth levels add margin.
     """
     if p.degree < 2:
         raise ValueError("exceptional screening needs degree >= 2")
-    if depth is None:
-        depth = policy.exceptional_depth
     current = np.array([complex(a)])
-    for _ in range(depth):
+    for _ in range(policy.exceptional_depth):
         pts = fiber_roots(p.coeffs, current, policy).reshape(-1)
         scale = 1.0 + float(np.max(np.abs(pts)))
         order, head = merge_near(pts, policy.cluster_tol * scale)

@@ -30,20 +30,23 @@ from .errors import CoefficientOffSlice, ConfigError, QBrolinError
 from .grids import SliceGrid
 from .laplacian import (fundamental_solution_check, measure_from_green,
                         refinement_order, sphere_kernel_check)
-from .measures import (axial_test_function, brolin_pullback, pair,
+from .measures import (TestFunction, brolin_pullback, pair,
                        pushforward, standard_panel, weak_distance)
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
 from .quat import Quaternion, SlicePoint, UNIT_I, sphere_quadrature
-from .slicecases import (OneSlicePolynomial, annulus_probes, brolin3_gap,
-                         gn_pullback_measure, mu_prime_estimate)
+from .slicecases import (annulus_probes, brolin3_gap, gn_pullback_measure,
+                         mu_prime_estimate)
 
 MODES = ("julia", "equilibrium", "green", "delta-star", "lyapunov", "entropy",
          "mixing", "clt", "one-slice", "general-gap", "verify")
 
 _TOP_KEYS = {"mode", "polynomial", "policy", "grid", "quad_level", "seed",
              "out", "params"}
-_GRID_KEYS = {"center", "half_width", "h"}
+# a grid side has round(2 half_width / h) + 1 nodes, from two up to 8193
+# (h = 1/2048 over [-2, 2]: 67M nodes, about 1 GB per complex raster)
+_GRID_DEFAULTS = {"center": [0.0, 0.0], "half_width": 2.0, "h": 1.0 / 128.0}
+_GRID_MAX_SIDE = 8193
 # every other param is one number (equilibrium also takes target as [number])
 _NON_NUMBER_PARAMS = {"kind", "center", "h_list", "eps_list", "box", "n_list"}
 # count params are integers of at least the smallest value with a meaning;
@@ -95,8 +98,13 @@ def write_pgm(path: Path, image: np.ndarray):
 
 
 def _is_number(x) -> bool:
+    # finite, and an int that a float can hold (abs() never overflows)
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+            and abs(x) <= sys.float_info.max)
+
+
+def _is_count(x, low) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
 
 
 def _numbers(value, length=None) -> bool:
@@ -117,7 +125,7 @@ _LIST_PARAMS = {
                and len(set(v)) > 1, "two or more distinct spacings in (0, 1]"),
     "eps_list": (lambda v, _: _numbers(v) and min(v) > 0, "positive numbers"),
     "n_list": (lambda v, _: _numbers(v) and all(
-        isinstance(n, int) and n >= 1 for n in v), "integers >= 1"),
+        _is_count(n, 1) for n in v), "integers >= 1"),
 }
 
 
@@ -142,8 +150,9 @@ def load_config(path: str, overrides) -> dict:
     cfg.setdefault("quad_level", 3)
     cfg.setdefault("params", {})
     cfg.setdefault("out", ".")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer")
+    for key, low in (("seed", 0), ("quad_level", 1)):
+        if not _is_count(cfg[key], low):
+            raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
     if not isinstance(cfg["params"], dict):
         raise ConfigError("params must be an object")
     bad = set(cfg["params"]) - _MODE_PARAMS[mode]
@@ -155,7 +164,7 @@ def load_config(path: str, overrides) -> dict:
         if key not in _NON_NUMBER_PARAMS and not _is_number(value):
             raise ConfigError(f"params.{key} must be a finite number, got {value!r}")
         low = _COUNT_MIN.get((mode, key), _COUNT_MIN.get(key))
-        if low is not None and not (isinstance(value, int) and value >= low):
+        if low is not None and not _is_count(value, low):
             raise ConfigError(f"params.{key} must be an integer >= {low}, got {value!r}")
         if key == "bin_width" and not value > 0:
             raise ConfigError(f"params.bin_width must be positive, got {value!r}")
@@ -166,14 +175,18 @@ def load_config(path: str, overrides) -> dict:
                               f"{what}; got {cfg['params'][key]!r}")
     if "grid" in cfg:
         g = cfg["grid"]
-        if not isinstance(g, dict) or set(g) - _GRID_KEYS:
-            raise ConfigError(f"grid keys must be within {sorted(_GRID_KEYS)}")
-        if not all(_is_number(g.get(k, 1)) and g.get(k, 1) > 0
-                   for k in ("half_width", "h")):
+        if not isinstance(g, dict) or set(g) - set(_GRID_DEFAULTS):
+            raise ConfigError(f"grid keys must be within {sorted(_GRID_DEFAULTS)}")
+        g = dict(_GRID_DEFAULTS, **g)
+        if not all(_is_number(g[k]) and g[k] > 0 for k in ("half_width", "h")):
             raise ConfigError("grid.half_width and grid.h must be positive numbers")
-        center = g.get("center", [0, 0])
-        if not _numbers(center, 2):
-            raise ConfigError(f"grid.center must be two numbers, got {center!r}")
+        if not _numbers(g["center"], 2):
+            raise ConfigError(f"grid.center must be two numbers, got {g['center']!r}")
+        side = 2 * g["half_width"] / g["h"]
+        if not (math.isfinite(side) and 2 <= round(side) + 1 <= _GRID_MAX_SIDE):
+            raise ConfigError(
+                f"grid must have 2 to {_GRID_MAX_SIDE} nodes a side, round(2 "
+                f"half_width / h) + 1; 2 half_width / h is {side!r}")
     if "policy" in cfg:
         pol = cfg["policy"]
         types = {f.name: f.type for f in dataclasses.fields(NumericPolicy)}
@@ -218,11 +231,9 @@ def _cpoly(cfg, policy) -> ComplexPoly:
     return pc
 
 
-def _grid(cfg, default_half=2.0, default_h=1.0 / 128.0) -> SliceGrid:
-    g = cfg.get("grid", {})
-    center = complex(*g.get("center", [0.0, 0.0]))
-    return SliceGrid.square(center, g.get("half_width", default_half),
-                            g.get("h", default_h))
+def _grid(cfg) -> SliceGrid:
+    g = dict(_GRID_DEFAULTS, **cfg.get("grid", {}))
+    return SliceGrid.square(complex(*g["center"]), g["half_width"], g["h"])
 
 
 def _manifest(out: Path, stem: str, cfg, extra=None):
@@ -288,14 +299,14 @@ def run_delta_star(cfg, out: Path, policy):
     center = params.get("center", [0.3, 0.4])
     a = Quaternion(center[0], center[1], 0.0, 0.0)
     h_list = params.get("h_list", [1.0 / 64, 1.0 / 128, 1.0 / 256])
-    bump = axial_test_function(
+    bump = TestFunction(
         "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
     rows = []
     by_h_real, by_h_pair = {}, {}
     for h in h_list:
         grid = SliceGrid.square(0j, 2.0, h)
         got_r = fundamental_solution_check(center[0], bump, grid)
-        want_r = 0.5 * bump(Quaternion.real(center[0]))
+        want_r = 0.5 * bump.axial(center[0], 0.0)
         got_p, want_p = sphere_kernel_check(a, bump, grid)
         by_h_real[h], by_h_pair[h] = got_r, got_p
         rows.append([h, got_r, want_r, got_p, want_p])
@@ -402,15 +413,14 @@ def run_clt(cfg, out: Path, policy):
 
 
 def run_one_slice(cfg, out: Path, policy):
-    P = OneSlicePolynomial(_cpoly(cfg, policy), UNIT_I)
+    pc = _cpoly(cfg, policy)
     params = cfg["params"]
     depth = int(params.get("depth", 6))
     target = float(params.get("target", 0.0))
-    quad = sphere_quadrature(cfg["quad_level"])
-    mp = mu_prime_estimate(P, quad, depth, target,
+    mp = mu_prime_estimate(pc, cfg["quad_level"], depth, target,
                            float(params.get("bin_width", 1.0 / 128.0)),
                            policy)
-    mg = gn_pullback_measure(P, target, depth, policy)
+    mg = gn_pullback_measure(pc, target, depth, policy)
     dist = weak_distance(mg, mp)
     write_json(out / "mu_prime.json", mp.to_json())
     write_json(out / "gn_pullback.json", mg.to_json())
@@ -495,11 +505,11 @@ def run_verify(cfg, out: Path, policy):
           float(np.max(np.abs(s1.imag))) < 1e-9
           and float(np.max(np.abs(s1.real))) <= 2.0 + 1e-9)
 
-    bump = axial_test_function(
+    bump = TestFunction(
         "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
     grid = SliceGrid.square(0j, 2.0, 1.0 / 64)
     got = fundamental_solution_check(0.3, bump, grid)
-    want = 0.5 * bump(Quaternion.real(0.3))
+    want = 0.5 * bump.axial(0.3, 0.0)
     rel = abs(got / want - 1.0)
     check("fundamental solution (coarse)", rel < 0.05, f"rel err {rel:.2e}")
 

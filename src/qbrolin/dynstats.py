@@ -7,6 +7,10 @@ samples. The sampler runs several chains in lockstep, one batched fiber solve
 per step. Within each chain p(z_{t}) = z_{t-1}, so lagged statistics of a
 chain are forward-orbit statistics; no forward orbit crosses from one chain
 into the next.
+
+Observables are axial test functions, evaluated at (Re z, |Im z|). The
+separated-set count takes an array of quaternion orbits, which
+topological_entropy builds once for every n and eps.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (ConfigError, DegenerateSample, ExceptionalTarget,
                      InvariantViolation, SolverFailure)
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
-from .quat import ImaginaryUnit, Quaternion, SlicePoint, UNIT_I, sphere_quadrature
+from .quat import ImaginaryUnit, SlicePoint, UNIT_I, sphere_quadrature
 from .roots import fiber_roots
 
 __all__ = [
@@ -100,14 +104,13 @@ def _chain_lengths(count: int, chains: int) -> np.ndarray:
 
 def sample_mu(p: ComplexPoly, count: int, seed: int, *,
               chains: int = SAMPLER_CHAINS, start: complex = _DEFAULT_START,
-              burn_in: int | None = None,
               policy: NumericPolicy = DEFAULT) -> np.ndarray:
     """`count` mu_I-distributed points from backward random orbits run in
     lockstep, as one flat chain-major array.
 
     min(count, chains) chains all start at `start`; each step solves the
     fibers of every chain head in one `fiber_roots` call and draws one pick
-    per chain. After `burn_in` steps, each chain records its head, then
+    per chain. After policy.burn_in steps, each chain records its head, then
     steps. Chain lengths differ by at most one, longer chains first; within a chain
     consecutive points satisfy p(z_{t+1}) = z_t (up to the solver).
     Deterministic given (seed, params).
@@ -116,15 +119,13 @@ def sample_mu(p: ComplexPoly, count: int, seed: int, *,
         raise ValueError("sampling needs degree >= 2")
     if chains < 1:
         raise ValueError("sampling needs at least one chain")
-    if burn_in is None:
-        burn_in = policy.burn_in
     if is_exceptional(p, start, policy=policy):
         raise ExceptionalTarget(f"start point {start} is exceptional")
     lengths = _chain_lengths(count, chains)
     steps = int(lengths[0])
     rng = np.random.default_rng(seed)
     z = np.full(len(lengths), start, dtype=complex)
-    for _ in range(burn_in):
+    for _ in range(policy.burn_in):
         z = _chain_step(p, z, rng, policy)
     out = np.empty((len(lengths), steps), dtype=complex)
     for t in range(steps):
@@ -154,11 +155,11 @@ def lyapunov_slice(p: ComplexPoly, n_samples: int, seed: int,
                           {"seed": seed, "dropped_critical": dropped})
 
 
-def lyapunov_sphere_direction(p: QPolynomial, q0: SlicePoint, n: int,
-                              eps: float = 1e-6) -> float:
+def lyapunov_sphere_direction(p: QPolynomial, q0: SlicePoint,
+                              n: int) -> float:
     """Finite-n exponent in the tangent-to-S direction at q0 (beta > 0).
 
-    Perturbs the imaginary unit, iterates both quaternionic orbits, and
+    Perturbs the imaginary unit by 1e-6, iterates both quaternionic orbits, and
     returns (1/n) log(|p^n(q') - p^n(q)| / (|I'-I| beta)). The theorem value
     is 0.
     """
@@ -170,6 +171,7 @@ def lyapunov_sphere_direction(p: QPolynomial, q0: SlicePoint, n: int,
     tx = unit.y * ref[2] - unit.z * ref[1]
     ty = unit.z * ref[0] - unit.x * ref[2]
     tz = unit.x * ref[1] - unit.y * ref[0]
+    eps = 1e-6
     unit2 = ImaginaryUnit.from_vector(unit.x + eps * tx, unit.y + eps * ty,
                                       unit.z + eps * tz)
     q = q0.embed()
@@ -194,20 +196,8 @@ def transfer_apply(p: ComplexPoly, f, z: complex,
 
 
 def _slice_values(f, z):
-    """Values of a test function on the spheres of slice points z.
-
-    Axial functions evaluate directly; general ones are averaged over a
-    level-3 sphere quadrature (axial symmetry of the measures).
-    """
-    if getattr(f, "axial", None) is not None:
-        return np.asarray(f.axial(z.real, np.abs(z.imag)), dtype=float)
-    quad = sphere_quadrature(3)
-    out = np.empty(len(z))
-    for i, zz in enumerate(z):
-        alpha, beta = zz.real, abs(zz.imag)
-        out[i] = quad.average(
-            lambda u: f(Quaternion(alpha, beta * u.x, beta * u.y, beta * u.z)))
-    return out
+    """Values of an axial test function on the spheres of slice points z."""
+    return np.asarray(f.axial(z.real, np.abs(z.imag)), dtype=float)
 
 
 def _level_phi_means(p: ComplexPoly, phi, z, n_max, policy, batch=1024):
@@ -303,9 +293,9 @@ def clt_harness(p: ComplexPoly, phi, n_terms: int, n_samples: int, seed: int,
     return CltResult(ks, sigma, False, n_samples)
 
 
-def calibrate_ks_null(n_samples: int, reps: int = 200, seed: int = 0,
-                      quantile: float = 0.95) -> float:
-    """KS pass bar: the given quantile of the same-size Gaussian null,
+def calibrate_ks_null(n_samples: int, reps: int = 200,
+                      seed: int = 0) -> float:
+    """KS pass bar: the 0.95 quantile of the same-size Gaussian null,
     fitted the same way (sigma estimated from the data).
 
     Replications are drawn in blocks of rows from one stream, so the result
@@ -325,7 +315,7 @@ def calibrate_ks_null(n_samples: int, reps: int = 200, seed: int = 0,
         cdf = _special.ndtr(s / sigma)
         ks_vals[lo:lo + len(s)] = np.maximum(np.max(up - cdf, axis=1),
                                              np.max(cdf - down, axis=1))
-    return float(np.quantile(ks_vals, quantile))
+    return float(np.quantile(ks_vals, 0.95))
 
 
 def _orbit_matrix(pc: ComplexPoly, z0, units_xyz, n):
@@ -362,23 +352,15 @@ def _candidate_points(pc: ComplexPoly, box: AxialBox, count: int, seed: int,
     return z, units_xyz
 
 
-def separated_count(p: QPolynomial, box: AxialBox, n: int, eps: float,
-                    grid_density: int = 20000, seed: int = 0,
-                    policy: NumericPolicy = DEFAULT,
-                    _orbits=None) -> int:
-    """Greedy maximal (n, eps)-separated subset size over the candidate set.
+def separated_count(orbits, eps: float) -> int:
+    """Greedy maximal (n, eps)-separated subset size over an (N, n, 4) array
+    of quaternion n-orbits (as `_orbit_matrix` builds them).
 
     dis_n(q1, q2) = max_{j<n} |p^j(q1) - p^j(q2)|; greedy gives a maximal
     (hence within-factor) separated set, an under-estimator with stable bias
     across n, which is what the entropy slope needs.
     """
-    pc = p.restrict_to_slice(UNIT_I, policy)
-    if _orbits is None:
-        z, units_xyz = _candidate_points(pc, box, grid_density, seed,
-                                         n_units=6, policy=policy)
-        orbits = _orbit_matrix(pc, z, units_xyz, n)
-    else:
-        orbits = _orbits[:, :n, :]
+    n = orbits.shape[1]
     orbits = np.asarray(orbits, dtype=np.float32)
     last = orbits[:, -1, :].astype(float)
     if not np.all(np.isfinite(last)):
@@ -406,6 +388,17 @@ def separated_count(p: QPolynomial, box: AxialBox, n: int, eps: float,
     return count
 
 
+def _tail_fit(pairs, n_max):
+    """Least-squares line through the last max(3, n_max//2) (n, y) pairs:
+    (slope, rms residual)."""
+    tail = pairs[-max(3, n_max // 2):]
+    xs = np.array([n for n, _ in tail], dtype=float)
+    ys = np.array([y for _, y in tail])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    return float(slope), resid
+
+
 def topological_entropy(p: QPolynomial, box: AxialBox, n_max: int,
                         eps_list, grid_density: int = 20000, seed: int = 0,
                         policy: NumericPolicy = DEFAULT) -> EstimateReport:
@@ -426,17 +419,11 @@ def topological_entropy(p: QPolynomial, box: AxialBox, n_max: int,
     orbits = _orbit_matrix(pc, z, units_xyz, n_max)
     best = None
     for eps in eps_list:
-        counts = [(n, separated_count(p, box, n, eps, policy=policy,
-                                      _orbits=orbits))
+        counts = [(n, separated_count(orbits[:, :n, :], eps))
                   for n in range(1, n_max + 1)]
-        window = max(3, n_max // 2)
-        tail = counts[-window:]
-        xs = np.array([n for n, _ in tail], dtype=float)
-        ys = np.array([math.log(c) for _, c in tail])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+        slope, resid = _tail_fit([(n, math.log(c)) for n, c in counts], n_max)
         if best is None or slope > best[0]:
-            best = (float(slope), resid, eps, counts)
+            best = (slope, resid, eps, counts)
     slope, resid, eps, counts = best
     return EstimateReport("topological_entropy", slope, resid, len(z),
                           {"eps": eps, "n_max": n_max, "seed": seed,
@@ -498,12 +485,7 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
         h = float(-np.sum(probs * np.log(probs)))
         h += (len(counts) - 1) / (2.0 * counts.sum())  # Miller-Madow
         hs.append((n, h))
-    window = max(3, n_max // 2)
-    tail = hs[-window:]
-    xs = np.array([n for n, _ in tail], dtype=float)
-    ys = np.array([h for _, h in tail])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return EstimateReport("partition_entropy", float(slope), resid, n_inside,
+    slope, resid = _tail_fit(hs, n_max)
+    return EstimateReport("partition_entropy", slope, resid, n_inside,
                           {"n_max": n_max, "seed": seed,
                            "cells": len(partition), "H_n": hs})

@@ -39,10 +39,6 @@ class ExceptionalTarget(QBrolinError):
     """Pullback target failed the exceptional-point screening."""
 
 
-class SingularNode(QBrolinError):
-    """A finite-difference stencil touched a masked grid node."""
-
-
 class DegenerateSample(QBrolinError):
     """A sampled point landed on a critical point within tolerance."""
 

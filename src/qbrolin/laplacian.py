@@ -7,7 +7,8 @@ a 5-point stencil scaled by 1/4. Distributional pairings are normalized by
   lap log|(q-a)^s|  = (1/2) delta_a + (1/2) delta_{a conj}   (non-real a)
 exactly in the limit h -> 0. (The raw 2-D distributional constant of the
 quarter-Laplacian is pi/2 per unit mass; the 1/pi factor is what makes the
-half-weight form hold.)
+half-weight form hold.) Bumps are axial test functions, evaluated at
+(alpha, |beta|) on every raster node.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from .cdyn import green_field
-from .errors import InvariantViolation, SingularNode
+from .errors import InvariantViolation
 from .grids import GridField, SliceGrid
 from .measures import EmpiricalMeasure, TestFunction, measure_from_complex_atoms
 from .policy import DEFAULT, NumericPolicy
@@ -35,12 +36,9 @@ __all__ = [
 ]
 
 
-def slice_laplacian(f: GridField, on_masked: str = "raise") -> GridField:
-    """5-point stencil scaled by 1/4; the boundary ring is masked out.
-
-    on_masked: 'raise' -> SingularNode if an interior stencil touches a
-    masked input node; 'mask' -> mask those outputs instead.
-    """
+def slice_laplacian(f: GridField) -> GridField:
+    """5-point stencil scaled by 1/4; the boundary ring is masked out, and
+    so is every output whose stencil touches a masked input node."""
     v = f.values
     h2 = f.grid.h ** 2
     out = np.zeros_like(v)
@@ -48,14 +46,10 @@ def slice_laplacian(f: GridField, on_masked: str = "raise") -> GridField:
                        - 4.0 * v[1:-1, 1:-1]) / (4.0 * h2)
     mask = np.ones_like(v, dtype=bool)
     mask[1:-1, 1:-1] = False
-    touched = np.zeros_like(v, dtype=bool)
     if np.any(f.mask):
         m = f.mask
-        touched[1:-1, 1:-1] = (m[1:-1, 1:-1] | m[1:-1, 2:] | m[1:-1, :-2]
-                               | m[2:, 1:-1] | m[:-2, 1:-1])
-        if on_masked == "raise" and np.any(touched & ~mask):
-            raise SingularNode("stencil touches a masked node")
-        mask |= touched
+        mask[1:-1, 1:-1] = (m[1:-1, 1:-1] | m[1:-1, 2:] | m[1:-1, :-2]
+                            | m[2:, 1:-1] | m[:-2, 1:-1])
     out[mask] = 0.0
     return GridField(f.grid, out, mask)
 
@@ -80,13 +74,7 @@ def log_distance_field(grid: SliceGrid, singularities) -> GridField:
 def _pairing(lap: GridField, bump: TestFunction) -> float:
     """(1/pi) sum lap * bump * h^2 over unmasked nodes."""
     z = lap.grid.mesh()
-    if bump.axial is not None:
-        bump_vals = bump.axial(z.real, np.abs(z.imag))
-    else:
-        bump_vals = np.vectorize(
-            lambda zz: bump(Quaternion(zz.real, zz.imag * UNIT_I.x,
-                                       zz.imag * UNIT_I.y, zz.imag * UNIT_I.z))
-        )(z)
+    bump_vals = bump.axial(z.real, np.abs(z.imag))
     h2 = lap.grid.h ** 2
     total = np.sum(np.where(lap.mask, 0.0, lap.values * bump_vals)) * h2
     return float(total / math.pi)
@@ -96,7 +84,7 @@ def fundamental_solution_check(a: float, bump: TestFunction,
                                grid: SliceGrid) -> float:
     """Pair lap log|z-a| against a bump; the limit value is bump(a)/2."""
     field = log_distance_field(grid, [complex(a, 0.0)])
-    lap = slice_laplacian(field, on_masked="mask")
+    lap = slice_laplacian(field)
     return _pairing(lap, bump)
 
 
@@ -104,7 +92,8 @@ def sphere_kernel_check(a: Quaternion, bump: TestFunction, grid: SliceGrid):
     """Pair lap log|(q-a)^s| against a bump for non-real a.
 
     Returns (computed, expected) with expected the conjugate-pair half
-    weights (1/2) bump(alpha0 + I beta0) + (1/2) bump(alpha0 - I beta0).
+    weights (1/2) bump(alpha0 + I beta0) + (1/2) bump(alpha0 - I beta0),
+    both bump.axial(alpha0, beta0) for an axial bump.
     The field depends on a only through (alpha0, beta0): (q-a)^s = (q-a')^s
     for any a' on the sphere of a.
     """
@@ -115,12 +104,9 @@ def sphere_kernel_check(a: Quaternion, bump: TestFunction, grid: SliceGrid):
     s1 = complex(alpha0, beta0)
     s2 = complex(alpha0, -beta0)
     field = log_distance_field(grid, [s1, s2])
-    lap = slice_laplacian(field, on_masked="mask")
+    lap = slice_laplacian(field)
     computed = _pairing(lap, bump)
-    q1 = Quaternion(alpha0, beta0, 0.0, 0.0)
-    q2 = Quaternion(alpha0, -beta0, 0.0, 0.0)
-    expected = 0.5 * bump(q1) + 0.5 * bump(q2)
-    return computed, expected
+    return computed, float(bump.axial(alpha0, beta0))
 
 
 def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid,
@@ -137,7 +123,7 @@ def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid,
     """
     pc = p.restrict_to_slice(UNIT_I, policy)
     g = green_field(pc, grid, n)
-    lap = slice_laplacian(g, on_masked="mask")
+    lap = slice_laplacian(g)
     density = (2.0 / math.pi) * lap.values
     clamp_mass = float(-np.sum(np.minimum(density, 0.0)) * grid.h ** 2)
     density = np.maximum(density, 0.0)
@@ -149,22 +135,21 @@ def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid,
     return GridField(grid, density, lap.mask), clamp_mass
 
 
-def raster_to_measure(density: GridField, policy: NumericPolicy = DEFAULT,
-                      normalize: bool = True,
-                      threshold: float = 0.0) -> EmpiricalMeasure:
+def raster_to_measure(density: GridField,
+                      policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
     """Convert a density raster to an atomic measure on grid nodes.
 
-    Node (alpha, beta) with mass density*h^2 becomes a slice atom at
-    alpha + i beta; conjugate half-planes fold onto spheres. Normalization to
-    unit mass is the default (the comparison targets are probabilities).
+    Node (alpha, beta) with mass density*h^2 > 0 becomes a slice atom at
+    alpha + i beta; conjugate half-planes fold onto spheres. The result is
+    normalized to unit mass (the comparison targets are probabilities).
     """
     z = density.grid.mesh()
     h2 = density.grid.h ** 2
     w = np.where(density.mask, 0.0, density.values) * h2
-    keep = w > threshold
-    return measure_from_complex_atoms(z[keep].ravel(), w[keep].ravel(),
-                                      meta={"source": "raster"},
-                                      policy=policy, normalize=normalize)
+    keep = w > 0.0
+    m = measure_from_complex_atoms(z[keep].ravel(), w[keep].ravel(),
+                                   meta={"source": "raster"}, policy=policy)
+    return m.scaled(1.0 / m.total_mass()) if m.total_mass() > 0 else m
 
 
 def refinement_order(values_by_h, exact):

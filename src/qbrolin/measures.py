@@ -13,11 +13,13 @@ fiber root mass 1/d^n, so a real root of multiplicity m becomes a real point
 of weight m/d^n, and a conjugate pair {z, z bar} one sphere of weight 2m/d^n.
 Every pullback is then a probability measure, and slice_marginal gives back
 mu_I exactly.
+
+Test functions are axial, f(alpha, rho), constant on each sphere: a measure
+pairs against one with a single vectorized sum over its atoms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,8 +29,7 @@ from .cdyn import is_exceptional, preimage_tree
 from .errors import ExceptionalTarget, InvariantViolation
 from .policy import DEFAULT, NumericPolicy
 from .poly import QPolynomial
-from .quat import (Quaternion, Sphere2, SphereQuadrature, UNIT_I,
-                   sphere_quadrature)
+from .quat import UNIT_I
 from .roots import fiber_roots, merge_near
 
 __all__ = [
@@ -100,24 +101,14 @@ class EmpiricalMeasure:
 class TestFunction:
     """Named continuous test function H -> R for weak-convergence pairings.
 
-    `axial`, when set, is a vectorized f(alpha, rho) equal to fn on every
-    point of the sphere S_{alpha+I rho}; axially symmetric measures pair
-    against it without sphere quadrature.
+    Every test function is axial: `axial` is a vectorized f(alpha, rho), the
+    value on every point of the sphere S_{alpha+I rho}, so axially symmetric
+    measures pair against it without sphere quadrature.
     """
 
+    __test__ = False   # a library type, not a pytest test class
     name: str
-    fn: Callable[[Quaternion], float]
-    axial: Callable | None = None
-    support_radius: float = math.inf
-
-    def __call__(self, q: Quaternion) -> float:
-        return self.fn(q)
-
-
-def axial_test_function(name, fn_ab):
-    """Test function of (Re q, |Im q|) only; fn_ab must accept ndarrays."""
-    return TestFunction(name, lambda q: float(fn_ab(q.re(), q.im_norm())),
-                        axial=fn_ab)
+    axial: Callable
 
 
 def standard_panel():
@@ -127,18 +118,18 @@ def standard_panel():
     1 centered at 0 and 1, |q|^2, and cos(Re q).
     """
     return [
-        axial_test_function("re", lambda a, b: a),
-        axial_test_function("im", lambda a, b: b),
-        axial_test_function("re2", lambda a, b: a * a),
-        axial_test_function("im2", lambda a, b: b * b),
-        axial_test_function("re_im", lambda a, b: a * b),
-        axial_test_function("re3", lambda a, b: a ** 3),
-        axial_test_function("im3", lambda a, b: b ** 3),
-        axial_test_function("re2_im", lambda a, b: a * a * b),
-        axial_test_function("gauss0", lambda a, b: np.exp(-(a * a + b * b) / 2.0)),
-        axial_test_function("gauss1", lambda a, b: np.exp(-((a - 1.0) ** 2 + b * b) / 2.0)),
-        axial_test_function("abs2", lambda a, b: a * a + b * b),
-        axial_test_function("cos_re", lambda a, b: np.cos(a)),
+        TestFunction("re", lambda a, b: a),
+        TestFunction("im", lambda a, b: b),
+        TestFunction("re2", lambda a, b: a * a),
+        TestFunction("im2", lambda a, b: b * b),
+        TestFunction("re_im", lambda a, b: a * b),
+        TestFunction("re3", lambda a, b: a ** 3),
+        TestFunction("im3", lambda a, b: b ** 3),
+        TestFunction("re2_im", lambda a, b: a * a * b),
+        TestFunction("gauss0", lambda a, b: np.exp(-(a * a + b * b) / 2.0)),
+        TestFunction("gauss1", lambda a, b: np.exp(-((a - 1.0) ** 2 + b * b) / 2.0)),
+        TestFunction("abs2", lambda a, b: a * a + b * b),
+        TestFunction("cos_re", lambda a, b: np.cos(a)),
     ]
 
 
@@ -164,8 +155,7 @@ def _fold_merge(z, weight, meta, policy: NumericPolicy) -> EmpiricalMeasure:
 
 
 def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
-                    policy: NumericPolicy = DEFAULT,
-                    screen: bool = True) -> EmpiricalMeasure:
+                    policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
     """nu_n: the depth-n normalized preimage measure of a real target a.
 
     p must have real coefficients and degree >= 2; a is screened against the
@@ -177,7 +167,7 @@ def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
     d = pc.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
-    if screen and is_exceptional(pc, complex(a), policy=policy):
+    if is_exceptional(pc, complex(a), policy=policy):
         raise ExceptionalTarget(f"target {a} is exceptional for this polynomial")
     nodes = preimage_tree(pc, complex(a), n, budget, policy)
     mults = np.array([nd.multiplicity for nd in nodes])
@@ -189,35 +179,18 @@ def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
     return m
 
 
-def pair(m: EmpiricalMeasure, f: TestFunction,
-         quad: SphereQuadrature | None = None) -> float:
-    """<m, f>: points contribute w*f(r); spheres the quadrature average.
-
-    Axial test functions take a vectorized path (the sphere average of an
-    axial function is its value at (alpha, rho), exactly).
-    """
-    if f.axial is not None:
-        return float(np.sum(m.weight * f.axial(m.alpha, m.rho)))
-    if quad is None:
-        quad = sphere_quadrature(3)
-    total = 0.0
-    for kind, alpha, rho, weight in m.rows():
-        if kind == "point":
-            total += weight * f(Quaternion.real(alpha))
-        else:
-            sph = Sphere2(alpha, rho)
-            total += weight * quad.average(lambda u: f(sph.point(u)))
-    return total
+def pair(m: EmpiricalMeasure, f: TestFunction) -> float:
+    """<m, f> = sum of w * f(alpha, rho) over the atoms: the sphere average
+    of an axial function is its value at (alpha, rho), exactly."""
+    return float(np.sum(m.weight * f.axial(m.alpha, m.rho)))
 
 
 def weak_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure,
-                  panel=None, quad: SphereQuadrature | None = None) -> float:
+                  panel=None) -> float:
     """max over the panel of |<m1,f> - <m2,f>|."""
     if panel is None:
         panel = standard_panel()
-    if quad is None:
-        quad = sphere_quadrature(3)
-    return max(abs(pair(m1, f, quad) - pair(m2, f, quad)) for f in panel)
+    return max(abs(pair(m1, f) - pair(m2, f)) for f in panel)
 
 
 def pushforward(p: QPolynomial, m: EmpiricalMeasure,
@@ -266,8 +239,7 @@ def slice_marginal(m: EmpiricalMeasure, unit=UNIT_I):
 
 
 def measure_from_complex_atoms(points, weights, meta=None,
-                               policy: NumericPolicy = DEFAULT,
-                               normalize=False) -> EmpiricalMeasure:
+                               policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
     """Build an axially symmetric measure from complex slice atoms.
 
     Conjugate mass is folded onto rho = |Im z|; callers supply both halves
@@ -277,7 +249,4 @@ def measure_from_complex_atoms(points, weights, meta=None,
     points = np.asarray(points, dtype=complex).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
     keep = ~(weights <= 0)  # a NaN weight is kept, and refused
-    m = _fold_merge(points[keep], weights[keep], meta or {}, policy)
-    if normalize and m.total_mass() > 0:
-        m = m.scaled(1.0 / m.total_mass())
-    return m
+    return _fold_merge(points[keep], weights[keep], meta or {}, policy)

@@ -17,7 +17,6 @@ __all__ = [
     "Quaternion",
     "ImaginaryUnit",
     "SlicePoint",
-    "Sphere2",
     "SphereQuadrature",
     "UNIT_I",
     "UNIT_J",
@@ -189,25 +188,6 @@ def slice_decompose(q: Quaternion) -> SlicePoint:
                       ImaginaryUnit(q.x / beta, q.y / beta, q.z / beta))
 
 
-@dataclass(frozen=True)
-class Sphere2:
-    """The 2-sphere S_{alpha + I rho} = {alpha + J rho : J in S}, rho > 0.
-
-    Degenerate spheres (rho = 0) must be represented as real points instead.
-    """
-
-    alpha: float
-    rho: float
-
-    def __post_init__(self):
-        if not self.rho > 0.0:
-            raise ValueError("Sphere2 requires rho > 0; use a real point otherwise")
-
-    def point(self, unit: ImaginaryUnit) -> Quaternion:
-        return Quaternion(self.alpha, self.rho * unit.x,
-                          self.rho * unit.y, self.rho * unit.z)
-
-
 class SphereQuadrature:
     """Deterministic node set on S with total weight 4*pi.
 
@@ -232,23 +212,6 @@ class SphereQuadrature:
     def average(self, fn):
         """(1/4pi) * integrate(fn)."""
         return self.integrate(fn) / (4.0 * math.pi)
-
-    def rotated(self, axis_angle):
-        """Same rule with every node rotated; used to test axial symmetry."""
-        ax, ay, az, theta = axis_angle
-        n = math.sqrt(ax * ax + ay * ay + az * az)
-        ax, ay, az = ax / n, ay / n, az / n
-        c, s = math.cos(theta), math.sin(theta)
-        rot = np.array([
-            [c + ax * ax * (1 - c), ax * ay * (1 - c) - az * s, ax * az * (1 - c) + ay * s],
-            [ay * ax * (1 - c) + az * s, c + ay * ay * (1 - c), ay * az * (1 - c) - ax * s],
-            [az * ax * (1 - c) - ay * s, az * ay * (1 - c) + ax * s, c + az * az * (1 - c)],
-        ])
-        units = []
-        for u in self.units:
-            v = rot @ np.array([u.x, u.y, u.z])
-            units.append(ImaginaryUnit.from_vector(*v))
-        return SphereQuadrature(units, self.weights, self.level)
 
 
 def sphere_quadrature(level: int) -> SphereQuadrature:

@@ -6,7 +6,10 @@ coefficients, and the candidate limit measure is
 
     mu' = (1/8 pi) int_S mu_{P(.,J)} dJ + (1/8 pi) int_S mu_{P^c(.,J)} dJ,
 
-where P(., J) rewrites each coefficient x + I y as x + J y.
+where P(., J) rewrites each coefficient x + I y as x + J y. Over every J
+that is the same complex data, so the one-slice functions (gn_build,
+mu_prime_estimate, gn_pullback_measure) take P as one ComplexPoly with
+coefficients x + i y: P restricted to its slice, written over C_i.
 
 General case: arbitrary quaternionic coefficients. The bullet iterate
 p^{bullet n} symmetrizes to a real-coefficient h_n of degree 2 d^n, and the
@@ -17,7 +20,6 @@ d^{-n} (log|h_n(q) - a| - log|h_n(q) - b|) -> 0; no limit measure is claimed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +29,10 @@ from .errors import (BudgetExceeded, ConfigError, ExceptionalTarget,
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
-from .quat import ImaginaryUnit, Quaternion, SphereQuadrature, UNIT_I, sphere_quadrature
+from .quat import Quaternion, UNIT_I
 from .roots import merge_near
 
 __all__ = [
-    "OneSlicePolynomial",
-    "GeneralIterate",
     "gn_build",
     "mu_prime_estimate",
     "gn_pullback_measure",
@@ -56,77 +56,33 @@ def _realify(f: QPolynomial, scale: float, tol: float = 1e-10) -> QPolynomial:
     return QPolynomial.from_real(f.coeffs[:, 0])
 
 
-@dataclass(frozen=True)
-class OneSlicePolynomial:
-    """Polynomial with all coefficients in one slice plane C_I.
-
-    has_nonreal_coefficient separates the genuinely one-slice case from the
-    slice-preserving (all real) one; builders route on it.
-    """
-
-    base: ComplexPoly
-    unit: ImaginaryUnit
-    has_nonreal_coefficient: bool = False
-
-    def __post_init__(self):
-        flag = not self.base.is_real()
-        object.__setattr__(self, "has_nonreal_coefficient", flag)
-
-    @property
-    def degree(self):
-        return self.base.degree
-
-    def rewritten(self, conjugate: bool = False) -> ComplexPoly:
-        """Coefficients transported to another unit J, as a complex polynomial.
-
-        x + I y maps to x + J y, so over any J the coefficient array is the
-        same complex data; only the embedding unit changes. The conjugate
-        variant P^c flips the sign of every y.
-        """
-        return self.base.conj_coeffs() if conjugate else self.base
-
-
-@dataclass(frozen=True)
-class GeneralIterate:
-    """h_n = (p^{bullet n})^s together with its provenance."""
-
-    hn: QPolynomial
-    n: int
-    source: QPolynomial
-
-    def __post_init__(self):
-        d = self.source.degree
-        if self.hn.degree != 2 * d ** self.n:
-            raise InvariantViolation(
-                f"deg h_n = {self.hn.degree}, expected {2 * d ** self.n}")
-
-
-def gn_build(P: OneSlicePolynomial, n: int,
+def gn_build(pc: ComplexPoly, n: int,
              policy: NumericPolicy = DEFAULT) -> QPolynomial:
     """g_n = (P^n_I)^s: iterate within the slice, lift, symmetrize.
 
-    C_I is a commutative field, so the slice iterate is an ordinary complex
+    pc holds P's coefficients x + I y as complex numbers x + i y. C_I is a
+    commutative field, so the slice iterate is an ordinary complex
     composition. Real-coefficient input short-circuits to g_n = (P^n)^2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = P.degree
+    d = pc.degree
     if d ** n > policy.degree_budget:
         raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {policy.degree_budget}")
-    pn = P.base.iterate_poly(n)
-    if not P.has_nonreal_coefficient:
+    pn = pc.iterate_poly(n)
+    if pc.is_real():
         sq = ComplexPoly(np.convolve(pn.coeffs, pn.coeffs))
         return QPolynomial.from_real(sq.coeffs.real)
-    g = pn.lift(P.unit).symmetrize()
+    g = pn.lift(UNIT_I).symmetrize()
     g = _realify(g, scale=float(np.sum(np.abs(pn.coeffs))) ** 2)
     if g.degree != 2 * d ** n:
         raise InvariantViolation(f"deg g_n = {g.degree}, expected {2 * d ** n}")
     return g
 
 
-def _screen_gn_target(P: OneSlicePolynomial, a: float, policy: NumericPolicy):
+def _screen_gn_target(pc: ComplexPoly, a: float, policy: NumericPolicy):
     """Exceptional screening of a real target through g_1's slice restriction."""
-    g1 = gn_build(P, 1, policy).restrict_to_slice(UNIT_I, policy)
+    g1 = gn_build(pc, 1, policy).restrict_to_slice(UNIT_I, policy)
     if is_exceptional(g1, complex(a), policy=policy):
         raise ExceptionalTarget(f"target {a} is exceptional for g_n")
 
@@ -152,30 +108,31 @@ def _binned(points, weights, bin_width, meta, policy):
     return measure_from_complex_atoms(means, w, meta=meta, policy=policy)
 
 
-def mu_prime_estimate(P: OneSlicePolynomial, quad: SphereQuadrature, n: int,
+def mu_prime_estimate(pc: ComplexPoly, quad_level: int, n: int,
                       a: float = 0.0, bin_width: float = 1.0 / 128.0,
                       policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
     """Estimator of mu' from depth-n Brolin pullbacks of the real target a.
 
-    P(., J) has the same complex coefficients for every unit J, so in axial
-    coordinates (1/8 pi) int_S mu_{P(., J)} dJ is half of mu_{P(., I)}, and
-    likewise for P^c: the two pullback clouds are binned once, at weight 1/2
-    each, and quad only sets the reported quad_level. With real coefficients
-    both halves coincide (the slice-preserving corollary).
+    P(., J) has the same complex coefficients pc for every unit J, so in
+    axial coordinates (1/8 pi) int_S mu_{P(., J)} dJ is half of mu_{P(., I)},
+    and likewise for P^c (coefficients conjugated): the two pullback clouds
+    are binned once, at weight 1/2 each, and quad_level is only reported.
+    With real coefficients both halves coincide (the slice-preserving
+    corollary).
     """
-    d = P.degree
+    d = pc.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
-    _screen_gn_target(P, a, policy)
+    _screen_gn_target(pc, a, policy)
 
     points, weights = [], []
-    for conjugate in (False, True):
-        nodes = preimage_tree(P.rewritten(conjugate), complex(a), n,
-                              policy.degree_budget, policy)
+    for half in (pc, pc.conj_coeffs()):
+        nodes = preimage_tree(half, complex(a), n, policy.degree_budget,
+                              policy)
         points.extend(nd.point for nd in nodes)
         weights.extend(nd.multiplicity / float(d) ** n / 2.0 for nd in nodes)
     meta = {"estimator": "mu_prime", "depth": n, "target": a,
-            "quad_level": quad.level, "bin_width": bin_width,
+            "quad_level": quad_level, "bin_width": bin_width,
             "binning": {"width": bin_width, "rule": "weighted-mean"}}
     m = _binned(points, weights, bin_width, meta, policy)
     if abs(m.total_mass() - 1.0) > 1e-9:
@@ -183,15 +140,15 @@ def mu_prime_estimate(P: OneSlicePolynomial, quad: SphereQuadrature, n: int,
     return m
 
 
-def gn_pullback_measure(P: OneSlicePolynomial, a: float, n: int,
+def gn_pullback_measure(pc: ComplexPoly, a: float, n: int,
                         policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
     """Normalized fiber measure of the real target a under g_n.
 
     g_n has real coefficients and degree 2 d^n; each complex fiber root
     carries 1/(2 d^n), and conjugate roots fold onto one sphere.
     """
-    g = gn_build(P, n, policy)
-    _screen_gn_target(P, a, policy)
+    g = gn_build(pc, n, policy)
+    _screen_gn_target(pc, a, policy)
     gc = g.restrict_to_slice(UNIT_I, policy)
     fiber = solve_fiber(gc, complex(a), policy)
     meta = {"estimator": "gn_pullback", "depth": n, "target": a}
@@ -204,7 +161,7 @@ def gn_pullback_measure(P: OneSlicePolynomial, a: float, n: int,
 
 
 def hn_build(p: QPolynomial, n: int,
-             policy: NumericPolicy = DEFAULT) -> GeneralIterate:
+             policy: NumericPolicy = DEFAULT) -> QPolynomial:
     """h_n = (p^{bullet n})^s for arbitrary quaternionic coefficients."""
     d = p.degree
     if d < 2:
@@ -219,7 +176,9 @@ def hn_build(p: QPolynomial, n: int,
         it = p.bullet_compose(it)
     hn = _realify(it.symmetrize(),
                   scale=float(np.sum(np.linalg.norm(it.coeffs, axis=1))) ** 2)
-    return GeneralIterate(hn, n, p)
+    if hn.degree != 2 * d ** n:
+        raise InvariantViolation(f"deg h_n = {hn.degree}, expected {2 * d ** n}")
+    return hn
 
 
 def orbit_finite(p: QPolynomial, q0: Quaternion, horizon: int,
@@ -237,7 +196,7 @@ def orbit_finite(p: QPolynomial, q0: Quaternion, horizon: int,
     z0 = complex(q0.re(), q0.im_norm())
     values = np.empty(horizon, dtype=complex)
     for n in range(1, horizon + 1):
-        values[n - 1] = hn_build(p, n, policy).hn.restrict_to_slice(
+        values[n - 1] = hn_build(p, n, policy).restrict_to_slice(
             UNIT_I, policy)(z0)
         if abs(values[n - 1]) > 1e12:
             return False
@@ -245,42 +204,34 @@ def orbit_finite(p: QPolynomial, q0: Quaternion, horizon: int,
     return len(np.unique(merge_near(values, tol)[1])) < horizon
 
 
-def annulus_probes(count: int = 100, r_lo: float = 1.1,
-                   r_hi: float = 1.4) -> list:
-    """Deterministic probe grid on an upper-half annulus, as quaternions.
+def annulus_probes(count: int = 100) -> list:
+    """Deterministic probe grid on the upper-half annulus 1.1 <= |q| <= 1.4,
+    as quaternions.
 
     Radii x angles factor count into the nearest balanced product.
     """
     n_r = max(2, int(math.sqrt(count)))
     n_t = max(2, count // n_r)
     probes = []
-    for r in np.linspace(r_lo, r_hi, n_r):
+    for r in np.linspace(1.1, 1.4, n_r):
         for t in np.linspace(0.15, math.pi - 0.15, n_t):
             probes.append(Quaternion(r * math.cos(t), r * math.sin(t), 0.0, 0.0))
     return probes
 
 
 def brolin3_gap(p: QPolynomial, a: float, b: float, n: int,
-                probe_points=None, screen_horizon: int | None = None,
+                probe_points=None,
                 policy: NumericPolicy = DEFAULT) -> float:
     """max over probes of |d^-n (log|h_n(q) - a| - log|h_n(q) - b|)|.
 
     Probes too close to a fiber of a or b are skipped; an empty surviving
-    probe set raises ProbeOnFiber. Exceptional screening of a and b (via
-    orbit_finite) is the caller's duty; pass screen_horizon to have it run
-    here and raise ExceptionalTarget. It is off by default because bounded
-    targets routinely have finite h-orbits while the gap statement, probed
-    away from the fibers, is insensitive to that.
+    probe set raises ProbeOnFiber. a and b are not screened (orbit_finite
+    screens a target): bounded targets routinely have finite h-orbits while
+    the gap statement, probed away from the fibers, is insensitive to that.
     """
     if a == b:
         return 0.0
-    if screen_horizon is not None:
-        for target in (a, b):
-            if orbit_finite(p, Quaternion.real(target), screen_horizon, policy):
-                raise ExceptionalTarget(
-                    f"target {target} looks exceptional at horizon {screen_horizon}")
-    hn = hn_build(p, n, policy).hn
-    hc = hn.restrict_to_slice(UNIT_I, policy)
+    hc = hn_build(p, n, policy).restrict_to_slice(UNIT_I, policy)
     d = p.degree
     gap = 0.0
     survivors = 0

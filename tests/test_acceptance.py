@@ -25,13 +25,13 @@ from qbrolin.grids import SliceGrid
 from qbrolin.laplacian import (fundamental_solution_check, measure_from_green,
                                raster_to_measure, refinement_order,
                                sphere_kernel_check)
-from qbrolin.measures import (axial_test_function, brolin_pullback,
+from qbrolin.measures import (TestFunction, brolin_pullback,
                               measure_from_complex_atoms, pushforward,
                               weak_distance)
 from qbrolin.poly import QPolynomial
-from qbrolin.quat import Quaternion, SlicePoint, UNIT_I, sphere_quadrature
+from qbrolin.quat import Quaternion, SlicePoint, UNIT_I
 from qbrolin.slicecases import brolin3_gap, gn_pullback_measure, \
-    mu_prime_estimate, OneSlicePolynomial
+    mu_prime_estimate
 from qbrolin.poly import ComplexPoly
 
 CHEB = QPolynomial.from_real([-2.0, 0.0, 1.0])       # q^2 - 2
@@ -94,7 +94,7 @@ def test_criterion_01_algebra():
 
 
 def test_criterion_02_fundamental_solutions():
-    bump = axial_test_function(
+    bump = TestFunction(
         "bump", lambda a, b: np.exp(-((a - 0.1) ** 2 + b ** 2)))
     # singularities on grid nodes keep the sub-cell offset fixed across h
     a_real = 0.25
@@ -105,7 +105,7 @@ def test_criterion_02_fundamental_solutions():
         grid = SliceGrid.square(0j, 2.0, h)
         vals_r[h] = fundamental_solution_check(a_real, bump, grid)
         vals_s[h], want_s = sphere_kernel_check(a_sphere, bump, grid)
-    want_r = 0.5 * bump(Quaternion.real(a_real))
+    want_r = 0.5 * bump.axial(a_real, 0.0)
     rel_r = abs(vals_r[hs[-1]] / want_r - 1.0)
     rel_s = abs(vals_s[hs[-1]] / want_s - 1.0)
     order_r = refinement_order(vals_r, want_r)
@@ -159,8 +159,8 @@ def test_criterion_05_invariance():
 def test_criterion_06_mixing():
     # phi = |q|^2 at the base point, psi = Re at the forward point; the
     # swapped pair vanishes identically for the even map q^2 - 1
-    phi = axial_test_function("abs2", lambda a, b: a * a + b * b)
-    psi = axial_test_function("re", lambda a, b: a)
+    phi = TestFunction("abs2", lambda a, b: a * a + b * b)
+    psi = TestFunction("re", lambda a, b: a)
     pc = BASILICA.restrict_to_slice(UNIT_I)
     corr = mixing_correlation(pc, phi, psi, 12, 100000, seed=7)
     slope = fit_log_slope(corr, n_min=2)
@@ -170,7 +170,7 @@ def test_criterion_06_mixing():
 
 
 def test_criterion_07_clt():
-    phi = axial_test_function("re", lambda a, b: a)
+    phi = TestFunction("re", lambda a, b: a)
     res = clt_harness(CHEB.restrict_to_slice(UNIT_I), phi, 200, 10000, seed=4)
     ok = (not res.degenerate) and res.ks_statistic <= KS_NULL_BAR_N200_S10000
     _report(7, "central limit theorem", ok,
@@ -230,13 +230,12 @@ def test_criterion_09_entropy():
 
 
 def test_criterion_10_one_slice():
-    P = OneSlicePolynomial(ComplexPoly([1j, 0.0, 1.0]), UNIT_I)
-    quad = sphere_quadrature(3)
-    m_prime = mu_prime_estimate(P, quad, 6)
+    P = ComplexPoly([1j, 0.0, 1.0])
+    m_prime = mu_prime_estimate(P, 3, 6)
     m_gn = gn_pullback_measure(P, 0.0, 6)
     dist = weak_distance(m_gn, m_prime)
     real_mass = float(np.sum(m_prime.weight[m_prime.rho == 0.0]))
-    m_prime_b = mu_prime_estimate(P, quad, 6, a=1.0)
+    m_prime_b = mu_prime_estimate(P, 3, 6, a=1.0)
     a_indep = weak_distance(m_prime, m_prime_b)
     ok = dist <= 0.05 and real_mass <= 0.01 and a_indep <= 0.05
     _report(10, "one-slice case", ok,

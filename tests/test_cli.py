@@ -4,7 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbrolin.cli import main
 
@@ -188,6 +188,39 @@ def test_bad_count_params_are_config_errors(tmp_path, capsys):
         assert f"params.{key}" in err["message"]
 
 
+def test_bad_top_level_values_are_config_errors(tmp_path, capsys):
+    # seed is an integer >= 0 and quad_level one >= 1, bools refused; a
+    # grid side has 2 to 8193 nodes; an int past the float range is no number
+    for cfg, key in [
+            (_q2_minus_1("lyapunov", {"n_samples": 5}, seed=-1), "seed"),
+            (_q2_minus_1("clt", {"n_samples": 5}, seed=-1), "seed"),
+            (_q2_minus_1("verify", {}, seed=-1), "seed"),
+            (_q2_minus_1("lyapunov", {"n_samples": 5}, seed=True), "seed"),
+            (_q2_minus_1("one-slice", {"depth": 2}, quad_level="x"),
+             "quad_level"),
+            (_q2_minus_1("one-slice", {"depth": 2}, quad_level=2.5),
+             "quad_level"),
+            (_q2_minus_1("one-slice", {"depth": 2}, quad_level=0),
+             "quad_level"),
+            (_q2_minus_1("one-slice", {"depth": 2}, quad_level=True),
+             "quad_level"),
+            (_q2_minus_1("julia", {}, grid={"half_width": 1e-9, "h": 0.5}),
+             "grid"),
+            (_q2_minus_1("green", {}, grid={"half_width": 1e300}), "grid"),
+            (_q2_minus_1("green", {"depth": 10 ** 400}), "params.depth")]:
+        code, err = _config_error(tmp_path, capsys, cfg)
+        assert code == 2 and err["error"] == "ConfigError"
+        assert err["message"].startswith(key)
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "c.json", _q2_minus_1(
+        "lyapunov", {"n_samples": 5}, out=str(tmp_path / "out")))
+    assert main([path, "--seed", "-3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "seed" in err["message"]
+
+
 def test_bad_policy_values_are_config_errors(tmp_path, capsys):
     for policy in ({"burn_in": "x"}, {"cluster_tol": -1}, {"burn_in": 0},
                    {"aberth_max_iter": 2.5}, {"aberth_tol": float("nan")}):
@@ -291,20 +324,45 @@ _polynomials = st.one_of(
     .map(lambda rows: {"coeffs": rows}))
 
 
-@given(st.sampled_from(sorted(_SMALL_PARAMS)), st.data())
-@settings(max_examples=150, deadline=None)
-def test_arbitrary_params_keep_the_exit_code_contract(mode, data):
-    params = dict(_SMALL_PARAMS[mode])
-    cfg = {"mode": mode, "params": params, "seed": 0,
-           "polynomial": {"coeffs": [[-1, 0, 0, 0], [0, 0, 0, 0],
-                                     [1, 0, 0, 0]]}}
-    keys = sorted(params) + ["extra", "polynomial"]
-    for key in data.draw(st.lists(st.sampled_from(keys), max_size=2,
-                                  unique=True)):
-        if key == "polynomial":
-            cfg[key] = data.draw(_polynomials)
+_grids = st.one_of(_json_value, st.fixed_dictionaries({}, optional={
+    "center": _json_value, "half_width": _number, "h": _number}))
+_TOP_LEVEL = {"polynomial": _polynomials, "seed": _json_value,
+              "quad_level": _json_value, "grid": _grids}
+
+
+def _small_config(mode, **top):
+    return dict({"mode": mode, "params": dict(_SMALL_PARAMS[mode]), "seed": 0,
+                 "polynomial": {"coeffs": [[-1, 0, 0, 0], [0, 0, 0, 0],
+                                           [1, 0, 0, 0]]}}, **top)
+
+
+@st.composite
+def _configs(draw):
+    """A small config of any mode with up to two params or top-level keys
+    replaced by arbitrary JSON values."""
+    cfg = _small_config(draw(st.sampled_from(sorted(_SMALL_PARAMS))))
+    keys = sorted(cfg["params"]) + ["extra"] + sorted(_TOP_LEVEL)
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+        if key in _TOP_LEVEL:
+            cfg[key] = draw(_TOP_LEVEL[key])
         else:
-            params[key] = data.draw(_json_value)
+            cfg["params"][key] = draw(_json_value)
+    return cfg
+
+
+# pinned: a negative seed, a quad_level that is no integer >= 1, and grids
+# of one node and of about 2.6e302 nodes a side
+@example(_small_config("lyapunov", seed=-1))
+@example(_small_config("clt", seed=-1))
+@example(_small_config("verify", seed=-1))
+@example(_small_config("one-slice", quad_level="x"))
+@example(_small_config("one-slice", quad_level=2.5))
+@example(_small_config("one-slice", quad_level=0))
+@example(_small_config("julia", grid={"half_width": 1e-9, "h": 0.5}))
+@example(_small_config("green", grid={"half_width": 1e300}))
+@given(_configs())
+@settings(max_examples=150, deadline=None)
+def test_arbitrary_params_keep_the_exit_code_contract(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.json"
         path.write_text(json.dumps(dict(cfg, out=str(Path(tmp) / "out"))))

@@ -14,7 +14,7 @@ from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
                               transfer_apply)
 from qbrolin.errors import (ConfigError, DegenerateSample, ExceptionalTarget,
                             InvariantViolation, SolverFailure)
-from qbrolin.measures import axial_test_function
+from qbrolin.measures import TestFunction
 from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.quat import SlicePoint, UNIT_I
@@ -22,8 +22,8 @@ from qbrolin.roots import fiber_roots
 
 CHEB = ComplexPoly([-2.0, 0.0, 1.0])
 BASILICA = ComplexPoly([-1.0, 0.0, 1.0])
-RE = axial_test_function("re", lambda a, b: a)
-ABS2 = axial_test_function("abs2", lambda a, b: a * a + b * b)
+RE = TestFunction("re", lambda a, b: a)
+ABS2 = TestFunction("abs2", lambda a, b: a * a + b * b)
 
 
 def test_sampler_deterministic():
@@ -176,11 +176,13 @@ def test_calibrate_ks_null_equals_former_loop(n, reps, seed):
 
 
 def test_separated_count_monotone():
-    p = QPolynomial.from_real([0.0, 0.0, 1.0])
-    box = AxialBox(-1.5, 1.5, 0.0, 1.5)
-    n_small = separated_count(p, box, 2, 0.3, grid_density=3000, seed=0)
-    n_large = separated_count(p, box, 5, 0.3, grid_density=3000, seed=0)
-    n_coarse = separated_count(p, box, 5, 0.6, grid_density=3000, seed=0)
+    pc = ComplexPoly([0.0, 0.0, 1.0])
+    z, units = _candidate_points(pc, AxialBox(-1.5, 1.5, 0.0, 1.5), 3000, 0,
+                                 n_units=6, policy=DEFAULT)
+    orbits = _orbit_matrix(pc, z, units, 5)
+    n_small = separated_count(orbits[:, :2, :], 0.3)
+    n_large = separated_count(orbits, 0.3)
+    n_coarse = separated_count(orbits, 0.6)
     assert n_small <= n_large
     assert n_coarse <= n_large
     assert n_small >= 2
@@ -222,7 +224,7 @@ def test_separated_count_equals_former_greedy(coeffs, box, n_max, eps_list):
     orbits = _orbit_matrix(pc, z, units, n_max)
     for n in range(1, n_max + 1):
         for eps in eps_list:
-            assert (separated_count(p, box, n, eps, _orbits=orbits)
+            assert (separated_count(orbits[:, :n, :], eps)
                     == _former_separated_count(orbits[:, :n, :], eps))
 
 
@@ -232,8 +234,7 @@ def test_separated_count_refuses_escaped_orbits():
     orbits = np.zeros((3, 2, 4))
     orbits[1, 1, 0] = np.inf
     with pytest.raises(SolverFailure):
-        separated_count(QPolynomial.from_real([0.0, 0.0, 1.0]),
-                        AxialBox(-1.0, 1.0, 0.0, 1.0), 2, 0.3, _orbits=orbits)
+        separated_count(orbits, 0.3)
 
 
 def test_topological_entropy_report():

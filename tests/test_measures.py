@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbrolin.errors import ExceptionalTarget
-from qbrolin.measures import (EmpiricalMeasure, axial_test_function,
+from qbrolin.measures import (EmpiricalMeasure, TestFunction,
                               brolin_pullback, measure_from_complex_atoms, pair,
                               pullback, pushforward, slice_marginal,
                               standard_panel, weak_distance)
 from qbrolin.policy import DEFAULT
 from qbrolin.poly import QPolynomial
-from qbrolin.quat import sphere_quadrature
+from qbrolin.quat import Quaternion, sphere_quadrature
 
 CHEB = QPolynomial.from_real([-2.0, 0.0, 1.0])
 SQ = QPolynomial.from_real([0.0, 0.0, 1.0])
@@ -143,12 +143,19 @@ def test_pullback_requires_real_coeffs():
 
 
 def test_axial_pair_matches_quadrature():
+    # the sphere average of f(Re q, |Im q|) over S_{alpha + I rho} is
+    # f(alpha, rho), so pair needs no quadrature
     m = brolin_pullback(CHEB, 1.0, 5)
     quad = sphere_quadrature(3)
-    f = axial_test_function("probe", lambda a, b: a * a + 0.3 * b)
-    fast = pair(m, f)
-    slow = pair(m, type(f)(f.name, f.fn, None, f.support_radius), quad)
-    assert fast == pytest.approx(slow, abs=1e-10)
+    f = TestFunction("probe", lambda a, b: a * a + 0.3 * b)
+
+    def at(q):
+        return f.axial(q.re(), q.im_norm())
+
+    slow = sum(w * quad.average(
+        lambda u: at(Quaternion(a, r * u.x, r * u.y, r * u.z)))
+        for _, a, r, w in m.rows())
+    assert pair(m, f) == pytest.approx(slow, abs=1e-10)
 
 
 def test_weak_distance_zero_on_self():

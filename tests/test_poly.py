@@ -115,7 +115,7 @@ def test_hn_build_matches_tuple_reference_bit_for_bit():
         if n > 1:
             it = ref.bullet_compose(it)
         want = TupleQPolynomial([c.w for c in it.symmetrize().coeffs])
-        assert _bits(hn_build(p, n).hn.coeffs) == _bits(want.coeffs)
+        assert _bits(hn_build(p, n).coeffs) == _bits(want.coeffs)
 
 
 def test_coeffs_are_a_read_only_row_array():

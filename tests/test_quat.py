@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qbrolin.errors import ZeroDivisor
-from qbrolin.quat import (ImaginaryUnit, Quaternion, SlicePoint, Sphere2,
-                          UNIT_I, UNIT_J, UNIT_K, random_units,
-                          slice_decompose, sphere_quadrature)
+from qbrolin.quat import (ImaginaryUnit, Quaternion, SlicePoint, UNIT_I,
+                          UNIT_J, UNIT_K, random_units, slice_decompose,
+                          sphere_quadrature)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -88,14 +88,6 @@ def test_imaginary_unit_norm_enforced():
         ImaginaryUnit.from_vector(0.0, 0.0, 0.0)
 
 
-def test_sphere_point():
-    s = Sphere2(1.0, 2.0)
-    q = s.point(UNIT_J)
-    assert q == Quaternion(1.0, 0.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        Sphere2(0.0, 0.0)
-
-
 def test_slice_point_as_complex():
     sp = SlicePoint(1.5, 0.5, UNIT_K)
     assert sp.as_complex() == complex(1.5, 0.5)
@@ -117,14 +109,6 @@ def test_quadrature_moments(level):
     for comp in ("x", "y", "z"):
         m2 = quad.average(lambda u: getattr(u, comp) ** 2)
         assert m2 == pytest.approx(1.0 / 3.0, rel=1e-10)
-
-
-def test_quadrature_rotated_preserves_averages():
-    quad = sphere_quadrature(3)
-    rot = quad.rotated((1.0, 2.0, 3.0, 0.7))
-    f = lambda u: u.x * u.x + 0.5 * u.z  # noqa: E731
-    assert rot.average(f) == pytest.approx(quad.average(f), abs=1e-10)
-    assert len(rot) == len(quad)
 
 
 def test_quadrature_level_validation():
