@@ -17,9 +17,8 @@ from .quat import (ImaginaryUnit, Quaternion, SlicePoint, SphereQuadrature,
                    UNIT_I, UNIT_J, UNIT_K, slice_decompose, sphere_quadrature)
 from .poly import ComplexPoly, QPolynomial
 from .grids import GridField, SliceGrid
-from .cdyn import (EscapeParams, OrbitValue, escape_radius, filled_julia_mask,
-                   green_field, green_n, is_exceptional, iterate,
-                   preimage_tree, solve_fiber)
+from .cdyn import (EscapeParams, escape_radius, filled_julia_mask,
+                   green_field, is_exceptional, preimage_tree, solve_fiber)
 from .measures import (EmpiricalMeasure, TestFunction, brolin_pullback,
                        measure_from_complex_atoms, pair, pullback,
                        pushforward, slice_marginal, standard_panel,

@@ -1,6 +1,12 @@
-"""One-slice complex dynamics: iteration with an overflow-safe escape ledger,
-fibers and preimage trees, Green's functions G_n, filled Julia masks, and
+"""One-slice complex dynamics: one active-set escape kernel for Green's
+functions G_n and filled Julia masks, fibers and preimage trees, and
 exceptional-point screening.
+
+`_escape` iterates only the points still inside a threshold, compacting its
+arrays whenever one leaves; G_n takes log|z| once per point, at its exit step
+(past `_ledger_switch`) or at step n, and continues an exited point by the
+ledger log|p(z)| ~ d log|z| + log|c_d|. The escape radius R also covers
+non-monic maps: |z| > R implies |p(z)| > |z| and escape.
 `roots.merge_near` decides coincident points: fibers keep cluster means,
 tree levels heads with summed multiplicities; screening counts clusters.
 """
@@ -21,10 +27,7 @@ from .roots import all_roots, cluster_roots, fiber_roots, merge_near
 __all__ = [
     "EscapeParams",
     "PreimageNode",
-    "OrbitValue",
     "escape_radius",
-    "iterate",
-    "green_n",
     "green_field",
     "solve_fiber",
     "preimage_tree",
@@ -50,79 +53,61 @@ class EscapeParams:
 
 
 def escape_radius(p: ComplexPoly) -> float:
-    """R = 2 * max(1, sum|c_k| / |c_d|); |z| > R implies monotone escape."""
-    lead = abs(p.coeffs[-1])
-    return 2.0 * max(1.0, float(np.sum(np.abs(p.coeffs))) / lead)
+    """R = max(2 max(1, sum|c_k| / |c_d|), (2 / |c_d|)^(1/(d-1))).
 
-
-@dataclass(frozen=True)
-class OrbitValue:
-    """Value of p^n(z): either the exact point, or an escaped log-magnitude.
-
-    log_mag = log|p^n(z)| is valid in both cases (escape is a value, not an
-    error).
+    For |z| > R, |p(z)| > |c_d| |z|^d / 2 > |z|: monotone escape. The second
+    term is at most 2 for a monic map, so only |c_d| < 1 can raise R.
     """
-
-    escaped: bool
-    point: complex  # meaningful only when not escaped
-    log_mag: float
-
-
-def _ledger_step(p: ComplexPoly, log_mag: float) -> float:
-    """log|p(z)| from log|z| in the escaped regime, correction dropped."""
-    d = p.degree
-    return d * log_mag + math.log(abs(p.coeffs[-1]))
+    lead, d = abs(p.coeffs[-1]), p.degree
+    r = 2.0 * max(1.0, float(np.sum(np.abs(p.coeffs))) / lead)
+    return max(r, (2.0 / lead) ** (1.0 / (d - 1))) if d > 1 else r
 
 
-def iterate(p: ComplexPoly, z: complex, n: int) -> OrbitValue:
-    """n-fold composition with the escape ledger.
+def _escape(p: ComplexPoly, z, n: int, threshold: float):
+    """Iterate p on the points of z still inside |z| <= threshold.
 
-    While |z| is representable the exact value is kept; once |z| exceeds the
-    ledger switch the iteration tracks log|z| via log|p(z)| = d log|z| +
-    log|c_d| + log|1 + sum_{k<d} c_k z^{k-d}/c_d|, evaluating the correction
-    while it is representable.
+    Returns (exit step, |z| there) as flat arrays: a point leaving at
+    iteration k < n (|p^(k+1)(z)| not <= threshold, so NaN leaves) has exit
+    step k and |p^(k+1)(z)|; a point inside for all n steps has exit step n
+    and |p^n(z)|.
     """
-    switch = _ledger_switch(p.degree)
-    z = complex(z)
-    escaped = False
-    log_mag = math.log(abs(z)) if z != 0 else -math.inf
-    for _ in range(n):
-        if not escaped:
-            z = p(z)
-            log_mag = math.log(abs(z)) if z != 0 else -math.inf
-            if abs(z) > switch:
-                escaped = True
-        else:
-            log_mag = _ledger_step(p, log_mag)
-    return OrbitValue(escaped, z, log_mag)
-
-
-def green_n(p: ComplexPoly, z: complex, n: int) -> float:
-    """G_n(z) = d^-n log+ |p^n(z)| via the escape ledger."""
-    orbit = iterate(p, z, n)
-    return max(0.0, orbit.log_mag) / (p.degree ** n)
+    z = np.asarray(z, dtype=complex).ravel()
+    step, mag = np.full(z.size, n), np.abs(z)
+    live, m = np.arange(z.size), mag
+    for k in range(n):
+        if not live.size:
+            break
+        z = p(z)
+        m = np.abs(z)
+        out = ~(m <= threshold)
+        if out.any():
+            gone = live[out]
+            step[gone], mag[gone] = k, m[out]
+            keep = ~out
+            live, z, m = live[keep], z[keep], m[keep]
+    mag[live] = m
+    return step, mag
 
 
 def green_field(p: ComplexPoly, grid: SliceGrid, n: int) -> GridField:
-    """G_n on every node of a slice raster (vectorized ledger)."""
-    z = grid.mesh()
+    """G_n = d^-n log+|p^n| on every node of a slice raster; G_0 = log+|z|.
+
+    A node leaving the ledger switch at iteration k carries the ledger
+    x -> d x + log|c_d| for its n - k - 1 remaining steps.
+    """
     d = p.degree
-    switch = _ledger_switch(d)
-    live = np.ones(z.shape, dtype=bool)
-    log_mag = np.full(z.shape, -np.inf)
+    step, mag = _escape(p, grid.mesh(), n, _ledger_switch(d))
+    order = np.argsort(step, kind="stable")
+    x = np.log(np.maximum(mag[order], 1e-320))
     log_lead = math.log(abs(p.coeffs[-1]))
-    for _ in range(n):
-        dead_before = ~live
-        if np.any(live):
-            z = np.where(live, p(np.where(live, z, 0.0)), z)
-            mag = np.abs(z)
-            with np.errstate(divide="ignore"):
-                log_mag = np.where(live, np.log(np.maximum(mag, 1e-320)), log_mag)
-            live &= mag <= switch
-        if np.any(dead_before):
-            log_mag = np.where(dead_before, d * log_mag + log_lead, log_mag)
+    # after the j-th ledger step the nodes with exit step < n - j go on
+    for end in np.searchsorted(step[order], np.arange(n - 1, 0, -1)):
+        x[:end] *= d
+        x[:end] += log_lead
+    log_mag = np.empty_like(x)
+    log_mag[order] = x
     values = np.maximum(0.0, log_mag) / (d ** n)
-    return GridField(grid, values)
+    return GridField(grid, values.reshape(grid.ny, grid.nx))
 
 
 def solve_fiber(p: ComplexPoly, w: complex, policy: NumericPolicy = DEFAULT):
@@ -174,14 +159,8 @@ def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20,
 def filled_julia_mask(p: ComplexPoly, grid: SliceGrid,
                       esc: EscapeParams) -> np.ndarray:
     """Boolean raster: node is inside iff its orbit stays <= R for max_iter."""
-    z = grid.mesh()
-    inside = np.ones(z.shape, dtype=bool)
-    for _ in range(esc.max_iter):
-        z = np.where(inside, p(np.where(inside, z, 0.0)), z)
-        inside &= np.abs(z) <= esc.radius
-        if not np.any(inside):
-            break
-    return inside
+    step, _ = _escape(p, grid.mesh(), esc.max_iter, esc.radius)
+    return (step == esc.max_iter).reshape(grid.ny, grid.nx)
 
 
 def is_exceptional(p: ComplexPoly, a: complex,

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from escape_refs import ref_filled_julia_mask, ref_green_field
 from merge_refs import ref_merge_level
-from qbrolin.cdyn import (EscapeParams, escape_radius, filled_julia_mask,
-                          green_field, green_n, is_exceptional, iterate,
-                          preimage_tree, solve_fiber)
+from qbrolin.cdyn import (EscapeParams, _escape, _ledger_switch,
+                          escape_radius, filled_julia_mask, green_field,
+                          is_exceptional, preimage_tree, solve_fiber)
 from qbrolin.errors import BudgetExceeded
 from qbrolin.grids import SliceGrid
 from qbrolin.poly import ComplexPoly
@@ -16,13 +18,31 @@ CHEB = ComplexPoly([-2.0, 0.0, 1.0])       # z^2 - 2
 BASILICA = ComplexPoly([-1.0, 0.0, 1.0])   # z^2 - 1
 
 
+def _green_at(p, z, n):
+    """G_n(z) from green_field: z is the first node of a 2 x 2 raster."""
+    z = complex(z)
+    grid = SliceGrid(z.real, z.real + 1.0, z.imag, z.imag + 1.0, 2, 2)
+    return float(green_field(p, grid, n).values[0, 0])
+
+
 def test_escape_radius_guarantee():
-    r = escape_radius(CHEB)
-    z = r * 1.01
-    for _ in range(5):
-        z2 = CHEB(z)
-        assert abs(z2) > abs(z)
-        z = z2
+    # z^2 - 2; 0.1 z^2, whose K is the disk |z| <= 10; 0.3 z^3 + 0.5
+    for p in (CHEB, ComplexPoly([0.0, 0.0, 0.1]),
+              ComplexPoly([0.5, 0.0, 0.0, 0.3])):
+        r = escape_radius(p)
+        for z in r * 1.01 * np.exp(2j * np.pi * np.arange(16) / 16):
+            for _ in range(5):
+                z2 = p(z)
+                assert abs(z2) > abs(z)
+                z = z2
+
+
+def test_escape_radius_non_monic():
+    # 2 max(1, sum|c_k| / |c_d|) alone is 2 for 0.1 z^2, inside K; where it
+    # is the larger term (0.3 z^3 + 0.5, every monic map) R is unchanged
+    assert escape_radius(ComplexPoly([0.0, 0.0, 0.1])) == pytest.approx(20.0)
+    assert escape_radius(ComplexPoly([0.5, 0.0, 0.0, 0.3])) == 2.0 * 0.8 / 0.3
+    assert escape_radius(ComplexPoly([0.5, 0.0, 0.0, 1.0])) == 3.0
 
 
 def test_iterate_matches_direct_eval():
@@ -30,40 +50,79 @@ def test_iterate_matches_direct_eval():
     w = z
     for _ in range(7):
         w = BASILICA(w)
-    orbit = iterate(BASILICA, z, 7)
-    assert not orbit.escaped
-    assert orbit.point == pytest.approx(w)
-    assert orbit.log_mag == pytest.approx(math.log(abs(w)))
+    # 2 leaves |z| <= 2 at the first step, with |p(2)| = 3
+    step, mag = _escape(BASILICA, np.array([z, 2.0]), 7, 2.0)
+    assert step.tolist() == [7, 0] and mag[1] == 3.0
+    assert mag[0] == pytest.approx(abs(w))
+    assert math.log(mag[0]) == pytest.approx(math.log(abs(w)))
 
 
 def test_iterate_ledger_regime():
-    # z^2 from |z| = 10: log|z_n| = 2^n log 10, far past overflow
-    orbit = iterate(SQ, 10.0, 60)
-    assert orbit.escaped
-    assert orbit.log_mag == pytest.approx(2 ** 60 * math.log(10.0), rel=1e-12)
+    # z^2 from |z| = 10 passes the switch 1e30 at 10^32 (iteration 4), then
+    # the ledger carries log|z_60| = 2^60 log 10, far past overflow
+    step, mag = _escape(SQ, np.array([10.0]), 60, _ledger_switch(2))
+    assert step.tolist() == [4] and mag[0] == pytest.approx(1e32)
+    assert _green_at(SQ, 10.0, 60) == pytest.approx(math.log(10.0), rel=1e-12)
 
 
 def test_green_n_power_map_exact():
     # G_n(z) = log+|z| exactly for z^d
     for z in (3.0, 0.5, 1.0 + 1.0j):
-        g = green_n(SQ, z, 12)
+        g = _green_at(SQ, z, 12)
         assert g == pytest.approx(max(0.0, math.log(abs(z))), abs=1e-12)
 
 
+def test_green_depth_0_is_log_plus():
+    grid = SliceGrid.square(0j, 2.0, 0.25)   # a node at 0: G_0(0) = 0
+    with np.errstate(divide="ignore"):
+        want = np.maximum(0.0, np.log(np.abs(grid.mesh())))
+    assert np.array_equal(green_field(CHEB, grid, 0).values, want)
+
+
 def test_green_field_matches_pointwise():
+    # compaction keeps each node's orbit: the raster value is the node's own
     grid = SliceGrid.square(0j, 2.0, 0.25)
     gf = green_field(CHEB, grid, 10)
     z = grid.mesh()
     for idx in [(0, 0), (8, 8), (3, 14), (16, 2)]:
-        assert gf.values[idx] == pytest.approx(
-            green_n(CHEB, complex(z[idx]), 10), abs=1e-10)
+        assert gf.values[idx] == _green_at(CHEB, z[idx], 10)
 
 
 def test_green_scaling_relation():
     # G_{n+1}(z) = G_n(p(z)) / d
     z = 1.7 + 0.3j
-    assert green_n(CHEB, z, 9) == pytest.approx(
-        green_n(CHEB, CHEB(z), 8) / 2.0, rel=1e-10)
+    assert _green_at(CHEB, z, 9) == pytest.approx(
+        _green_at(CHEB, CHEB(z), 8) / 2.0, rel=1e-10)
+
+
+_maps = st.builds(
+    lambda deg, c, lead: ComplexPoly([c] + [0.0] * (deg - 1) + [lead]),
+    st.sampled_from([2, 3]),
+    st.one_of(st.floats(-2.5, 0.5), st.complex_numbers(max_magnitude=1.5)),
+    st.sampled_from([1.0, 1.0, 0.3, -2.5, 1e300, 1e308]))
+# dyadic spacing and half-width: every node exact, one of them 0; the
+# 2^53 raster leaves the ledger switch at the first step
+_grids = st.builds(lambda hw, k: SliceGrid.square(0j, hw, hw / k),
+                   st.sampled_from([2.0, 0.5, 2.0 ** 53]),
+                   st.sampled_from([1, 4, 8, 16]))
+
+
+# depth 1 and max_iter 1: every exit is at the first and the last step;
+# the cubic maps overflow to NaN orbits, in the ledger and in the mask
+@example(SQ, SliceGrid.square(0j, 2.0, 0.25), 1, 1)
+@example(ComplexPoly([0.3, 0.0, 0.0, 1e300]),
+         SliceGrid.square(0j, 2.0 ** 53, 2.0 ** 51), 5, 5)
+@example(ComplexPoly([0.3, 0.0, 0.0, 1e308]), SliceGrid.square(0j, 2.0, 0.5), 5, 5)
+@given(_maps, _grids, st.integers(1, 14), st.integers(1, 100))
+@settings(max_examples=200, deadline=None)
+def test_escape_kernel_bit_identical_to_full_raster_loops(p, grid, n, max_iter):
+    with np.errstate(all="ignore"):   # overflow to inf and NaN on purpose
+        got, want = green_field(p, grid, n), ref_green_field(p, grid, n)
+        esc = EscapeParams(escape_radius(p), max_iter)
+        mask = filled_julia_mask(p, grid, esc)
+        ref_mask = ref_filled_julia_mask(p, grid, esc)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert mask.shape == ref_mask.shape and np.array_equal(mask, ref_mask)
 
 
 def test_solve_fiber_multiplicity():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -71,6 +72,31 @@ def test_julia_pgm_output(tmp_path):
     man = json.loads((tmp_path / "out" / "julia.manifest.json").read_text())
     assert "out" not in man["config"]
     assert man["config"]["mode"] == "julia"
+
+
+def test_julia_non_monic_escape_radius(tmp_path):
+    # K(0.1 q^2) on the slice is the disk of radius 10: all of [-4, 4]^2
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "julia",
+        "polynomial": {"coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [0.1, 0, 0, 0]]},
+        "grid": {"center": [0, 0], "half_width": 4.0, "h": 0.5},
+        "out": str(tmp_path / "out")})
+    assert main([cfg]) == 0
+    man = json.loads((tmp_path / "out" / "julia.manifest.json").read_text())
+    assert man["escape_radius"] >= 10.0 and man["inside_fraction"] == 1.0
+
+
+def test_green_depth_0_is_log_plus(tmp_path):
+    # G_0 = log+|q|: the raster maximum is at the corners, |q| = 2 sqrt 2
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "green", "polynomial": SQ_MINUS_2,
+        "grid": {"center": [0, 0], "half_width": 2.0, "h": 0.25},
+        "params": {"depth": 0}, "out": str(tmp_path / "out")})
+    assert main([cfg]) == 0
+    rows = dict(line.split(",") for line in (
+        tmp_path / "out" / "green_stats.csv").read_text().split()[1:])
+    assert float(rows["max"]) == math.log(abs(complex(2.0, 2.0)))
+    assert 0.0 < float(rows["zero_fraction"]) < 1.0
 
 
 def test_mode_override_flag(tmp_path):
