@@ -15,7 +15,6 @@ import math
 from qbrolin.dynstats import fit_log_slope, mixing_correlation
 from qbrolin.measures import TestFunction
 from qbrolin.poly import QPolynomial
-from qbrolin.quat import UNIT_I
 
 
 def main():
@@ -24,7 +23,7 @@ def main():
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
-    pc = QPolynomial.from_real([-1.0, 0.0, 1.0]).restrict_to_slice(UNIT_I)
+    pc = QPolynomial.from_real([-1.0, 0.0, 1.0]).restrict_to_slice()
     phi = TestFunction("abs2", lambda a, b: a * a + b * b)
     psi = TestFunction("re", lambda a, b: a)
     corr = mixing_correlation(pc, phi, psi, args.n_max, args.samples,

@@ -13,16 +13,14 @@ from .errors import (BudgetExceeded, CoefficientOffSlice, ConfigError,
                      DegenerateSample, ExceptionalTarget, InvariantViolation,
                      ProbeOnFiber, QBrolinError, SolverFailure, ZeroDivisor)
 from .policy import DEFAULT, NumericPolicy
-from .quat import (ImaginaryUnit, Quaternion, SlicePoint, SphereQuadrature,
-                   UNIT_I, UNIT_J, UNIT_K, slice_decompose, sphere_quadrature)
-from .poly import ComplexPoly, QPolynomial
+from .quat import hamilton, inverse, norm_sq, sphere_quadrature
+from .poly import ComplexPoly, QPolynomial, evaluate
 from .grids import GridField, SliceGrid
 from .cdyn import (EscapeParams, escape_radius, filled_julia_mask,
                    green_field, is_exceptional, preimage_tree, solve_fiber)
 from .measures import (EmpiricalMeasure, TestFunction, brolin_pullback,
-                       measure_from_complex_atoms, pair, pullback,
-                       pushforward, slice_marginal, standard_panel,
-                       weak_distance)
+                       measure_from_complex_atoms, pair, pushforward,
+                       standard_panel, weak_distance)
 from .laplacian import (fundamental_solution_check, log_distance_field,
                         measure_from_green, raster_to_measure,
                         refinement_order, slice_laplacian,
@@ -30,6 +28,6 @@ from .laplacian import (fundamental_solution_check, log_distance_field,
 from .dynstats import (AxialBox, CltResult, EstimateReport, calibrate_ks_null,
                        clt_harness, lyapunov_slice, lyapunov_sphere_direction,
                        mixing_correlation, partition_entropy, sample_mu,
-                       separated_count, topological_entropy, transfer_apply)
+                       separated_count, topological_entropy)
 from .slicecases import (brolin3_gap, gn_build, gn_pullback_measure, hn_build,
-                         mu_prime_estimate, orbit_finite)
+                         mu_prime_estimate)

@@ -28,7 +28,7 @@ from .errors import (ConfigError, DegenerateSample, ExceptionalTarget,
                      InvariantViolation, SolverFailure)
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
-from .quat import ImaginaryUnit, SlicePoint, UNIT_I, sphere_quadrature
+from .quat import norm_sq, sphere_quadrature
 from .roots import fiber_roots
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "sample_mu",
     "lyapunov_slice",
     "lyapunov_sphere_direction",
-    "transfer_apply",
     "mixing_correlation",
     "fit_log_slope",
     "CltResult",
@@ -155,44 +154,31 @@ def lyapunov_slice(p: ComplexPoly, n_samples: int, seed: int,
                           {"seed": seed, "dropped_critical": dropped})
 
 
-def lyapunov_sphere_direction(p: QPolynomial, q0: SlicePoint,
+def lyapunov_sphere_direction(p: QPolynomial, alpha: float, beta: float,
                               n: int) -> float:
-    """Finite-n exponent in the tangent-to-S direction at q0 (beta > 0).
+    """Finite-n exponent in the tangent-to-S direction at alpha + i beta
+    (beta > 0).
 
-    Perturbs the imaginary unit by 1e-6, iterates both quaternionic orbits, and
-    returns (1/n) log(|p^n(q') - p^n(q)| / (|I'-I| beta)). The theorem value
-    is 0.
+    Tilts the unit i by 1e-6 toward -j, iterates both quaternionic orbits
+    together, and returns (1/n) log(|p^n(q') - p^n(q)| / (|I'-i| beta)). The
+    theorem value is 0.
     """
-    if not q0.beta > 0:
+    if not beta > 0:
         raise ValueError("sphere-direction splitting undefined on the real axis")
-    unit = q0.unit
-    # tangent direction orthogonal to the unit
-    ref = (0.0, 0.0, 1.0) if abs(unit.z) < 0.9 else (0.0, 1.0, 0.0)
-    tx = unit.y * ref[2] - unit.z * ref[1]
-    ty = unit.z * ref[0] - unit.x * ref[2]
-    tz = unit.x * ref[1] - unit.y * ref[0]
-    eps = 1e-6
-    unit2 = ImaginaryUnit.from_vector(unit.x + eps * tx, unit.y + eps * ty,
-                                      unit.z + eps * tz)
-    q = q0.embed()
-    q2 = SlicePoint(q0.alpha, q0.beta, unit2).embed()
+    units = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, -1e-6, 0.0]])
+    units[1] /= math.sqrt(1.0 + 1e-6 * 1e-6)
+    q = units * beta
+    q[:, 0] = alpha
     for _ in range(n):
         q = p.eval(q)
-        q2 = p.eval(q2)
-    du = abs(unit2.as_quaternion() - unit.as_quaternion())
-    gap = abs(q2 - q)
+    du = math.sqrt(norm_sq(units[1] - units[0]))
+    gap = math.sqrt(norm_sq(q[1] - q[0]))
     if gap == 0.0 or not math.isfinite(gap):
         # both orbits collapsed to a fixed point (or escaped); the
         # splitting is only meaningful on the chaotic set
         raise DegenerateSample("sphere-direction splitting collapsed; "
                                "pick a base point on the Julia set")
-    return math.log(gap / (du * q0.beta)) / n
-
-
-def transfer_apply(p: ComplexPoly, f, z: complex,
-                   policy: NumericPolicy = DEFAULT) -> float:
-    """(Perron-Frobenius) (1/d) sum_{p(w)=z} f(w) with multiplicity."""
-    return sum(f(w) for w in fiber_roots(p.coeffs, [z], policy)[0]) / p.degree
+    return math.log(gap / (du * beta)) / n
 
 
 def _slice_values(f, z):
@@ -346,9 +332,8 @@ def _candidate_points(pc: ComplexPoly, box: AxialBox, count: int, seed: int,
     alpha, beta = z.real, np.abs(z.imag)
     keep = box.contains(alpha, beta)
     z = (alpha + 1j * beta)[keep]
-    units = sphere_quadrature(2).units[:n_units]
-    uxyz = np.array([[u.x, u.y, u.z] for u in units])
-    units_xyz = uxyz[np.arange(len(z)) % len(units)]
+    units = sphere_quadrature(2)[0][:n_units]
+    units_xyz = units[np.arange(len(z)) % len(units)]
     return z, units_xyz
 
 
@@ -408,7 +393,7 @@ def topological_entropy(p: QPolynomial, box: AxialBox, n_max: int,
     log N vs n, reported with the fit residual as stderr. Slice orbits on
     every unit are quaternion orbits only for real coefficients.
     """
-    pc = p.restrict_to_slice(UNIT_I, policy)
+    pc = p.restrict_to_slice(policy)
     if not pc.is_real():
         raise ConfigError("topological entropy needs real coefficients")
     z, units_xyz = _candidate_points(pc, box, grid_density, seed,
@@ -452,7 +437,7 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
     reported value is the least-squares slope of H_n vs n on the last
     max(3, n_max//2) points.
     """
-    pc = p.restrict_to_slice(UNIT_I, policy)
+    pc = p.restrict_to_slice(policy)
     if isinstance(samples, np.ndarray):
         z = samples
         lengths = [len(z)]

@@ -72,9 +72,6 @@ class GridField:
             mask = np.zeros_like(self.values, dtype=bool)
         self.mask = np.asarray(mask, dtype=bool)
 
-    def masked_fraction(self):
-        return float(np.mean(self.mask))
-
     def cell_sum(self):
         """Sum of values * h^2 over unmasked nodes."""
         h2 = self.grid.h ** 2

@@ -23,7 +23,6 @@ from .grids import GridField, SliceGrid
 from .measures import EmpiricalMeasure, TestFunction, measure_from_complex_atoms
 from .policy import DEFAULT, NumericPolicy
 from .poly import QPolynomial
-from .quat import Quaternion, UNIT_I
 
 __all__ = [
     "slice_laplacian",
@@ -88,8 +87,10 @@ def fundamental_solution_check(a: float, bump: TestFunction,
     return _pairing(lap, bump)
 
 
-def sphere_kernel_check(a: Quaternion, bump: TestFunction, grid: SliceGrid):
-    """Pair lap log|(q-a)^s| against a bump for non-real a.
+def sphere_kernel_check(alpha0: float, beta0: float, bump: TestFunction,
+                        grid: SliceGrid):
+    """Pair lap log|(q-a)^s| against a bump for a = alpha0 + I beta0 with
+    beta0 > 0, on any unit I.
 
     Returns (computed, expected) with expected the conjugate-pair half
     weights (1/2) bump(alpha0 + I beta0) + (1/2) bump(alpha0 - I beta0),
@@ -97,8 +98,6 @@ def sphere_kernel_check(a: Quaternion, bump: TestFunction, grid: SliceGrid):
     The field depends on a only through (alpha0, beta0): (q-a)^s = (q-a')^s
     for any a' on the sphere of a.
     """
-    alpha0 = a.re()
-    beta0 = a.im_norm()
     if beta0 <= 0:
         raise ValueError("sphere_kernel_check needs a non-real center")
     s1 = complex(alpha0, beta0)
@@ -121,7 +120,7 @@ def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid,
     are clamped to zero; returns (density field, clamp_mass). Clamp mass
     above clamp_limit of the total is a failed run and raises.
     """
-    pc = p.restrict_to_slice(UNIT_I, policy)
+    pc = p.restrict_to_slice(policy)
     g = green_field(pc, grid, n)
     lap = slice_laplacian(g)
     density = (2.0 / math.pi) * lap.values

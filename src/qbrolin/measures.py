@@ -11,8 +11,8 @@ rho snapped to 0 within real_axis_tol of the real axis. The merge is
 its head atom with the summed weight. A depth-n pullback gives each complex
 fiber root mass 1/d^n, so a real root of multiplicity m becomes a real point
 of weight m/d^n, and a conjugate pair {z, z bar} one sphere of weight 2m/d^n.
-Every pullback is then a probability measure, and slice_marginal gives back
-mu_I exactly.
+Every pullback is then a probability measure, whose sphere atoms split back
+into conjugate slice pairs at half weight each: mu_I exactly.
 
 Test functions are axial, f(alpha, rho), constant on each sphere: a measure
 pairs against one with a single vectorized sum over its atoms.
@@ -29,8 +29,7 @@ from .cdyn import is_exceptional, preimage_tree
 from .errors import ExceptionalTarget, InvariantViolation
 from .policy import DEFAULT, NumericPolicy
 from .poly import QPolynomial
-from .quat import UNIT_I
-from .roots import fiber_roots, merge_near
+from .roots import merge_near
 
 __all__ = [
     "EmpiricalMeasure",
@@ -40,8 +39,6 @@ __all__ = [
     "pair",
     "weak_distance",
     "pushforward",
-    "pullback",
-    "slice_marginal",
     "measure_from_complex_atoms",
 ]
 
@@ -163,7 +160,7 @@ def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
     """
     if not p.has_real_coeffs():
         raise ValueError("brolin_pullback requires real coefficients")
-    pc = p.restrict_to_slice(UNIT_I, policy)
+    pc = p.restrict_to_slice(policy)
     d = pc.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
@@ -199,43 +196,9 @@ def pushforward(p: QPolynomial, m: EmpiricalMeasure,
     real points) under a real-coefficient polynomial; weights preserved."""
     if not p.has_real_coeffs():
         raise ValueError("pushforward requires real coefficients")
-    pc = p.restrict_to_slice(UNIT_I, policy)
+    pc = p.restrict_to_slice(policy)
     images = pc(m.alpha + 1j * m.rho)
     return _fold_merge(images, m.weight, m.meta, policy)
-
-
-def pullback(p: QPolynomial, m: EmpiricalMeasure,
-             policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
-    """p^* m: each atom replaced by its d fiber atoms on the reference slice;
-    total mass multiplies by d."""
-    if not p.has_real_coeffs():
-        raise ValueError("pullback requires real coefficients")
-    pc = p.restrict_to_slice(UNIT_I, policy)
-    # a sphere atom marginalizes to the conjugate pair, half the weight each
-    sphere = m.rho > 0
-    targets = np.concatenate([m.alpha + 1j * m.rho,
-                              m.alpha[sphere] - 1j * m.rho[sphere]])
-    shares = np.concatenate([np.where(sphere, m.weight / 2.0, m.weight),
-                             m.weight[sphere] / 2.0])
-    roots = fiber_roots(pc.coeffs, targets, policy)
-    return _fold_merge(roots, np.repeat(shares, pc.degree), m.meta, policy)
-
-
-def slice_marginal(m: EmpiricalMeasure, unit=UNIT_I):
-    """mu_I: list of (complex point, weight) on one slice plane.
-
-    A sphere atom splits into the conjugate pair alpha +- i rho, half the
-    weight each; real points keep their weight.
-    """
-    out = []
-    for kind, alpha, rho, weight in m.rows():
-        if kind == "point":
-            out.append((complex(alpha, 0.0), weight))
-        else:
-            out.append((complex(alpha, rho), weight / 2.0))
-            out.append((complex(alpha, -rho), weight / 2.0))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
 
 
 def measure_from_complex_atoms(points, weights, meta=None,

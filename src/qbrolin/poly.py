@@ -1,11 +1,12 @@
 """Polynomials with quaternionic right coefficients: q |-> sum q^n a_n.
 
 Implements the star product (coefficient convolution), slice conjugate,
-symmetrization f^s = f^c * f, slice derivative, bullet composition, and
-restriction of one-slice polynomials to their complex plane.
+symmetrization f^s = f^c * f, bullet composition, and restriction of
+one-slice polynomials to the reference slice C_i.
 
-Both polynomial types keep their coefficients in one read-only array; the
-array algebra is bit-identical to the scalar Quaternion arithmetic.
+Both polynomial types keep their coefficients in one read-only array, and
+quaternions are [w, x, y, z] arrays multiplied by `quat.hamilton`; the
+algebra is bit-identical to the scalar arithmetic kept in tests/quat_refs.py.
 
 Coefficient convention is right coefficients q^n a_n throughout; the test
 suite locks the orientation ((q i)*(q j) has q^2 coefficient ij = k).
@@ -15,17 +16,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CoefficientOffSlice, ZeroDivisor
+from .errors import CoefficientOffSlice
 from .policy import DEFAULT, NumericPolicy
-from .quat import ImaginaryUnit, Quaternion
-from . import roots as _roots
+from .quat import hamilton, inverse
 
-__all__ = ["QPolynomial", "ComplexPoly", "critical_points_slice"]
+__all__ = ["QPolynomial", "ComplexPoly", "evaluate"]
+
+
+def evaluate(coeffs, q):
+    """sum q^n a_n for right coefficients a_n, the rows of a (..., D, 4)
+    array, at (..., 4) points q: powers of q multiply from the left.
+
+    A stack of coefficient arrays evaluates one polynomial per point.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    acc = np.zeros(np.broadcast_shapes(coeffs.shape[:-2] + (4,), np.shape(q)))
+    power = np.zeros_like(acc)
+    power[..., 0] = 1.0
+    for n in range(coeffs.shape[-2]):
+        if n:
+            power = hamilton(power, q)
+        acc = acc + hamilton(power, coeffs[..., n, :])
+    return acc
 
 
 class QPolynomial:
     """Right coefficients: a (D, 4) array of [w, x, y, z] rows (or a list of
-    Quaternions and reals), ascending degree, trailing zero rows trimmed.
+    reals), ascending degree, trailing zero rows trimmed.
 
     The zero polynomial has no rows. Trimming removes exact zeros only:
     near-zero leading coefficients are kept because the degree drives d^-n
@@ -36,8 +53,7 @@ class QPolynomial:
 
     def __init__(self, coeffs):
         if not isinstance(coeffs, np.ndarray):
-            coeffs = [(c.w, c.x, c.y, c.z) if isinstance(c, Quaternion)
-                      else (float(c), 0.0, 0.0, 0.0) for c in coeffs]
+            coeffs = [(float(c), 0.0, 0.0, 0.0) for c in coeffs]
         arr = np.array(coeffs, dtype=float).reshape(-1, 4)
         n = len(arr)
         while n > 0 and not arr[n - 1].any():
@@ -53,9 +69,6 @@ class QPolynomial:
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not len(self.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, QPolynomial)
@@ -73,30 +86,20 @@ class QPolynomial:
     def __sub__(self, other):
         return self + QPolynomial(-other.coeffs)
 
-    def eval(self, q: Quaternion) -> Quaternion:
-        """sum q^n a_n: powers of q multiply coefficients from the left."""
-        acc = Quaternion()
-        power = Quaternion.real(1.0)
-        for a in self.coeffs.tolist():
-            acc = acc + power * Quaternion(*a)
-            power = power * q
-        return acc
+    def eval(self, q):
+        """f(q) at (..., 4) points q; see `evaluate`."""
+        return evaluate(self.coeffs, q)
 
     def star_mul(self, other: "QPolynomial") -> "QPolynomial":
         """(f*g) by coefficient convolution with order a_j b_k.
 
-        The products a_j b_k take Quaternion.__mul__'s term order, and each
-        output row sums them from zero in ascending j, as a double loop would.
+        Each output row sums the products a_j b_k from zero in ascending j,
+        as a double loop would.
         """
         a, b = self.coeffs, other.coeffs
         if not len(a) or not len(b):
             return QPolynomial([])
-        (aw, ax, ay, az), (bw, bx, by, bz) = a.T[:, :, None], b.T[:, None, :]
-        prods = np.empty((len(a), len(b), 4))
-        prods[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-        prods[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-        prods[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-        prods[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+        prods = hamilton(a[:, None], b[None, :])
         out = np.zeros((len(a) + len(b) - 1, 4))
         for j in range(len(a)):
             out[j:j + len(b)] += prods[j]
@@ -110,12 +113,11 @@ class QPolynomial:
         """f^s = f^c * f: slice preserving, all coefficients real."""
         return self.conj().star_mul(self)
 
-    def star_conjugation_point(self, q: Quaternion) -> Quaternion:
-        """T_f(q) = f(q)^-1 q f(q); requires f(q) != 0."""
+    def star_conjugation_point(self, q):
+        """T_f(q) = f(q)^-1 q f(q) at (..., 4) points; ZeroDivisor where
+        f(q) = 0."""
         fq = self.eval(q)
-        if fq.norm_sq() == 0.0:
-            raise ZeroDivisor("T_f undefined where f(q) = 0")
-        return fq.inverse() * q * fq
+        return hamilton(hamilton(inverse(fq), q), fq)
 
     def bullet_compose(self, w: "QPolynomial") -> "QPolynomial":
         """(self . w) = sum_n w^{*n} * a_n with a_n the coefficients of self."""
@@ -127,11 +129,6 @@ class QPolynomial:
             acc = acc + power.star_mul(QPolynomial(self.coeffs[n:n + 1]))
         return acc
 
-    def slice_derivative(self) -> "QPolynomial":
-        """sum n q^{n-1} a_n (formal derivative, right coefficients)."""
-        n = np.arange(1.0, len(self.coeffs))
-        return QPolynomial(self.coeffs[1:] * n[:, None])
-
     def has_real_coeffs(self, tol=1e-12):
         return self.max_imag_coeff() <= tol
 
@@ -139,25 +136,25 @@ class QPolynomial:
         _, x, y, z = self.coeffs.T
         return float(np.max(np.sqrt(x * x + y * y + z * z), initial=0.0))
 
-    def restrict_to_slice(self, unit: ImaginaryUnit,
+    def restrict_to_slice(self,
                           policy: NumericPolicy = DEFAULT) -> "ComplexPoly":
-        """Identify C_I with C and return the restricted complex polynomial.
+        """The complex polynomial w + x i of the reference slice C_i.
 
-        Every coefficient must lie in C_I (off-plane component below
+        Every coefficient must lie in C_i (off-plane part |(y, z)| below
         policy.off_slice_tol), else CoefficientOffSlice with the first
         offending index.
         """
         w, x, y, z = self.coeffs.T
-        proj = x * unit.x + y * unit.y + z * unit.z
         # hypot: squares of coefficients near 1e300 would overflow to inf
-        off = np.hypot(np.hypot(x - proj * unit.x, y - proj * unit.y),
-                       z - proj * unit.z)
-        norm = np.hypot(np.hypot(w, x), np.hypot(y, z))
+        off = np.hypot(y, z)
+        norm = np.hypot(np.hypot(w, x), off)
         bad = np.flatnonzero(off > policy.off_slice_tol * np.maximum(1.0, norm))
         if bad.size:
             raise CoefficientOffSlice(int(bad[0]), float(off[bad[0]]))
         out = w.astype(complex)
-        out.imag = proj
+        # the dot product with i = (1, 0, 0): x = -0.0 stays -0.0 only when
+        # y and z are negative or -0.0 too
+        out.imag = x + y * 0.0 + z * 0.0
         return ComplexPoly(out)
 
     def to_json(self):
@@ -234,14 +231,11 @@ class ComplexPoly:
     def is_real(self, tol=1e-12):
         return bool(np.all(np.abs(self.coeffs.imag) <= tol))
 
-    def lift(self, unit: ImaginaryUnit) -> QPolynomial:
-        """Lift back to a QPolynomial with coefficients in C_I."""
+    def lift(self) -> QPolynomial:
+        """Lift back to a QPolynomial with coefficients in C_i."""
         re, im = self.coeffs.real, self.coeffs.imag
-        return QPolynomial(np.stack([re, im * unit.x, im * unit.y, im * unit.z],
-                                    axis=1))
-
-    def roots(self, policy: NumericPolicy = DEFAULT):
-        return _roots.all_roots(self.coeffs, policy)
+        # im * 0.0: the j and k parts keep the sign of the imaginary part
+        return QPolynomial(np.stack([re, im, im * 0.0, im * 0.0], axis=1))
 
     def to_json(self):
         return {"coeffs": [[c.real, c.imag] for c in self.coeffs]}
@@ -250,9 +244,3 @@ class ComplexPoly:
     def from_json(data):
         return ComplexPoly([complex(re, im) for re, im in data["coeffs"]])
 
-
-def critical_points_slice(f: QPolynomial, unit: ImaginaryUnit,
-                          policy: NumericPolicy = DEFAULT):
-    """Roots (with multiplicity, as a flat array) of d_c f restricted to C_I."""
-    df = f.slice_derivative().restrict_to_slice(unit, policy)
-    return df.roots(policy)

@@ -29,15 +29,12 @@ from .errors import (BudgetExceeded, ConfigError, ExceptionalTarget,
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial
-from .quat import Quaternion, UNIT_I
-from .roots import merge_near
 
 __all__ = [
     "gn_build",
     "mu_prime_estimate",
     "gn_pullback_measure",
     "hn_build",
-    "orbit_finite",
     "brolin3_gap",
     "annulus_probes",
 ]
@@ -73,7 +70,7 @@ def gn_build(pc: ComplexPoly, n: int,
     if pc.is_real():
         sq = ComplexPoly(np.convolve(pn.coeffs, pn.coeffs))
         return QPolynomial.from_real(sq.coeffs.real)
-    g = pn.lift(UNIT_I).symmetrize()
+    g = pn.lift().symmetrize()
     g = _realify(g, scale=float(np.sum(np.abs(pn.coeffs))) ** 2)
     if g.degree != 2 * d ** n:
         raise InvariantViolation(f"deg g_n = {g.degree}, expected {2 * d ** n}")
@@ -82,7 +79,7 @@ def gn_build(pc: ComplexPoly, n: int,
 
 def _screen_gn_target(pc: ComplexPoly, a: float, policy: NumericPolicy):
     """Exceptional screening of a real target through g_1's slice restriction."""
-    g1 = gn_build(pc, 1, policy).restrict_to_slice(UNIT_I, policy)
+    g1 = gn_build(pc, 1, policy).restrict_to_slice(policy)
     if is_exceptional(g1, complex(a), policy=policy):
         raise ExceptionalTarget(f"target {a} is exceptional for g_n")
 
@@ -149,7 +146,7 @@ def gn_pullback_measure(pc: ComplexPoly, a: float, n: int,
     """
     g = gn_build(pc, n, policy)
     _screen_gn_target(pc, a, policy)
-    gc = g.restrict_to_slice(UNIT_I, policy)
+    gc = g.restrict_to_slice(policy)
     fiber = solve_fiber(gc, complex(a), policy)
     meta = {"estimator": "gn_pullback", "depth": n, "target": a}
     m = measure_from_complex_atoms([z for z, _ in fiber],
@@ -181,42 +178,17 @@ def hn_build(p: QPolynomial, n: int,
     return hn
 
 
-def orbit_finite(p: QPolynomial, q0: Quaternion, horizon: int,
-                 policy: NumericPolicy = DEFAULT) -> bool:
-    """Heuristic finite-orbit test for the exceptional set of the h_n family.
-
-    True iff {h_n(q0) : n <= horizon} has fewer than horizon clusters under
-    merge_near. Heuristic at the declared horizon; callers echo the
-    horizon in their reports.
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    # h_n has real coefficients, so h_n(alpha + J beta) = Re w + J Im w with
-    # w = h_n(alpha + i beta): the values are complex points of one slice
-    z0 = complex(q0.re(), q0.im_norm())
-    values = np.empty(horizon, dtype=complex)
-    for n in range(1, horizon + 1):
-        values[n - 1] = hn_build(p, n, policy).restrict_to_slice(
-            UNIT_I, policy)(z0)
-        if abs(values[n - 1]) > 1e12:
-            return False
-    tol = policy.cluster_tol * (1.0 + float(np.max(np.abs(values))))
-    return len(np.unique(merge_near(values, tol)[1])) < horizon
-
-
-def annulus_probes(count: int = 100) -> list:
-    """Deterministic probe grid on the upper-half annulus 1.1 <= |q| <= 1.4,
-    as quaternions.
+def annulus_probes(count: int = 100) -> np.ndarray:
+    """Deterministic probe grid on the upper-half annulus 1.1 <= |z| <= 1.4
+    of the reference slice, as a complex array.
 
     Radii x angles factor count into the nearest balanced product.
     """
     n_r = max(2, int(math.sqrt(count)))
     n_t = max(2, count // n_r)
-    probes = []
-    for r in np.linspace(1.1, 1.4, n_r):
-        for t in np.linspace(0.15, math.pi - 0.15, n_t):
-            probes.append(Quaternion(r * math.cos(t), r * math.sin(t), 0.0, 0.0))
-    return probes
+    return np.array([complex(r * math.cos(t), r * math.sin(t))
+                     for r in np.linspace(1.1, 1.4, n_r)
+                     for t in np.linspace(0.15, math.pi - 0.15, n_t)])
 
 
 def brolin3_gap(p: QPolynomial, a: float, b: float, n: int,
@@ -224,19 +196,21 @@ def brolin3_gap(p: QPolynomial, a: float, b: float, n: int,
                 policy: NumericPolicy = DEFAULT) -> float:
     """max over probes of |d^-n (log|h_n(q) - a| - log|h_n(q) - b|)|.
 
+    h_n has real coefficients, so its value on the sphere of a slice probe
+    z = alpha + i beta is read off h_n(z) on C_i; probes are complex points.
     Probes too close to a fiber of a or b are skipped; an empty surviving
-    probe set raises ProbeOnFiber. a and b are not screened (orbit_finite
-    screens a target): bounded targets routinely have finite h-orbits while
-    the gap statement, probed away from the fibers, is insensitive to that.
+    probe set raises ProbeOnFiber. a and b are not screened for finite
+    h-orbits: bounded targets routinely have them, while the gap statement,
+    probed away from the fibers, is insensitive to that.
     """
     if a == b:
         return 0.0
-    hc = hn_build(p, n, policy).restrict_to_slice(UNIT_I, policy)
+    hc = hn_build(p, n, policy).restrict_to_slice(policy)
     d = p.degree
     gap = 0.0
     survivors = 0
-    for q in (probe_points if probe_points is not None else annulus_probes()):
-        z = complex(q.re(), q.im_norm())
+    # one probe at a time: an array call of hc rounds differently
+    for z in (probe_points if probe_points is not None else annulus_probes()):
         v = hc(z)
         da, db = abs(v - a), abs(v - b)
         if min(da, db) < policy.fiber_residual_tol * (1.0 + abs(v)):

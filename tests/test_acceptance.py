@@ -29,7 +29,7 @@ from qbrolin.measures import (TestFunction, brolin_pullback,
                               measure_from_complex_atoms, pushforward,
                               weak_distance)
 from qbrolin.poly import QPolynomial
-from qbrolin.quat import Quaternion, SlicePoint, UNIT_I
+from qbrolin.quat import hamilton, norm_sq
 from qbrolin.slicecases import brolin3_gap, gn_pullback_measure, \
     mu_prime_estimate
 from qbrolin.poly import ComplexPoly
@@ -57,11 +57,14 @@ def test_criterion_01_algebra():
 
     def rand_poly(max_deg=5):
         deg = int(rng.integers(1, max_deg + 1))
-        return QPolynomial([Quaternion(*rng.uniform(-2, 2, size=4))
-                            for _ in range(deg + 1)])
+        return QPolynomial(np.array([rng.uniform(-2, 2, size=4)
+                                     for _ in range(deg + 1)]))
 
     def rand_quat():
-        return Quaternion(*rng.uniform(-1.5, 1.5, size=4))
+        return rng.uniform(-1.5, 1.5, size=4)
+
+    def qabs(q):
+        return float(np.sqrt(norm_sq(q)))
 
     worst = 0.0
     for _ in range(1000):
@@ -82,9 +85,9 @@ def test_criterion_01_algebra():
             t = None
         if t is not None:
             val_l = f.star_mul(g).eval(q)
-            val_r = f.eval(q) * g.eval(t)
-            es = scale * max(1.0, abs(q)) ** (f.degree + g.degree)
-            worst = max(worst, abs(val_l - val_r) / es)
+            val_r = hamilton(f.eval(q), g.eval(t))
+            es = scale * max(1.0, qabs(q)) ** (f.degree + g.degree)
+            worst = max(worst, qabs(val_l - val_r) / es)
         # bullet degree law (generic coefficients: leading term survives)
         w = rand_poly()
         worst = max(worst,
@@ -98,13 +101,13 @@ def test_criterion_02_fundamental_solutions():
         "bump", lambda a, b: np.exp(-((a - 0.1) ** 2 + b ** 2)))
     # singularities on grid nodes keep the sub-cell offset fixed across h
     a_real = 0.25
-    a_sphere = Quaternion(0.25, 0.0, 0.5, 0.0)
+    a_sphere = (0.25, 0.5)      # the sphere of 0.25 + 0.5 j
     hs = [1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256]
     vals_r, vals_s = {}, {}
     for h in hs:
         grid = SliceGrid.square(0j, 2.0, h)
         vals_r[h] = fundamental_solution_check(a_real, bump, grid)
-        vals_s[h], want_s = sphere_kernel_check(a_sphere, bump, grid)
+        vals_s[h], want_s = sphere_kernel_check(*a_sphere, bump, grid)
     want_r = 0.5 * bump.axial(a_real, 0.0)
     rel_r = abs(vals_r[hs[-1]] / want_r - 1.0)
     rel_s = abs(vals_s[hs[-1]] / want_s - 1.0)
@@ -161,7 +164,7 @@ def test_criterion_06_mixing():
     # swapped pair vanishes identically for the even map q^2 - 1
     phi = TestFunction("abs2", lambda a, b: a * a + b * b)
     psi = TestFunction("re", lambda a, b: a)
-    pc = BASILICA.restrict_to_slice(UNIT_I)
+    pc = BASILICA.restrict_to_slice()
     corr = mixing_correlation(pc, phi, psi, 12, 100000, seed=7)
     slope = fit_log_slope(corr, n_min=2)
     lo, hi = -math.log(2.0) - 0.15, -math.log(2.0) + 0.15
@@ -171,7 +174,7 @@ def test_criterion_06_mixing():
 
 def test_criterion_07_clt():
     phi = TestFunction("re", lambda a, b: a)
-    res = clt_harness(CHEB.restrict_to_slice(UNIT_I), phi, 200, 10000, seed=4)
+    res = clt_harness(CHEB.restrict_to_slice(), phi, 200, 10000, seed=4)
     ok = (not res.degenerate) and res.ks_statistic <= KS_NULL_BAR_N200_S10000
     _report(7, "central limit theorem", ok,
             f"ks {res.ks_statistic:.4f} vs bar {KS_NULL_BAR_N200_S10000:.4f}, "
@@ -185,8 +188,8 @@ def test_criterion_08_lyapunov():
     ok1 = abs(rep.value - math.log(2.0)) <= 0.01
 
     theta = 2.0 * math.pi * 166886.0 / 1048575.0
-    q0 = SlicePoint(math.cos(theta), math.sin(theta), UNIT_I)
-    sphere = lyapunov_sphere_direction(SQ, q0, 20)
+    sphere = lyapunov_sphere_direction(SQ, math.cos(theta), math.sin(theta),
+                                       20)
     ok2 = abs(sphere) <= 0.01
 
     panel = [SQ, CHEB, BASILICA,
@@ -194,7 +197,7 @@ def test_criterion_08_lyapunov():
              QPolynomial.from_real([0.2, 0.0, 0.0, 1.0])]
     margins = []
     for p in panel:
-        pc = p.restrict_to_slice(UNIT_I)
+        pc = p.restrict_to_slice()
         if p is SQ:
             pc = sq_eps
         r = lyapunov_slice(pc, 20000, seed=5)
@@ -244,8 +247,8 @@ def test_criterion_10_one_slice():
 
 
 def test_criterion_11_general_case():
-    p = QPolynomial([Quaternion(0, 0, 1, 0), Quaternion(),
-                     Quaternion.real(1.0)])  # q^2 + j
+    p = QPolynomial(np.array([[0.0, 0, 1, 0], [0, 0, 0, 0],
+                              [1, 0, 0, 0]]))  # q^2 + j
     gaps = {n: brolin3_gap(p, 0.0, 1.0, n) for n in range(3, 9)}
     monotone = all(gaps[n + 1] <= gaps[n] for n in range(3, 8))
     ok = monotone and gaps[8] <= 0.02

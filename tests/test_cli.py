@@ -99,6 +99,22 @@ def test_green_depth_0_is_log_plus(tmp_path):
     assert 0.0 < float(rows["zero_fraction"]) < 1.0
 
 
+def test_green_all_zero_raster_reports_max_0(tmp_path):
+    # [-0.25, 0.25]^2 lies inside the filled Julia set of q^2 - 1: every
+    # node has G = 0, and the image is black
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "green",
+        "polynomial": {"coeffs": [[-1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "grid": {"center": [0, 0], "half_width": 0.25, "h": 1 / 16},
+        "params": {"depth": 12}, "out": str(tmp_path / "out")})
+    assert main([cfg]) == 0
+    rows = dict(line.split(",") for line in (
+        tmp_path / "out" / "green_stats.csv").read_text().split()[1:])
+    assert float(rows["max"]) == 0.0
+    assert float(rows["zero_fraction"]) == 1.0
+    assert (tmp_path / "out" / "green.pgm").read_bytes().endswith(bytes(81))
+
+
 def test_mode_override_flag(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "mode": "julia", "polynomial": SQ_MINUS_2,

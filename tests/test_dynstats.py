@@ -10,14 +10,12 @@ from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
                               fit_log_slope, interval_partition,
                               lyapunov_slice, lyapunov_sphere_direction,
                               mixing_correlation, partition_entropy, sample_mu,
-                              separated_count, topological_entropy,
-                              transfer_apply)
+                              separated_count, topological_entropy)
 from qbrolin.errors import (ConfigError, DegenerateSample, ExceptionalTarget,
                             InvariantViolation, SolverFailure)
 from qbrolin.measures import TestFunction
 from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly, QPolynomial
-from qbrolin.quat import SlicePoint, UNIT_I
 from qbrolin.roots import fiber_roots
 
 CHEB = ComplexPoly([-2.0, 0.0, 1.0])
@@ -103,15 +101,9 @@ def test_lyapunov_power_map_exact():
 def test_lyapunov_sphere_direction_degenerate():
     p = QPolynomial.from_real([0.0, 0.0, 1.0])
     with pytest.raises(DegenerateSample):
-        lyapunov_sphere_direction(p, SlicePoint(0.3, 0.4, UNIT_I), 20)
+        lyapunov_sphere_direction(p, 0.3, 0.4, 20)
     with pytest.raises(ValueError):
-        lyapunov_sphere_direction(p, SlicePoint(0.5, 0.0, UNIT_I), 5)
-
-
-def test_transfer_apply_constant_and_linearity():
-    assert transfer_apply(CHEB, lambda w: 1.0, 0.7) == pytest.approx(1.0)
-    # the two preimages under z^2 - 2 are +-sqrt(z + 2), so Re averages to 0
-    assert transfer_apply(CHEB, lambda w: w.real, 0.7) == pytest.approx(0.0, abs=1e-10)
+        lyapunov_sphere_direction(p, 0.5, 0.0, 5)
 
 
 def test_mixing_correlation_lag_zero_is_covariance():
@@ -219,7 +211,7 @@ def _former_separated_count(orbits, eps):
 def test_separated_count_equals_former_greedy(coeffs, box, n_max, eps_list):
     p = QPolynomial.from_real(coeffs)
     box = AxialBox(*box)
-    pc = p.restrict_to_slice(UNIT_I)
+    pc = p.restrict_to_slice()
     z, units = _candidate_points(pc, box, 3000, 0, n_units=6, policy=DEFAULT)
     orbits = _orbit_matrix(pc, z, units, n_max)
     for n in range(1, n_max + 1):

@@ -12,7 +12,6 @@ from qbrolin.errors import SolverFailure
 from qbrolin.measures import measure_from_complex_atoms
 from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly
-from qbrolin.quat import UNIT_I
 from qbrolin.roots import (all_roots, cluster_roots, fiber_roots,
                            merge_near, quadratic_roots_many)
 from qbrolin.slicecases import gn_build
@@ -222,7 +221,7 @@ def test_fiber_roots_certificate_raises():
 
 def test_degree_128_one_row_solve_unchanged():
     # the one-slice g_6 of q^2 + I: the largest solve the CLI makes
-    g = gn_build(ComplexPoly([1j, 0.0, 1.0]), 6).restrict_to_slice(UNIT_I)
+    g = gn_build(ComplexPoly([1j, 0.0, 1.0]), 6).restrict_to_slice()
     assert g.degree == 128
     roots = all_roots(g.coeffs)
     assert _same_bits(roots, _ref_all_roots(g.coeffs))
@@ -309,7 +308,7 @@ def test_double_roots_of_a_real_g5_form_32_clusters():
     # g_5 = (P^5)^2 for P = z^2 - 0.12: every root of P^5 is double, and
     # conjugate roots tie in real part, so a run of consecutive roots within
     # a disc splits pairs (50 runs); the window rule keeps all 32
-    g = gn_build(ComplexPoly([-0.12, 0.0, 1.0]), 5).restrict_to_slice(UNIT_I)
+    g = gn_build(ComplexPoly([-0.12, 0.0, 1.0]), 5).restrict_to_slice()
     roots = all_roots(g.coeffs)
     scale = 1.0 + float(np.max(np.abs(roots)))
     assert [m for _, m in cluster_roots(roots, scale)] == [2] * 32
