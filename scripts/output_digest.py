@@ -3,9 +3,11 @@
 Each CONFIG runs in-process through ``qbrolin.cli.main`` with its ``--out``
 set to OUT_ROOT/<config stem>. Stdout gets one line per output file,
 ``<sha256>  <stem>/<file>``, and one ``# <stem>: exit <code>`` line per
-config; the CLI's own summary lines are discarded, and wall times go to
-stderr. Run it on two checkouts with the same configs and compare the
-outputs: any differing line is a changed output.
+config, with the error class after a non-zero code that came with one
+(``# <stem>: exit 2 ConfigError``). The CLI's own summary lines are
+discarded; its stderr and the wall times go to stderr. Run it on two
+checkouts with the same configs and compare the outputs: any differing line
+is a changed output.
 
 ``--workload NAME --seed N`` adds the ops of a benchmark workload, built from
 ``perfbench/workloads.py`` as the benchmark builds them. A CLI op's stem is
@@ -43,8 +45,17 @@ def _timed(stem, fn):
 
 def digest_config(config: Path, stem, out_root: Path):
     out = out_root / stem
-    code = _timed(stem, lambda: cli.main([str(config), "--out", str(out)]))
-    print(f"# {stem}: exit {code}")
+    err = io.StringIO()
+
+    def run():
+        with contextlib.redirect_stderr(err):
+            return cli.main([str(config), "--out", str(out)])
+    code = _timed(stem, run)
+    sys.stderr.write(err.getvalue())
+    # on exit 2 or 3 the CLI's last stderr line is its error as JSON
+    lines = err.getvalue().splitlines()
+    error = f" {json.loads(lines[-1])['error']}" if code in (2, 3) else ""
+    print(f"# {stem}: exit {code}{error}")
     files = sorted(out.iterdir()) if out.is_dir() else []
     for f in files:
         print(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {stem}/{f.name}")

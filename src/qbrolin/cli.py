@@ -1,9 +1,13 @@
 """Command-line front end: config-driven, seeded, file-output experiments.
 
-One JSON config file drives a run; a few flags override scalar fields. Every
-output file is accompanied by a manifest echoing the full effective config
-and the library version, with no timestamps, so identical config + seed
-yields byte-identical CSV/JSON.
+One JSON config file drives a run; a few flags override scalar fields.
+`_MODES` is the one table of modes: each mode's runner and, for each param,
+its default and its check. `load_config` checks every value, defaults
+included, before any file is written, and resolves the config: every param
+and grid key the config leaves out gets its default, and float params become
+floats. Every output file is accompanied by a manifest echoing that resolved
+config (the output directory aside) and the library version, with no
+timestamps, so identical config + seed yields byte-identical CSV/JSON.
 
 Exit codes: 0 success, 2 config validation error, 3 numerical failure.
 Machine-readable error JSON goes to stderr.
@@ -17,6 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,38 +43,12 @@ from .quat import hamilton, inverse, norm_sq, sphere_quadrature
 from .slicecases import (annulus_probes, brolin3_gap, gn_pullback_measure,
                          mu_prime_estimate)
 
-MODES = ("julia", "equilibrium", "green", "delta-star", "lyapunov", "entropy",
-         "mixing", "clt", "one-slice", "general-gap", "verify")
-
 _TOP_KEYS = {"mode", "polynomial", "policy", "grid", "quad_level", "seed",
              "out", "params"}
 # a grid side has round(2 half_width / h) + 1 nodes, from two up to 8193
 # (h = 1/2048 over [-2, 2]: 67M nodes, about 1 GB per complex raster)
 _GRID_DEFAULTS = {"center": [0.0, 0.0], "half_width": 2.0, "h": 1.0 / 128.0}
 _GRID_MAX_SIDE = 8193
-# every other param is one number (equilibrium also takes target as [number])
-_NON_NUMBER_PARAMS = {"kind", "center", "h_list", "eps_list", "box", "n_list"}
-# count params are integers of at least the smallest value with a meaning;
-# a (mode, key) entry overrides the key's: a mixing slope needs lags 2 and 3
-_COUNT_MIN = {"depth": 0, "n_max": 2, "samples": 1, "n_samples": 2,
-              "n_terms": 1, "null_reps": 1, "max_iter": 1, "grid_density": 1,
-              "cells": 1, "sphere_n": 1, "probe_count": 1,
-              ("mixing", "n_max"): 3, ("one-slice", "depth"): 1}
-
-_MODE_PARAMS = {
-    "julia": {"max_iter"},
-    "equilibrium": {"target", "depth"},
-    "green": {"depth"},
-    "delta-star": {"center", "h_list"},
-    "lyapunov": {"n_samples", "sphere_n", "sphere_alpha", "sphere_beta"},
-    "entropy": {"kind", "n_max", "eps_list", "cells", "samples",
-                "box", "grid_density"},
-    "mixing": {"n_max", "samples"},
-    "clt": {"n_terms", "n_samples", "null_reps"},
-    "one-slice": {"depth", "target", "bin_width"},
-    "general-gap": {"a", "b", "n_list", "probe_count"},
-    "verify": set(),
-}
 
 
 def _fmt(x) -> str:
@@ -112,97 +91,6 @@ def _numbers(value, length=None) -> bool:
             and all(map(_is_number, value)) and length in (None, len(value)))
 
 
-# list params: (test, what it asks). delta-star's grids span [-2, 2]^2: its
-# singularity must lie inside and off the real axis, and a refinement order
-# needs two spacings, each at most 1 so the grid has interior nodes
-_LIST_PARAMS = {
-    "box": (lambda v, kind: _numbers(v, 4 if kind == "topological" else 2)
-            and all(lo < hi for lo, hi in zip(v[::2], v[1::2])),
-            "increasing bounds, 4 (topological) or 2 (partition)"),
-    "center": (lambda v, _: _numbers(v, 2) and max(map(abs, v)) < 2
-               and v[1] != 0, "[alpha, beta] in (-2, 2)^2 with beta != 0"),
-    "h_list": (lambda v, _: _numbers(v) and all(0 < h <= 1 for h in v)
-               and len(set(v)) > 1, "two or more distinct spacings in (0, 1]"),
-    "eps_list": (lambda v, _: _numbers(v) and min(v) > 0, "positive numbers"),
-    "n_list": (lambda v, _: _numbers(v) and all(
-        _is_count(n, 1) for n in v), "integers >= 1"),
-}
-
-
-def load_config(path: str, overrides) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = dict(raw)
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
-    mode = cfg.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("quad_level", 3)
-    cfg.setdefault("params", {})
-    cfg.setdefault("out", ".")
-    for key, low in (("seed", 0), ("quad_level", 1)):
-        if not _is_count(cfg[key], low):
-            raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
-    if not isinstance(cfg["params"], dict):
-        raise ConfigError("params must be an object")
-    bad = set(cfg["params"]) - _MODE_PARAMS[mode]
-    if bad:
-        raise ConfigError(f"unknown params for mode {mode}: {sorted(bad)}")
-    for key, value in cfg["params"].items():
-        if (key, mode) == ("target", "equilibrium") and isinstance(value, list) and value:
-            value = value[0]
-        if key not in _NON_NUMBER_PARAMS and not _is_number(value):
-            raise ConfigError(f"params.{key} must be a finite number, got {value!r}")
-        low = _COUNT_MIN.get((mode, key), _COUNT_MIN.get(key))
-        if low is not None and not _is_count(value, low):
-            raise ConfigError(f"params.{key} must be an integer >= {low}, got {value!r}")
-        if key == "bin_width" and not value > 0:
-            raise ConfigError(f"params.bin_width must be positive, got {value!r}")
-    kind = cfg["params"].get("kind", "topological")
-    for key, (ok, what) in _LIST_PARAMS.items():
-        if key in cfg["params"] and not ok(cfg["params"][key], kind):
-            raise ConfigError(f"params.{key} must be a list of finite numbers: "
-                              f"{what}; got {cfg['params'][key]!r}")
-    if "grid" in cfg:
-        g = cfg["grid"]
-        if not isinstance(g, dict) or set(g) - set(_GRID_DEFAULTS):
-            raise ConfigError(f"grid keys must be within {sorted(_GRID_DEFAULTS)}")
-        g = dict(_GRID_DEFAULTS, **g)
-        if not all(_is_number(g[k]) and g[k] > 0 for k in ("half_width", "h")):
-            raise ConfigError("grid.half_width and grid.h must be positive numbers")
-        if not _numbers(g["center"], 2):
-            raise ConfigError(f"grid.center must be two numbers, got {g['center']!r}")
-        side = 2 * g["half_width"] / g["h"]
-        if not (math.isfinite(side) and 2 <= round(side) + 1 <= _GRID_MAX_SIDE):
-            raise ConfigError(
-                f"grid must have 2 to {_GRID_MAX_SIDE} nodes a side, round(2 "
-                f"half_width / h) + 1; 2 half_width / h is {side!r}")
-    if "policy" in cfg:
-        pol = cfg["policy"]
-        types = {f.name: f.type for f in dataclasses.fields(NumericPolicy)}
-        if not isinstance(pol, dict) or set(pol) - set(types):
-            raise ConfigError(f"policy keys must be within {sorted(types)}")
-        for key, value in pol.items():
-            # integer fields are counts >= 1, float fields positive tolerances
-            if not (_is_number(value) and value > 0
-                    and (types[key] is float or isinstance(value, int))):
-                raise ConfigError(f"policy.{key} must be a positive "
-                                  f"{types[key].__name__}, got {value!r}")
-    if mode != "verify" and "polynomial" not in cfg:
-        raise ConfigError(f"mode {mode} requires a polynomial")
-    return cfg
-
-
 def _policy(cfg) -> NumericPolicy:
     if "policy" not in cfg:
         return DEFAULT
@@ -232,7 +120,7 @@ def _cpoly(cfg, policy) -> ComplexPoly:
 
 
 def _grid(cfg) -> SliceGrid:
-    g = dict(_GRID_DEFAULTS, **cfg.get("grid", {}))
+    g = cfg["grid"]
     return SliceGrid.square(complex(*g["center"]), g["half_width"], g["h"])
 
 
@@ -249,8 +137,7 @@ def _manifest(out: Path, stem: str, cfg, extra=None):
 def run_julia(cfg, out: Path, policy):
     pc = _cpoly(cfg, policy)
     grid = _grid(cfg)
-    max_iter = int(cfg["params"].get("max_iter", 60))
-    esc = EscapeParams(escape_radius(pc), max_iter)
+    esc = EscapeParams(escape_radius(pc), cfg["params"]["max_iter"])
     inside = filled_julia_mask(pc, grid, esc)
     write_pgm(out / "julia.pgm", np.where(inside[::-1], 255, 0))
     _manifest(out, "julia", cfg,
@@ -265,11 +152,8 @@ def run_equilibrium(cfg, out: Path, policy):
     p = _qpoly(cfg)
     if not p.has_real_coeffs():
         raise ConfigError("equilibrium mode needs real coefficients")
-    depth = int(cfg["params"].get("depth", 10))
-    target = cfg["params"].get("target", 0.0)
-    if isinstance(target, (list, tuple)):
-        target = target[0]
-    m = brolin_pullback(p, float(target), depth, policy=policy)
+    params = cfg["params"]
+    m = brolin_pullback(p, params["target"], params["depth"], policy=policy)
     write_json(out / "measure.json", m.to_json())
     write_csv(out / "measure.csv", ["kind", "alpha", "rho", "weight"],
               m.rows())
@@ -281,7 +165,7 @@ def run_equilibrium(cfg, out: Path, policy):
 def run_green(cfg, out: Path, policy):
     pc = _cpoly(cfg, policy)
     grid = _grid(cfg)
-    depth = int(cfg["params"].get("depth", 12))
+    depth = cfg["params"]["depth"]
     g = green_field(pc, grid, depth)
     vmax = float(np.max(g.values))
     # an all-zero raster (every node inside K) draws black
@@ -296,14 +180,12 @@ def run_green(cfg, out: Path, policy):
 
 
 def run_delta_star(cfg, out: Path, policy):
-    params = cfg["params"]
-    center = params.get("center", [0.3, 0.4])
-    h_list = params.get("h_list", [1.0 / 64, 1.0 / 128, 1.0 / 256])
+    center = cfg["params"]["center"]
     bump = TestFunction(
         "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
     rows = []
     by_h_real, by_h_pair = {}, {}
-    for h in h_list:
+    for h in cfg["params"]["h_list"]:
         grid = SliceGrid.square(0j, 2.0, h)
         got_r = fundamental_solution_check(center[0], bump, grid)
         want_r = 0.5 * bump.axial(center[0], 0.0)
@@ -314,11 +196,12 @@ def run_delta_star(cfg, out: Path, policy):
     write_csv(out / "delta_star.csv",
               ["h", "real_value", "real_expected", "pair_value",
                "pair_expected"], rows)
+    _, got_r, want_r, got_p, want_p = min(rows, key=lambda row: row[0])
     report = {
-        "real_order": refinement_order(by_h_real, rows[-1][2]),
-        "pair_order": refinement_order(by_h_pair, rows[-1][4]),
-        "finest_real_rel_err": abs(rows[-1][1] / rows[-1][2] - 1.0),
-        "finest_pair_rel_err": abs(rows[-1][3] / rows[-1][4] - 1.0),
+        "real_order": refinement_order(by_h_real, want_r),
+        "pair_order": refinement_order(by_h_pair, want_p),
+        "finest_real_rel_err": abs(got_r / want_r - 1.0),
+        "finest_pair_rel_err": abs(got_p / want_p - 1.0),
     }
     write_json(out / "delta_star.json", report)
     _manifest(out, "delta_star", cfg)
@@ -330,14 +213,12 @@ def run_delta_star(cfg, out: Path, policy):
 def run_lyapunov(cfg, out: Path, policy):
     p, pc = _qpoly(cfg), _cpoly(cfg, policy)
     params = cfg["params"]
-    rep = lyapunov_slice(pc, int(params.get("n_samples", 20000)),
-                         cfg["seed"], policy)
+    rep = lyapunov_slice(pc, params["n_samples"], cfg["seed"], policy)
     result = rep.to_json()
-    beta = float(params.get("sphere_beta", 0.0))
-    if beta > 0:
+    if params["sphere_beta"] > 0:
         result["sphere_direction"] = lyapunov_sphere_direction(
-            p, float(params.get("sphere_alpha", 0.0)), beta,
-            int(params.get("sphere_n", 20)))
+            p, params["sphere_alpha"], params["sphere_beta"],
+            params["sphere_n"])
     write_json(out / "lyapunov.json", result)
     _manifest(out, "lyapunov", cfg)
     print(f"lyapunov: {rep.value:.5f} +- {rep.stderr:.5f}")
@@ -345,29 +226,21 @@ def run_lyapunov(cfg, out: Path, policy):
 
 
 def run_entropy(cfg, out: Path, policy):
-    p = _qpoly(cfg)
-    _cpoly(cfg, policy)  # the estimators work in the reference slice
+    pc = _cpoly(cfg, policy)
     params = cfg["params"]
-    kind = params.get("kind", "topological")
+    kind, box = params["kind"], params["box"]
     if kind == "topological":
-        box = params.get("box", [-2.2, 2.2, 0.0, 1.5])
-        rep = topological_entropy(
-            p, AxialBox(*box), int(params.get("n_max", 8)),
-            params.get("eps_list", [0.2, 0.3]),
-            int(params.get("grid_density", 20000)), cfg["seed"], policy)
+        rep = topological_entropy(pc, AxialBox(*box), params["n_max"],
+                                  params["eps_list"], params["grid_density"],
+                                  cfg["seed"], policy)
         write_csv(out / "entropy_counts.csv", ["n", "count"],
                   rep.params["counts"])
-    elif kind == "partition":
-        box = params.get("box", [-2.0, 2.0])
-        part = interval_partition(box[0], box[1],
-                                  int(params.get("cells", 16)))
-        rep = partition_entropy(p, part, int(params.get("n_max", 8)),
-                                int(params.get("samples", 100000)),
+    else:
+        part = interval_partition(box[0], box[1], params["cells"])
+        rep = partition_entropy(pc, part, params["n_max"], params["samples"],
                                 cfg["seed"], policy)
         write_csv(out / "entropy_counts.csv", ["n", "H_n"],
                   rep.params["H_n"])
-    else:
-        raise ConfigError(f"entropy kind must be topological or partition, got {kind!r}")
     write_json(out / "entropy.json", rep.to_json())
     _manifest(out, "entropy", cfg)
     print(f"entropy ({kind}): {rep.value:.4f} +- {rep.stderr:.4f}")
@@ -380,10 +253,8 @@ def run_mixing(cfg, out: Path, policy):
     panel = {f.name: f for f in standard_panel()}
     # observe |q|^2 at the base point, Re at the forward point: the swapped
     # pair vanishes identically for even maps by parity
-    corr = mixing_correlation(pc, panel["abs2"], panel["re"],
-                              int(params.get("n_max", 10)),
-                              int(params.get("samples", 100000)),
-                              cfg["seed"], policy)
+    corr = mixing_correlation(pc, panel["abs2"], panel["re"], params["n_max"],
+                              params["samples"], cfg["seed"], policy)
     slope = fit_log_slope(corr, n_min=2)
     write_csv(out / "mixing.csv", ["n", "correlation"], corr)
     write_json(out / "mixing.json",
@@ -397,11 +268,10 @@ def run_mixing(cfg, out: Path, policy):
 def run_clt(cfg, out: Path, policy):
     pc = _cpoly(cfg, policy)
     params = cfg["params"]
-    n_samples = int(params.get("n_samples", 10000))
     panel = {f.name: f for f in standard_panel()}
-    res = clt_harness(pc, panel["re"], int(params.get("n_terms", 200)),
-                      n_samples, cfg["seed"], policy)
-    bar = calibrate_ks_null(n_samples, int(params.get("null_reps", 200)),
+    res = clt_harness(pc, panel["re"], params["n_terms"], params["n_samples"],
+                      cfg["seed"], policy)
+    bar = calibrate_ks_null(params["n_samples"], params["null_reps"],
                             cfg["seed"] + 1)
     report = {"ks": res.ks_statistic, "sigma": res.sigma_hat,
               "degenerate": res.degenerate, "null_95": bar,
@@ -415,11 +285,9 @@ def run_clt(cfg, out: Path, policy):
 def run_one_slice(cfg, out: Path, policy):
     pc = _cpoly(cfg, policy)
     params = cfg["params"]
-    depth = int(params.get("depth", 6))
-    target = float(params.get("target", 0.0))
+    depth, target = params["depth"], params["target"]
     mp = mu_prime_estimate(pc, cfg["quad_level"], depth, target,
-                           float(params.get("bin_width", 1.0 / 128.0)),
-                           policy)
+                           params["bin_width"], policy)
     mg = gn_pullback_measure(pc, target, depth, policy)
     dist = weak_distance(mg, mp)
     write_json(out / "mu_prime.json", mp.to_json())
@@ -435,18 +303,16 @@ def run_one_slice(cfg, out: Path, policy):
 def run_general_gap(cfg, out: Path, policy):
     p = _qpoly(cfg)
     params = cfg["params"]
-    a = float(params.get("a", 0.0))
-    b = float(params.get("b", 1.0))
-    n_list = params.get("n_list", list(range(1, 9)))
-    probes = annulus_probes(int(params.get("probe_count", 100)))
-    rows = [[n, brolin3_gap(p, a, b, int(n), probes, policy=policy)]
-            for n in n_list]
+    a, b = params["a"], params["b"]
+    probes = annulus_probes(params["probe_count"])
+    rows = [[n, brolin3_gap(p, a, b, n, probes, policy=policy)]
+            for n in params["n_list"]]
     write_csv(out / "gap.csv", ["n", "gap"], rows)
+    n_max, final_gap = max(rows, key=lambda row: row[0])
     write_json(out / "gap.json",
-               {"a": a, "b": b, "final_gap": rows[-1][1],
-                "n_max": rows[-1][0]})
+               {"a": a, "b": b, "final_gap": final_gap, "n_max": n_max})
     _manifest(out, "gap", cfg)
-    print(f"general-gap: gap({rows[-1][0]}) = {rows[-1][1]:.3e}")
+    print(f"general-gap: gap({n_max}) = {final_gap:.3e}")
     return 0
 
 
@@ -533,26 +399,158 @@ def run_verify(cfg, out: Path, policy):
     return 0 if all(o for _, o, _ in checks) else 1
 
 
-_RUNNERS = {
-    "julia": run_julia,
-    "equilibrium": run_equilibrium,
-    "green": run_green,
-    "delta-star": run_delta_star,
-    "lyapunov": run_lyapunov,
-    "entropy": run_entropy,
-    "mixing": run_mixing,
-    "clt": run_clt,
-    "one-slice": run_one_slice,
-    "general-gap": run_general_gap,
-    "verify": run_verify,
+class _Param(NamedTuple):
+    default: object     # a value, or a function of the params resolved before
+    ok: Callable        # (value, params resolved before) -> bool; defaults too
+    what: str           # what ok asks for, for the error message
+    cast: Callable = lambda v: v    # applied to a value that passed ok
+
+
+def _count(default, low):
+    return _Param(default, lambda v, _: _is_number(v) and _is_count(v, low),
+                  f"an integer >= {low}")
+
+
+def _real(default, ok=lambda v: True, what="a finite number"):
+    return _Param(default, lambda v, _: _is_number(v) and ok(v), what, float)
+
+
+# a topological box bounds (alpha, beta), a partition box alpha alone
+_ENTROPY_BOXES = {"topological": [-2.2, 2.2, 0.0, 1.5],
+                  "partition": [-2.0, 2.0]}
+
+# Each mode's runner and params, in the order they resolve. A count param is
+# an integer of at least the smallest value with a meaning: a mixing slope
+# needs lags 2 and 3, an entropy slope two n. delta-star's grids span
+# [-2, 2]^2: its singularity must lie inside and off the real axis, and a
+# refinement order needs two spacings, each at most 1 so that the grid has
+# interior nodes.
+_MODES = {
+    "julia": (run_julia, {"max_iter": _count(60, 1)}),
+    "equilibrium": (run_equilibrium, {
+        "target": _Param(0.0, lambda v, _: _is_number(v) or _numbers(v, 1),
+                         "a finite number or a list of one",
+                         lambda v: float(v[0] if isinstance(v, list) else v)),
+        "depth": _count(10, 0)}),
+    "green": (run_green, {"depth": _count(12, 0)}),
+    "delta-star": (run_delta_star, {
+        "center": _Param([0.3, 0.4], lambda v, _: _numbers(v, 2)
+                         and max(map(abs, v)) < 2 and v[1] != 0,
+                         "[alpha, beta] in (-2, 2)^2 with beta != 0"),
+        "h_list": _Param([1.0 / 64, 1.0 / 128, 1.0 / 256],
+                         lambda v, _: _numbers(v) and len(set(v)) > 1
+                         and all(0 < h <= 1 for h in v),
+                         "two or more distinct spacings in (0, 1]")}),
+    "lyapunov": (run_lyapunov, {
+        "n_samples": _count(20000, 2), "sphere_alpha": _real(0.0),
+        "sphere_beta": _real(0.0), "sphere_n": _count(20, 1)}),
+    "entropy": (run_entropy, {
+        "kind": _Param("topological",
+                       lambda v, _: v in ("topological", "partition"),
+                       "topological or partition"),
+        "box": _Param(lambda params: _ENTROPY_BOXES[params["kind"]],
+                      lambda v, params: _numbers(
+                          v, len(_ENTROPY_BOXES[params["kind"]]))
+                      and all(lo < hi for lo, hi in zip(v[::2], v[1::2])),
+                      "finite increasing bounds, 4 (topological) or 2 "
+                      "(partition)"),
+        "n_max": _count(8, 2),
+        "eps_list": _Param([0.2, 0.3], lambda v, _: _numbers(v) and min(v) > 0,
+                           "a list of finite positive numbers"),
+        "grid_density": _count(20000, 1), "cells": _count(16, 1),
+        "samples": _count(100000, 1)}),
+    "mixing": (run_mixing, {"n_max": _count(10, 3),
+                            "samples": _count(100000, 1)}),
+    "clt": (run_clt, {"n_terms": _count(200, 1), "n_samples": _count(10000, 2),
+                      "null_reps": _count(200, 1)}),
+    "one-slice": (run_one_slice, {
+        "depth": _count(6, 1), "target": _real(0.0), "bin_width": _real(
+            1.0 / 128.0, lambda v: v > 0, "a positive number")}),
+    "general-gap": (run_general_gap, {
+        "a": _real(0.0), "b": _real(1.0),
+        "n_list": _Param(list(range(1, 9)), lambda v, _: _numbers(v) and all(
+            _is_count(n, 1) for n in v), "a list of integers >= 1"),
+        "probe_count": _count(100, 1)}),
+    "verify": (run_verify, {}),
 }
+MODES = tuple(_MODES)
+
+
+def load_config(path: str, overrides) -> dict:
+    """The config at path with the non-None overrides applied, every value
+    checked, and every param and grid key resolved: defaults filled in,
+    float params cast to float. ConfigError names the first bad key."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = set(raw) - _TOP_KEYS
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    cfg = dict(raw)
+    for key, value in overrides.items():
+        if value is not None:
+            cfg[key] = value
+    mode = cfg.get("mode")
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    cfg.setdefault("seed", 0)
+    cfg.setdefault("quad_level", 3)
+    cfg.setdefault("out", ".")
+    for key, low in (("seed", 0), ("quad_level", 1)):
+        if not _is_count(cfg[key], low):
+            raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
+    given, table = cfg.get("params", {}), _MODES[mode][1]
+    if not isinstance(given, dict):
+        raise ConfigError("params must be an object")
+    bad = set(given) - set(table)
+    if bad:
+        raise ConfigError(f"unknown params for mode {mode}: {sorted(bad)}")
+    cfg["params"] = {}
+    for key, spec in table.items():
+        value = given.get(key, spec.default)
+        if callable(value):
+            value = value(cfg["params"])
+        if not spec.ok(value, cfg["params"]):
+            raise ConfigError(
+                f"params.{key} must be {spec.what}, got {value!r}")
+        cfg["params"][key] = spec.cast(value)
+    g = cfg.get("grid", {})
+    if not isinstance(g, dict) or set(g) - set(_GRID_DEFAULTS):
+        raise ConfigError(f"grid keys must be within {sorted(_GRID_DEFAULTS)}")
+    g = cfg["grid"] = dict(_GRID_DEFAULTS, **g)
+    if not all(_is_number(g[k]) and g[k] > 0 for k in ("half_width", "h")):
+        raise ConfigError("grid.half_width and grid.h must be positive numbers")
+    if not _numbers(g["center"], 2):
+        raise ConfigError(f"grid.center must be two numbers, got {g['center']!r}")
+    side = 2 * g["half_width"] / g["h"]
+    if not (math.isfinite(side) and 2 <= round(side) + 1 <= _GRID_MAX_SIDE):
+        raise ConfigError(
+            f"grid must have 2 to {_GRID_MAX_SIDE} nodes a side, round(2 "
+            f"half_width / h) + 1; 2 half_width / h is {side!r}")
+    if "policy" in cfg:
+        pol = cfg["policy"]
+        types = {f.name: f.type for f in dataclasses.fields(NumericPolicy)}
+        if not isinstance(pol, dict) or set(pol) - set(types):
+            raise ConfigError(f"policy keys must be within {sorted(types)}")
+        for key, value in pol.items():
+            # integer fields are counts >= 1, float fields positive tolerances
+            if not (_is_number(value) and value > 0
+                    and (types[key] is float or isinstance(value, int))):
+                raise ConfigError(f"policy.{key} must be a positive "
+                                  f"{types[key].__name__}, got {value!r}")
+    if mode != "verify" and "polynomial" not in cfg:
+        raise ConfigError(f"mode {mode} requires a polynomial")
+    return cfg
 
 
 def run(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     policy = _policy(cfg)
-    return _RUNNERS[cfg["mode"]](cfg, out, policy)
+    return _MODES[cfg["mode"]][0](cfg, out, policy)
 
 
 def main(argv=None) -> int:

@@ -384,16 +384,16 @@ def _tail_fit(pairs, n_max):
     return float(slope), resid
 
 
-def topological_entropy(p: QPolynomial, box: AxialBox, n_max: int,
+def topological_entropy(pc: ComplexPoly, box: AxialBox, n_max: int,
                         eps_list, grid_density: int = 20000, seed: int = 0,
                         policy: NumericPolicy = DEFAULT) -> EstimateReport:
     """sup over eps of the fitted growth slope of log N(K, n, eps).
 
     The fit is least squares on the last max(3, n_max//2) points of
-    log N vs n, reported with the fit residual as stderr. Slice orbits on
-    every unit are quaternion orbits only for real coefficients.
+    log N vs n, reported with the fit residual as stderr. pc is the slice
+    restriction; its orbits on every unit are quaternion orbits only for
+    real coefficients.
     """
-    pc = p.restrict_to_slice(policy)
     if not pc.is_real():
         raise ConfigError("topological entropy needs real coefficients")
     z, units_xyz = _candidate_points(pc, box, grid_density, seed,
@@ -423,10 +423,11 @@ def interval_partition(lo: float, hi: float, cells: int,
             for i in range(cells)]
 
 
-def partition_entropy(p: QPolynomial, partition, n_max: int,
+def partition_entropy(pc: ComplexPoly, partition, n_max: int,
                       samples: int | np.ndarray = 100000, seed: int = 0,
                       policy: NumericPolicy = DEFAULT) -> EstimateReport:
-    """Kolmogorov entropy of the refined partition via itinerary coding.
+    """Kolmogorov entropy of the refined partition via itinerary coding,
+    for the slice restriction pc.
 
     Chain samples give sliding itinerary words (the forward orbit of z_t is
     z_{t-1}, z_{t-2}, ...). A point outside every cell breaks the chain: no
@@ -437,7 +438,6 @@ def partition_entropy(p: QPolynomial, partition, n_max: int,
     reported value is the least-squares slope of H_n vs n on the last
     max(3, n_max//2) points.
     """
-    pc = p.restrict_to_slice(policy)
     if isinstance(samples, np.ndarray):
         z = samples
         lengths = [len(z)]

@@ -7,7 +7,8 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from qbrolin.cli import main
+from qbrolin import cli
+from qbrolin.cli import load_config, main
 
 SQ_MINUS_2 = {"coeffs": [[-2, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
 
@@ -330,6 +331,69 @@ def test_entropy_box_off_the_julia_set_is_a_numerical_failure(tmp_path,
     assert code == 3 and err["error"] == "InvariantViolation"
 
 
+def test_summaries_read_the_finest_spacing_and_the_largest_n(tmp_path):
+    # delta_star.json and gap.json must not depend on the list order
+    gap_poly = {"coeffs": [[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
+    for mode, poly, params, orders, name in [
+            ("delta-star", SQ_MINUS_2, {}, [{"h_list": [1 / 8, 1 / 32]},
+                                            {"h_list": [1 / 32, 1 / 8]}],
+             "delta_star.json"),
+            ("general-gap", gap_poly, {"probe_count": 4},
+             [{"n_list": [1, 4]}, {"n_list": [4, 1]}], "gap.json")]:
+        got = []
+        for i, order in enumerate(orders):
+            out = tmp_path / f"{mode}-{i}"
+            path = _write(tmp_path, "c.json", {
+                "mode": mode, "polynomial": poly,
+                "params": dict(params, **order), "out": str(out)})
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([path]) == 0
+            got.append((out / name).read_text())
+        assert got[0] == got[1], mode
+    assert json.loads(got[0])["n_max"] == 4
+
+
+def test_bad_params_are_refused_before_any_file_is_written(tmp_path, capsys):
+    for cfg, key in [
+            (_q2_minus_1("entropy", {"kind": "bogus"}), "params.kind"),
+            # a target is one number, or a list of exactly one
+            (_q2_minus_1("equilibrium", {"target": [0.5, "x", None]}),
+             "params.target")]:
+        code, err = _config_error(tmp_path, capsys, cfg)
+        assert code == 2 and err["error"] == "ConfigError"
+        assert err["message"].startswith(key)
+        assert not (tmp_path / "out").exists()
+
+
+def test_manifest_echoes_the_resolved_params_and_grid(tmp_path):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "julia", "polynomial": SQ_MINUS_2, "grid": {"h": 0.5},
+        "out": str(out)})
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([cfg]) == 0
+    man = json.loads((out / "julia.manifest.json").read_text())
+    assert man["config"]["params"] == {"max_iter": 60}
+    assert man["config"]["grid"] == {"center": [0.0, 0.0], "half_width": 2.0,
+                                     "h": 0.5}
+    cfg = _write(tmp_path, "c.json", _q2_minus_1(
+        "equilibrium", {"target": [0.25], "depth": 2}, out=str(out)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([cfg]) == 0
+    man = json.loads((out / "measure.manifest.json").read_text())
+    assert man["config"]["params"] == {"target": 0.25, "depth": 2}
+
+
+def test_every_default_passes_its_own_check(tmp_path):
+    # load_config runs each default through its param's check
+    for mode, params in [(m, {}) for m in cli.MODES] + [
+            ("entropy", {"kind": "partition"})]:
+        cfg = load_config(_write(tmp_path, "c.json",
+                                 _q2_minus_1(mode, params)), {})
+        assert set(cfg["params"]) == set(cli._MODES[mode][1]), mode
+    assert cfg["params"]["box"] == [-2.0, 2.0]
+
+
 # Small valid params per mode: every count is small, so that one run takes
 # milliseconds whichever keys the property below replaces.
 _SMALL_PARAMS = {
@@ -348,6 +412,14 @@ _SMALL_PARAMS = {
     "general-gap": {"a": 0.0, "b": 1.0, "n_list": [1, 2], "probe_count": 4},
     "verify": {},
 }
+
+
+def test_small_params_hold_every_param_of_the_table():
+    # the property below draws only these keys
+    assert {mode: set(params) for mode, params in _SMALL_PARAMS.items()} == \
+        {mode: set(table) for mode, (_, table) in cli._MODES.items()}
+
+
 _NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 _number = st.one_of(
     st.integers(-2, 4),

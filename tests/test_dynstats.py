@@ -123,8 +123,8 @@ def test_mixing_correlation_decays():
 def test_partition_entropy_needs_words_of_every_length():
     part = interval_partition(-2.0, 2.0, 4)
     with pytest.raises(InvariantViolation):
-        partition_entropy(QPolynomial.from_real([-2.0, 0.0, 1.0]), part, 4,
-                          samples=np.array([0.5 + 0j, 1.5 + 0j, -0.3 + 0j]))
+        partition_entropy(CHEB, part, 4, samples=np.array(
+            [0.5 + 0j, 1.5 + 0j, -0.3 + 0j]))
 
 
 def test_fit_log_slope():
@@ -230,7 +230,7 @@ def test_separated_count_refuses_escaped_orbits():
 
 
 def test_topological_entropy_report():
-    p = QPolynomial.from_real([0.0, 0.0, 1.0])
+    p = ComplexPoly([0.0, 0.0, 1.0])
     rep = topological_entropy(p, AxialBox(-1.5, 1.5, 0.0, 1.5), 5,
                               [0.25], grid_density=4000, seed=0)
     assert rep.name == "topological_entropy"
@@ -242,7 +242,7 @@ def test_topological_entropy_report():
 def test_topological_entropy_refuses_nonreal_coefficients():
     # off a real map the slice orbit placed on every unit is not the
     # quaternion orbit, so a count of separated orbits measures nothing
-    p = QPolynomial(np.array([[0, 0.3, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]))
+    p = ComplexPoly([0.3j, 0.0, 1.0])
     with pytest.raises(ConfigError):
         topological_entropy(p, AxialBox(-1.5, 1.5, 0.0, 1.5), 3, [0.3],
                             grid_density=200, seed=0)
@@ -261,7 +261,7 @@ def test_partition_entropy_breaks_words_at_dropped_points():
     # (0, 0) and (1, 1) occur, in equal numbers
     run = [0.5, 0.5, 0.5, 5.0, 1.5, 1.5, 1.5, 5.0]
     z = np.array(run * 50, dtype=complex)
-    rep = partition_entropy(QPolynomial.from_real([0.0, 0.0, 1.0]),
+    rep = partition_entropy(ComplexPoly([0.0, 0.0, 1.0]),
                             interval_partition(0.0, 2.0, 2), 3, samples=z)
     h = dict(rep.params["H_n"])
     words = 4 * 50      # two 2-words per run, two runs per repeat
@@ -277,7 +277,7 @@ def test_partition_entropy_breaks_words_at_chain_boundaries(monkeypatch):
     cells = np.repeat([0.25, 0.75, 1.25, 1.75], lengths).astype(complex)
     monkeypatch.setattr(dyn, "SAMPLER_CHAINS", 4)
     monkeypatch.setattr(dyn, "sample_mu", lambda *a, **k: cells)
-    rep = dyn.partition_entropy(QPolynomial.from_real([0.0, 0.0, 1.0]),
+    rep = dyn.partition_entropy(ComplexPoly([0.0, 0.0, 1.0]),
                                 interval_partition(0.0, 2.0, 4), 3,
                                 samples=40)
     h = dict(rep.params["H_n"])
@@ -287,7 +287,6 @@ def test_partition_entropy_breaks_words_at_chain_boundaries(monkeypatch):
 
 
 def test_partition_entropy_chebyshev():
-    p = QPolynomial.from_real([-2.0, 0.0, 1.0])
-    rep = partition_entropy(p, interval_partition(-2.0, 2.0, 8), 8,
+    rep = partition_entropy(CHEB, interval_partition(-2.0, 2.0, 8), 8,
                             samples=20000, seed=0)
     assert rep.value == pytest.approx(math.log(2.0), abs=0.15)
