@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 from .errors import (BudgetExceeded, CoefficientOffSlice, ConfigError,
                      DegenerateSample, ExceptionalTarget, InvariantViolation,
                      ProbeOnFiber, QBrolinError, SolverFailure, ZeroDivisor)
-from .policy import DEFAULT, NumericPolicy
 from .quat import hamilton, inverse, norm_sq, sphere_quadrature
 from .poly import ComplexPoly, QPolynomial, evaluate
 from .grids import GridField, SliceGrid
-from .cdyn import (EscapeParams, escape_radius, filled_julia_mask,
-                   green_field, is_exceptional, preimage_tree, solve_fiber)
+from .cdyn import (escape_radius, filled_julia_mask, green_field,
+                   is_exceptional, preimage_tree, solve_fiber)
 from .measures import (EmpiricalMeasure, TestFunction, brolin_pullback,
                        measure_from_complex_atoms, pair, pushforward,
                        standard_panel, weak_distance)

@@ -20,12 +20,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolation
 from .grids import GridField, SliceGrid
-from .policy import DEFAULT, NumericPolicy
+from .policy import CLUSTER_TOL, EXCEPTIONAL_DEPTH
 from .poly import ComplexPoly
 from .roots import all_roots, cluster_roots, fiber_roots, merge_near
 
 __all__ = [
-    "EscapeParams",
     "PreimageNode",
     "escape_radius",
     "green_field",
@@ -42,14 +41,6 @@ def _ledger_switch(d: int) -> float:
     lower-order correction is bounded by ~1/switch.
     """
     return 10.0 ** min(30.0, 250.0 / d)
-
-
-@dataclass(frozen=True)
-class EscapeParams:
-    """Escape test parameters; radius must guarantee |z| > R implies escape."""
-
-    radius: float
-    max_iter: int
 
 
 def escape_radius(p: ComplexPoly) -> float:
@@ -110,16 +101,16 @@ def green_field(p: ComplexPoly, grid: SliceGrid, n: int) -> GridField:
     return GridField(grid, values.reshape(grid.ny, grid.nx))
 
 
-def solve_fiber(p: ComplexPoly, w: complex, policy: NumericPolicy = DEFAULT):
+def solve_fiber(p: ComplexPoly, w: complex):
     """All d roots of p(z) = w with multiplicity, residual-certified.
 
     Returns list of (root, multiplicity) with multiplicities summing to d.
     """
     if p.degree < 1:
         raise ValueError("fiber solve needs degree >= 1")
-    roots = all_roots(p.shifted(w).coeffs, policy)
+    roots = all_roots(p.shifted(w).coeffs)
     scale = 1.0 + float(np.max(np.abs(roots))) if len(roots) else 1.0
-    return cluster_roots(roots, scale, policy)
+    return cluster_roots(roots, scale)
 
 
 @dataclass(frozen=True)
@@ -131,12 +122,11 @@ class PreimageNode:
     multiplicity: int
 
 
-def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20,
-                  policy: NumericPolicy = DEFAULT):
+def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20):
     """All d^n depth-n preimages of a, counted with multiplicity.
 
     Each level is one `fiber_roots` solve over all the points of the level
-    above; coincident points (merge_near, radius cluster_tol * (1 + max|z|))
+    above; coincident points (merge_near, radius CLUSTER_TOL * (1 + max|z|))
     then become their cluster head, carrying the summed multiplicity.
     """
     d = p.degree
@@ -144,9 +134,9 @@ def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20,
         raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {budget}")
     points, mults = np.array([complex(a)]), np.array([1])
     for _ in range(n):
-        points = fiber_roots(p.coeffs, points, policy).reshape(-1)
+        points = fiber_roots(p.coeffs, points).reshape(-1)
         scale = 1.0 + float(np.max(np.abs(points)))
-        order, head = merge_near(points, policy.cluster_tol * scale)
+        order, head = merge_near(points, CLUSTER_TOL * scale)
         heads, cluster = np.unique(head, return_inverse=True)
         points = points[order][heads]
         mults = np.bincount(cluster, np.repeat(mults, d)[order]).astype(int)
@@ -157,28 +147,28 @@ def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20,
 
 
 def filled_julia_mask(p: ComplexPoly, grid: SliceGrid,
-                      esc: EscapeParams) -> np.ndarray:
-    """Boolean raster: node is inside iff its orbit stays <= R for max_iter."""
-    step, _ = _escape(p, grid.mesh(), esc.max_iter, esc.radius)
-    return (step == esc.max_iter).reshape(grid.ny, grid.nx)
+                      max_iter: int) -> np.ndarray:
+    """Boolean raster: node is inside iff its orbit stays within
+    escape_radius(p) for max_iter steps."""
+    step, _ = _escape(p, grid.mesh(), max_iter, escape_radius(p))
+    return (step == max_iter).reshape(grid.ny, grid.nx)
 
 
-def is_exceptional(p: ComplexPoly, a: complex,
-                   policy: NumericPolicy = DEFAULT) -> bool:
+def is_exceptional(p: ComplexPoly, a: complex) -> bool:
     """True iff the backward orbit of a stays a set of <= deg p points.
 
     For complex polynomials of degree >= 2 the exceptional set has at most
     one finite point (a critical fixed point of full multiplicity), so a
     non-exceptional backward orbit exceeds d points within two levels;
-    policy.exceptional_depth levels add margin.
+    EXCEPTIONAL_DEPTH levels add margin.
     """
     if p.degree < 2:
         raise ValueError("exceptional screening needs degree >= 2")
     current = np.array([complex(a)])
-    for _ in range(policy.exceptional_depth):
-        pts = fiber_roots(p.coeffs, current, policy).reshape(-1)
+    for _ in range(EXCEPTIONAL_DEPTH):
+        pts = fiber_roots(p.coeffs, current).reshape(-1)
         scale = 1.0 + float(np.max(np.abs(pts)))
-        order, head = merge_near(pts, policy.cluster_tol * scale)
+        order, head = merge_near(pts, CLUSTER_TOL * scale)
         current = pts[order][np.unique(head)]
         if len(current) > p.degree:
             return False

@@ -16,7 +16,6 @@ Machine-readable error JSON goes to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -26,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .cdyn import EscapeParams, escape_radius, filled_julia_mask, green_field
+from .cdyn import escape_radius, filled_julia_mask, green_field
 from .dynstats import (AxialBox, calibrate_ks_null, clt_harness,
                        fit_log_slope, interval_partition, lyapunov_slice,
                        lyapunov_sphere_direction, mixing_correlation,
@@ -37,14 +36,13 @@ from .laplacian import (fundamental_solution_check, measure_from_green,
                         refinement_order, sphere_kernel_check)
 from .measures import (TestFunction, brolin_pullback, pair,
                        pushforward, standard_panel, weak_distance)
-from .policy import DEFAULT, NumericPolicy
 from .poly import ComplexPoly, QPolynomial, evaluate
 from .quat import hamilton, inverse, norm_sq, sphere_quadrature
 from .slicecases import (annulus_probes, brolin3_gap, gn_pullback_measure,
                          mu_prime_estimate)
 
-_TOP_KEYS = {"mode", "polynomial", "policy", "grid", "quad_level", "seed",
-             "out", "params"}
+_TOP_KEYS = {"mode", "polynomial", "grid", "quad_level", "seed", "out",
+             "params"}
 # a grid side has round(2 half_width / h) + 1 nodes, from two up to 8193
 # (h = 1/2048 over [-2, 2]: 67M nodes, about 1 GB per complex raster)
 _GRID_DEFAULTS = {"center": [0.0, 0.0], "half_width": 2.0, "h": 1.0 / 128.0}
@@ -91,10 +89,10 @@ def _numbers(value, length=None) -> bool:
             and all(map(_is_number, value)) and length in (None, len(value)))
 
 
-def _policy(cfg) -> NumericPolicy:
-    if "policy" not in cfg:
-        return DEFAULT
-    return dataclasses.replace(DEFAULT, **cfg["policy"])
+def _side_fits(span, h) -> bool:
+    # round(span / h) + 1 nodes a side, from two up to _GRID_MAX_SIDE
+    side = span / h
+    return math.isfinite(side) and 2 <= round(side) + 1 <= _GRID_MAX_SIDE
 
 
 def _qpoly(cfg) -> QPolynomial:
@@ -107,10 +105,10 @@ def _qpoly(cfg) -> QPolynomial:
     return p
 
 
-def _cpoly(cfg, policy) -> ComplexPoly:
+def _cpoly(cfg) -> ComplexPoly:
     """The config polynomial over the reference slice C_i, or ConfigError."""
     try:
-        pc = _qpoly(cfg).restrict_to_slice(policy)
+        pc = _qpoly(cfg).restrict_to_slice()
     except CoefficientOffSlice as exc:
         raise ConfigError(f"polynomial must lie in the reference slice: {exc}")
     if pc.degree < 2:
@@ -134,26 +132,26 @@ def _manifest(out: Path, stem: str, cfg, extra=None):
     write_json(out / f"{stem}.manifest.json", man)
 
 
-def run_julia(cfg, out: Path, policy):
-    pc = _cpoly(cfg, policy)
+def run_julia(cfg, out: Path):
+    pc = _cpoly(cfg)
     grid = _grid(cfg)
-    esc = EscapeParams(escape_radius(pc), cfg["params"]["max_iter"])
-    inside = filled_julia_mask(pc, grid, esc)
+    radius = escape_radius(pc)
+    inside = filled_julia_mask(pc, grid, cfg["params"]["max_iter"])
     write_pgm(out / "julia.pgm", np.where(inside[::-1], 255, 0))
     _manifest(out, "julia", cfg,
               {"inside_fraction": float(np.mean(inside)),
-               "escape_radius": esc.radius})
+               "escape_radius": radius})
     print(f"julia: {inside.sum()} / {inside.size} nodes inside, "
-          f"R = {esc.radius:.3g}")
+          f"R = {radius:.3g}")
     return 0
 
 
-def run_equilibrium(cfg, out: Path, policy):
+def run_equilibrium(cfg, out: Path):
     p = _qpoly(cfg)
     if not p.has_real_coeffs():
         raise ConfigError("equilibrium mode needs real coefficients")
     params = cfg["params"]
-    m = brolin_pullback(p, params["target"], params["depth"], policy=policy)
+    m = brolin_pullback(p, params["target"], params["depth"])
     write_json(out / "measure.json", m.to_json())
     write_csv(out / "measure.csv", ["kind", "alpha", "rho", "weight"],
               m.rows())
@@ -162,8 +160,8 @@ def run_equilibrium(cfg, out: Path, policy):
     return 0
 
 
-def run_green(cfg, out: Path, policy):
-    pc = _cpoly(cfg, policy)
+def run_green(cfg, out: Path):
+    pc = _cpoly(cfg)
     grid = _grid(cfg)
     depth = cfg["params"]["depth"]
     g = green_field(pc, grid, depth)
@@ -179,7 +177,7 @@ def run_green(cfg, out: Path, policy):
     return 0
 
 
-def run_delta_star(cfg, out: Path, policy):
+def run_delta_star(cfg, out: Path):
     center = cfg["params"]["center"]
     bump = TestFunction(
         "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
@@ -210,10 +208,10 @@ def run_delta_star(cfg, out: Path, policy):
     return 0
 
 
-def run_lyapunov(cfg, out: Path, policy):
-    p, pc = _qpoly(cfg), _cpoly(cfg, policy)
+def run_lyapunov(cfg, out: Path):
+    p, pc = _qpoly(cfg), _cpoly(cfg)
     params = cfg["params"]
-    rep = lyapunov_slice(pc, params["n_samples"], cfg["seed"], policy)
+    rep = lyapunov_slice(pc, params["n_samples"], cfg["seed"])
     result = rep.to_json()
     if params["sphere_beta"] > 0:
         result["sphere_direction"] = lyapunov_sphere_direction(
@@ -225,20 +223,20 @@ def run_lyapunov(cfg, out: Path, policy):
     return 0
 
 
-def run_entropy(cfg, out: Path, policy):
-    pc = _cpoly(cfg, policy)
+def run_entropy(cfg, out: Path):
+    pc = _cpoly(cfg)
     params = cfg["params"]
     kind, box = params["kind"], params["box"]
     if kind == "topological":
         rep = topological_entropy(pc, AxialBox(*box), params["n_max"],
                                   params["eps_list"], params["grid_density"],
-                                  cfg["seed"], policy)
+                                  cfg["seed"])
         write_csv(out / "entropy_counts.csv", ["n", "count"],
                   rep.params["counts"])
     else:
         part = interval_partition(box[0], box[1], params["cells"])
         rep = partition_entropy(pc, part, params["n_max"], params["samples"],
-                                cfg["seed"], policy)
+                                cfg["seed"])
         write_csv(out / "entropy_counts.csv", ["n", "H_n"],
                   rep.params["H_n"])
     write_json(out / "entropy.json", rep.to_json())
@@ -247,14 +245,14 @@ def run_entropy(cfg, out: Path, policy):
     return 0
 
 
-def run_mixing(cfg, out: Path, policy):
-    pc = _cpoly(cfg, policy)
+def run_mixing(cfg, out: Path):
+    pc = _cpoly(cfg)
     params = cfg["params"]
     panel = {f.name: f for f in standard_panel()}
     # observe |q|^2 at the base point, Re at the forward point: the swapped
     # pair vanishes identically for even maps by parity
     corr = mixing_correlation(pc, panel["abs2"], panel["re"], params["n_max"],
-                              params["samples"], cfg["seed"], policy)
+                              params["samples"], cfg["seed"])
     slope = fit_log_slope(corr, n_min=2)
     write_csv(out / "mixing.csv", ["n", "correlation"], corr)
     write_json(out / "mixing.json",
@@ -265,12 +263,12 @@ def run_mixing(cfg, out: Path, policy):
     return 0
 
 
-def run_clt(cfg, out: Path, policy):
-    pc = _cpoly(cfg, policy)
+def run_clt(cfg, out: Path):
+    pc = _cpoly(cfg)
     params = cfg["params"]
     panel = {f.name: f for f in standard_panel()}
     res = clt_harness(pc, panel["re"], params["n_terms"], params["n_samples"],
-                      cfg["seed"], policy)
+                      cfg["seed"])
     bar = calibrate_ks_null(params["n_samples"], params["null_reps"],
                             cfg["seed"] + 1)
     report = {"ks": res.ks_statistic, "sigma": res.sigma_hat,
@@ -282,13 +280,13 @@ def run_clt(cfg, out: Path, policy):
     return 0
 
 
-def run_one_slice(cfg, out: Path, policy):
-    pc = _cpoly(cfg, policy)
+def run_one_slice(cfg, out: Path):
+    pc = _cpoly(cfg)
     params = cfg["params"]
     depth, target = params["depth"], params["target"]
     mp = mu_prime_estimate(pc, cfg["quad_level"], depth, target,
-                           params["bin_width"], policy)
-    mg = gn_pullback_measure(pc, target, depth, policy)
+                           params["bin_width"])
+    mg = gn_pullback_measure(pc, target, depth)
     dist = weak_distance(mg, mp)
     write_json(out / "mu_prime.json", mp.to_json())
     write_json(out / "gn_pullback.json", mg.to_json())
@@ -300,12 +298,12 @@ def run_one_slice(cfg, out: Path, policy):
     return 0
 
 
-def run_general_gap(cfg, out: Path, policy):
+def run_general_gap(cfg, out: Path):
     p = _qpoly(cfg)
     params = cfg["params"]
     a, b = params["a"], params["b"]
     probes = annulus_probes(params["probe_count"])
-    rows = [[n, brolin3_gap(p, a, b, n, probes, policy=policy)]
+    rows = [[n, brolin3_gap(p, a, b, n, probes)]
             for n in params["n_list"]]
     write_csv(out / "gap.csv", ["n", "gap"], rows)
     n_max, final_gap = max(rows, key=lambda row: row[0])
@@ -316,7 +314,7 @@ def run_general_gap(cfg, out: Path, policy):
     return 0
 
 
-def run_verify(cfg, out: Path, policy):
+def run_verify(cfg, out: Path):
     """Fast invariant suite; exit 0 iff all checks pass."""
     seed = cfg["seed"]
     checks = []
@@ -364,15 +362,15 @@ def run_verify(cfg, out: Path, policy):
           abs(np.sum(weights) - 4.0 * math.pi) < 1e-12)
 
     p2 = QPolynomial.from_real([-2.0, 0.0, 1.0])
-    nu = brolin_pullback(p2, 0.0, 8, policy=policy)
+    nu = brolin_pullback(p2, 0.0, 8)
     check("pullback mass", abs(nu.total_mass() - 1.0) < 1e-12)
-    push = pushforward(p2, nu, policy)
+    push = pushforward(p2, nu)
     dist = weak_distance(push, nu)
     check("pushforward invariance", dist < 0.05, f"distance {dist:.4f}")
 
-    pc = p2.restrict_to_slice(policy)
-    s1 = sample_mu(pc, 500, seed, policy=policy)
-    s2 = sample_mu(pc, 500, seed, policy=policy)
+    pc = p2.restrict_to_slice()
+    s1 = sample_mu(pc, 500, seed)
+    s2 = sample_mu(pc, 500, seed)
     check("sampler determinism", np.array_equal(s1, s2))
     check("sampler stays on Julia set",
           float(np.max(np.abs(s1.imag))) < 1e-9
@@ -424,7 +422,7 @@ _ENTROPY_BOXES = {"topological": [-2.2, 2.2, 0.0, 1.5],
 # needs lags 2 and 3, an entropy slope two n. delta-star's grids span
 # [-2, 2]^2: its singularity must lie inside and off the real axis, and a
 # refinement order needs two spacings, each at most 1 so that the grid has
-# interior nodes.
+# interior nodes, and each with at most _GRID_MAX_SIDE nodes a side.
 _MODES = {
     "julia": (run_julia, {"max_iter": _count(60, 1)}),
     "equilibrium": (run_equilibrium, {
@@ -439,8 +437,10 @@ _MODES = {
                          "[alpha, beta] in (-2, 2)^2 with beta != 0"),
         "h_list": _Param([1.0 / 64, 1.0 / 128, 1.0 / 256],
                          lambda v, _: _numbers(v) and len(set(v)) > 1
-                         and all(0 < h <= 1 for h in v),
-                         "two or more distinct spacings in (0, 1]")}),
+                         and all(0 < h <= 1 and _side_fits(4.0, h)
+                                 for h in v),
+                         "two or more distinct spacings h in (0, 1], "
+                         f"round(4 / h) + 1 <= {_GRID_MAX_SIDE}")}),
     "lyapunov": (run_lyapunov, {
         "n_samples": _count(20000, 2), "sphere_alpha": _real(0.0),
         "sphere_beta": _real(0.0), "sphere_n": _count(20, 1)}),
@@ -525,22 +525,11 @@ def load_config(path: str, overrides) -> dict:
         raise ConfigError("grid.half_width and grid.h must be positive numbers")
     if not _numbers(g["center"], 2):
         raise ConfigError(f"grid.center must be two numbers, got {g['center']!r}")
-    side = 2 * g["half_width"] / g["h"]
-    if not (math.isfinite(side) and 2 <= round(side) + 1 <= _GRID_MAX_SIDE):
+    if not _side_fits(2 * g["half_width"], g["h"]):
         raise ConfigError(
             f"grid must have 2 to {_GRID_MAX_SIDE} nodes a side, round(2 "
-            f"half_width / h) + 1; 2 half_width / h is {side!r}")
-    if "policy" in cfg:
-        pol = cfg["policy"]
-        types = {f.name: f.type for f in dataclasses.fields(NumericPolicy)}
-        if not isinstance(pol, dict) or set(pol) - set(types):
-            raise ConfigError(f"policy keys must be within {sorted(types)}")
-        for key, value in pol.items():
-            # integer fields are counts >= 1, float fields positive tolerances
-            if not (_is_number(value) and value > 0
-                    and (types[key] is float or isinstance(value, int))):
-                raise ConfigError(f"policy.{key} must be a positive "
-                                  f"{types[key].__name__}, got {value!r}")
+            f"half_width / h) + 1; 2 half_width / h is "
+            f"{2 * g['half_width'] / g['h']!r}")
     if mode != "verify" and "polynomial" not in cfg:
         raise ConfigError(f"mode {mode} requires a polynomial")
     return cfg
@@ -549,8 +538,7 @@ def load_config(path: str, overrides) -> dict:
 def run(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    policy = _policy(cfg)
-    return _MODES[cfg["mode"]][0](cfg, out, policy)
+    return _MODES[cfg["mode"]][0](cfg, out)
 
 
 def main(argv=None) -> int:

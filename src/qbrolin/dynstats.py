@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from .cdyn import is_exceptional
 from .errors import (ConfigError, DegenerateSample, ExceptionalTarget,
                      InvariantViolation, SolverFailure)
-from .policy import DEFAULT, NumericPolicy
+from .policy import BURN_IN
 from .poly import ComplexPoly, QPolynomial
 from .quat import norm_sq, sphere_quadrature
 from .roots import fiber_roots
@@ -49,11 +49,13 @@ __all__ = [
     "interval_partition",
 ]
 
-_DEFAULT_START = complex(0.41, 0.37)
+_START = complex(0.41, 0.37)
 # Chains of the backward-orbit sampler: enough rows for one batched fiber
 # solve per step to pay off, few enough that each chain runs long past its
 # burn-in at the sample counts the estimators use.
 SAMPLER_CHAINS = 64
+# samples per batch of transfer-operator trees in _level_phi_means
+_PHI_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,10 @@ class AxialBox:
                 & (beta >= self.beta_lo) & (beta <= self.beta_hi))
 
 
-def _chain_step(p: ComplexPoly, targets, rng, policy):
+def _chain_step(p: ComplexPoly, targets, rng):
     """One backward step for an array of chain heads: a uniform pick among
     each head's d fiber roots, counted with multiplicity."""
-    roots = fiber_roots(p.coeffs, targets, policy)
+    roots = fiber_roots(p.coeffs, targets)
     pick = rng.integers(0, p.degree, size=len(targets))
     return roots[np.arange(len(targets)), pick]
 
@@ -102,14 +104,13 @@ def _chain_lengths(count: int, chains: int) -> np.ndarray:
 
 
 def sample_mu(p: ComplexPoly, count: int, seed: int, *,
-              chains: int = SAMPLER_CHAINS, start: complex = _DEFAULT_START,
-              policy: NumericPolicy = DEFAULT) -> np.ndarray:
+              chains: int = SAMPLER_CHAINS) -> np.ndarray:
     """`count` mu_I-distributed points from backward random orbits run in
     lockstep, as one flat chain-major array.
 
-    min(count, chains) chains all start at `start`; each step solves the
-    fibers of every chain head in one `fiber_roots` call and draws one pick
-    per chain. After policy.burn_in steps, each chain records its head, then
+    min(count, chains) chains all start at 0.41 + 0.37i; each step solves
+    the fibers of every chain head in one `fiber_roots` call and draws one
+    pick per chain. After BURN_IN steps, each chain records its head, then
     steps. Chain lengths differ by at most one, longer chains first; within a chain
     consecutive points satisfy p(z_{t+1}) = z_t (up to the solver).
     Deterministic given (seed, params).
@@ -118,24 +119,24 @@ def sample_mu(p: ComplexPoly, count: int, seed: int, *,
         raise ValueError("sampling needs degree >= 2")
     if chains < 1:
         raise ValueError("sampling needs at least one chain")
-    if is_exceptional(p, start, policy=policy):
-        raise ExceptionalTarget(f"start point {start} is exceptional")
+    if is_exceptional(p, _START):
+        raise ExceptionalTarget(f"start point {_START} is exceptional")
     lengths = _chain_lengths(count, chains)
     steps = int(lengths[0])
     rng = np.random.default_rng(seed)
-    z = np.full(len(lengths), start, dtype=complex)
-    for _ in range(policy.burn_in):
-        z = _chain_step(p, z, rng, policy)
+    z = np.full(len(lengths), _START, dtype=complex)
+    for _ in range(BURN_IN):
+        z = _chain_step(p, z, rng)
     out = np.empty((len(lengths), steps), dtype=complex)
     for t in range(steps):
         out[:, t] = z
         if t + 1 < steps:
-            z = _chain_step(p, z, rng, policy)
+            z = _chain_step(p, z, rng)
     return out[np.arange(steps) < lengths[:, None]]
 
 
-def lyapunov_slice(p: ComplexPoly, n_samples: int, seed: int,
-                   policy: NumericPolicy = DEFAULT) -> EstimateReport:
+def lyapunov_slice(p: ComplexPoly, n_samples: int,
+                   seed: int) -> EstimateReport:
     """Slice-direction exponent: Birkhoff average of log|p'(z)| over mu_I.
 
     Samples with |p'(z)| <= 1e-12 (at a critical point, where the log
@@ -143,7 +144,7 @@ def lyapunov_slice(p: ComplexPoly, n_samples: int, seed: int,
     params["dropped_critical"] counts the dropped ones.
     """
     dp = p.derivative()
-    z = sample_mu(p, n_samples, seed, policy=policy)
+    z = sample_mu(p, n_samples, seed)
     vals = np.abs(dp(z))
     good = vals > 1e-12
     dropped = int(np.sum(~good))
@@ -186,7 +187,7 @@ def _slice_values(f, z):
     return np.asarray(f.axial(z.real, np.abs(z.imag)), dtype=float)
 
 
-def _level_phi_means(p: ComplexPoly, phi, z, n_max, policy, batch=1024):
+def _level_phi_means(p: ComplexPoly, phi, z, n_max):
     """(L^n phi)(z_t) for n = 0..n_max: fiber-tree averages per sample.
 
     L is the normalized transfer operator (Lf)(z) = d^-1 sum_{p(w)=z} f(w);
@@ -195,17 +196,17 @@ def _level_phi_means(p: ComplexPoly, phi, z, n_max, policy, batch=1024):
     """
     out = np.empty((n_max + 1, len(z)))
     out[0] = _slice_values(phi, z)
-    for lo in range(0, len(z), batch):
-        w = np.asarray(z[lo:lo + batch])[:, None]
+    for lo in range(0, len(z), _PHI_BATCH):
+        w = np.asarray(z[lo:lo + _PHI_BATCH])[:, None]
         for n in range(1, n_max + 1):
-            w = fiber_roots(p.coeffs, w.ravel(), policy).reshape(w.shape[0], -1)
+            w = fiber_roots(p.coeffs, w.ravel()).reshape(w.shape[0], -1)
             vals = _slice_values(phi, w.ravel()).reshape(w.shape)
             out[n, lo:lo + w.shape[0]] = vals.mean(axis=1)
     return out
 
 
 def mixing_correlation(p: ComplexPoly, phi, psi, n_max: int, samples: int,
-                       seed: int, policy: NumericPolicy = DEFAULT):
+                       seed: int):
     """corr(n) = <mu, (psi o p^n) phi> - <mu,phi><mu,psi> for n = 0..n_max.
 
     With z ~ mu and w a uniform fiber-tree leaf over p^n(w) = z, the pairing
@@ -213,9 +214,9 @@ def mixing_correlation(p: ComplexPoly, phi, psi, n_max: int, samples: int,
     instead of one random leaf keeps the noise proportional to the decaying
     signal, which a plain lagged-chain covariance cannot do.
     """
-    z = sample_mu(p, samples, seed, policy=policy)
+    z = sample_mu(p, samples, seed)
     psi_s = _slice_values(psi, z)
-    lphi = _level_phi_means(p, phi, z, n_max, policy)
+    lphi = _level_phi_means(p, phi, z, n_max)
     out = []
     for n in range(n_max + 1):
         corr = float(np.mean(psi_s * lphi[n])
@@ -246,8 +247,8 @@ class CltResult:
     n_samples: int
 
 
-def clt_harness(p: ComplexPoly, phi, n_terms: int, n_samples: int, seed: int,
-                policy: NumericPolicy = DEFAULT) -> CltResult:
+def clt_harness(p: ComplexPoly, phi, n_terms: int, n_samples: int,
+                seed: int) -> CltResult:
     """Distribution of S_n/sqrt(n) = n^{-1/2} sum_i phi(p^i z) over mu starts.
 
     phi is centered internally by its empirical mean over all visited points.
@@ -257,7 +258,7 @@ def clt_harness(p: ComplexPoly, phi, n_terms: int, n_samples: int, seed: int,
     """
     # many independent one-point chains, not a few long ones: the sums
     # need independent starts
-    z = sample_mu(p, n_samples, seed, chains=n_samples, policy=policy)
+    z = sample_mu(p, n_samples, seed, chains=n_samples)
     if np.max(np.abs(z.imag)) <= 1e-8:
         # burn-in leaves a residual transverse component that the forward
         # expansion would double each step; a real Julia set is numerically
@@ -321,14 +322,14 @@ def _orbit_matrix(pc: ComplexPoly, z0, units_xyz, n):
 
 
 def _candidate_points(pc: ComplexPoly, box: AxialBox, count: int, seed: int,
-                      n_units: int, policy: NumericPolicy):
+                      n_units: int):
     """Candidate slice points on the measure support, inside the box,
     with units cycling through a deterministic quadrature node set.
 
     Sampling on the support (backward orbit) instead of a blind raster keeps
     the candidate set where the separation actually happens.
     """
-    z = sample_mu(pc, count, seed, policy=policy)
+    z = sample_mu(pc, count, seed)
     alpha, beta = z.real, np.abs(z.imag)
     keep = box.contains(alpha, beta)
     z = (alpha + 1j * beta)[keep]
@@ -385,8 +386,8 @@ def _tail_fit(pairs, n_max):
 
 
 def topological_entropy(pc: ComplexPoly, box: AxialBox, n_max: int,
-                        eps_list, grid_density: int = 20000, seed: int = 0,
-                        policy: NumericPolicy = DEFAULT) -> EstimateReport:
+                        eps_list, grid_density: int = 20000,
+                        seed: int = 0) -> EstimateReport:
     """sup over eps of the fitted growth slope of log N(K, n, eps).
 
     The fit is least squares on the last max(3, n_max//2) points of
@@ -396,8 +397,7 @@ def topological_entropy(pc: ComplexPoly, box: AxialBox, n_max: int,
     """
     if not pc.is_real():
         raise ConfigError("topological entropy needs real coefficients")
-    z, units_xyz = _candidate_points(pc, box, grid_density, seed,
-                                     n_units=6, policy=policy)
+    z, units_xyz = _candidate_points(pc, box, grid_density, seed, n_units=6)
     if not len(z):
         raise InvariantViolation("no sampled point of the Julia set lies in "
                                  "the entropy box")
@@ -424,8 +424,8 @@ def interval_partition(lo: float, hi: float, cells: int,
 
 
 def partition_entropy(pc: ComplexPoly, partition, n_max: int,
-                      samples: int | np.ndarray = 100000, seed: int = 0,
-                      policy: NumericPolicy = DEFAULT) -> EstimateReport:
+                      samples: int | np.ndarray = 100000,
+                      seed: int = 0) -> EstimateReport:
     """Kolmogorov entropy of the refined partition via itinerary coding,
     for the slice restriction pc.
 
@@ -442,7 +442,7 @@ def partition_entropy(pc: ComplexPoly, partition, n_max: int,
         z = samples
         lengths = [len(z)]
     else:
-        z = sample_mu(pc, int(samples), seed, policy=policy)
+        z = sample_mu(pc, int(samples), seed)
         lengths = _chain_lengths(int(samples), SAMPLER_CHAINS)
     alpha, beta = z.real, np.abs(z.imag)
     symbols = np.full(len(z), -1, dtype=np.int64)

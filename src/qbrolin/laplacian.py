@@ -21,7 +21,6 @@ from .cdyn import green_field
 from .errors import InvariantViolation
 from .grids import GridField, SliceGrid
 from .measures import EmpiricalMeasure, TestFunction, measure_from_complex_atoms
-from .policy import DEFAULT, NumericPolicy
 from .poly import QPolynomial
 
 __all__ = [
@@ -33,6 +32,9 @@ __all__ = [
     "refinement_order",
     "raster_to_measure",
 ]
+
+# largest share of the raster mass measure_from_green may clamp to zero
+_CLAMP_LIMIT = 0.05
 
 
 def slice_laplacian(f: GridField) -> GridField:
@@ -108,9 +110,7 @@ def sphere_kernel_check(alpha0: float, beta0: float, bump: TestFunction,
     return computed, float(bump.axial(alpha0, beta0))
 
 
-def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid,
-                       policy: NumericPolicy = DEFAULT,
-                       clamp_limit: float = 0.05):
+def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid):
     """Density raster of the equilibrium measure: (1/2pi) Delta_2D G_n.
 
     slice_laplacian carries the 1/4 normalization, so the density is
@@ -118,24 +118,23 @@ def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid,
     unit mass of the probability measure. Negative values (the log+ kink of
     G_n makes the stencil overshoot on the outer side of the level curve)
     are clamped to zero; returns (density field, clamp_mass). Clamp mass
-    above clamp_limit of the total is a failed run and raises.
+    above _CLAMP_LIMIT of the total is a failed run and raises.
     """
-    pc = p.restrict_to_slice(policy)
+    pc = p.restrict_to_slice()
     g = green_field(pc, grid, n)
     lap = slice_laplacian(g)
     density = (2.0 / math.pi) * lap.values
     clamp_mass = float(-np.sum(np.minimum(density, 0.0)) * grid.h ** 2)
     density = np.maximum(density, 0.0)
     total = float(np.sum(density) * grid.h ** 2)
-    if total > 0 and clamp_mass > clamp_limit * total:
+    if total > 0 and clamp_mass > _CLAMP_LIMIT * total:
         raise InvariantViolation(
             f"clamped negative mass {clamp_mass:.3g} exceeds "
-            f"{clamp_limit:.0%} of total {total:.3g}")
+            f"{_CLAMP_LIMIT:.0%} of total {total:.3g}")
     return GridField(grid, density, lap.mask), clamp_mass
 
 
-def raster_to_measure(density: GridField,
-                      policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
+def raster_to_measure(density: GridField) -> EmpiricalMeasure:
     """Convert a density raster to an atomic measure on grid nodes.
 
     Node (alpha, beta) with mass density*h^2 > 0 becomes a slice atom at
@@ -147,7 +146,7 @@ def raster_to_measure(density: GridField,
     w = np.where(density.mask, 0.0, density.values) * h2
     keep = w > 0.0
     m = measure_from_complex_atoms(z[keep].ravel(), w[keep].ravel(),
-                                   meta={"source": "raster"}, policy=policy)
+                                   meta={"source": "raster"})
     return m.scaled(1.0 / m.total_mass()) if m.total_mass() > 0 else m
 
 

@@ -6,7 +6,7 @@ is a real point; one with rho > 0 is the 2-sphere S_{alpha+I rho}.
 
 Every measure built from complex slice atoms goes through one fold and one
 merge. The fold sends z and its conjugate to the same (Re z, |Im z|), with
-rho snapped to 0 within real_axis_tol of the real axis. The merge is
+rho snapped to 0 within REAL_AXIS_TOL of the real axis. The merge is
 `roots.merge_near`, run on real points and spheres apart; each cluster keeps
 its head atom with the summed weight. A depth-n pullback gives each complex
 fiber root mass 1/d^n, so a real root of multiplicity m becomes a real point
@@ -27,7 +27,7 @@ import numpy as np
 
 from .cdyn import is_exceptional, preimage_tree
 from .errors import ExceptionalTarget, InvariantViolation
-from .policy import DEFAULT, NumericPolicy
+from .policy import CLUSTER_TOL, REAL_AXIS_TOL
 from .poly import QPolynomial
 from .roots import merge_near
 
@@ -130,29 +130,28 @@ def standard_panel():
     ]
 
 
-def _fold_merge(z, weight, meta, policy: NumericPolicy) -> EmpiricalMeasure:
+def _fold_merge(z, weight, meta) -> EmpiricalMeasure:
     """Complex slice atoms -> one measure: z and its conjugate fold onto
-    (Re z, rho = |Im z|), rho = 0 when |Im z| <= real_axis_tol * (1 + |z|);
+    (Re z, rho = |Im z|), rho = 0 when |Im z| <= REAL_AXIS_TOL * (1 + |z|);
     then each kind (rho = 0, rho > 0) goes through merge_near on alpha + i
-    rho at radius cluster_tol * (1 + |alpha| + rho), heads keeping the
+    rho at radius CLUSTER_TOL * (1 + |alpha| + rho), heads keeping the
     weights summed in (alpha, rho) order."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     weight = np.asarray(weight, dtype=float).reshape(-1)
     rho = np.abs(z.imag)
-    rho[rho <= policy.real_axis_tol * (1.0 + np.abs(z))] = 0.0
+    rho[rho <= REAL_AXIS_TOL * (1.0 + np.abs(z))] = 0.0
     parts, sphere = [], rho > 0
     for kind in (~sphere, sphere):
         a, r, w = z.real[kind], rho[kind], weight[kind]
         order, head = merge_near(a + 1j * r,
-                                 policy.cluster_tol * (1.0 + np.abs(a) + r))
+                                 CLUSTER_TOL * (1.0 + np.abs(a) + r))
         heads, cluster = np.unique(head, return_inverse=True)
         parts.append((a[order][heads], r[order][heads],
                       np.bincount(cluster, w[order])))
     return EmpiricalMeasure(*(np.concatenate(x) for x in zip(*parts)), meta)
 
 
-def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
-                    policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
+def brolin_pullback(p: QPolynomial, a: float, n: int) -> EmpiricalMeasure:
     """nu_n: the depth-n normalized preimage measure of a real target a.
 
     p must have real coefficients and degree >= 2; a is screened against the
@@ -160,17 +159,16 @@ def brolin_pullback(p: QPolynomial, a: float, n: int, budget: int = 1 << 20,
     """
     if not p.has_real_coeffs():
         raise ValueError("brolin_pullback requires real coefficients")
-    pc = p.restrict_to_slice(policy)
+    pc = p.restrict_to_slice()
     d = pc.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
-    if is_exceptional(pc, complex(a), policy=policy):
+    if is_exceptional(pc, complex(a)):
         raise ExceptionalTarget(f"target {a} is exceptional for this polynomial")
-    nodes = preimage_tree(pc, complex(a), n, budget, policy)
+    nodes = preimage_tree(pc, complex(a), n)
     mults = np.array([nd.multiplicity for nd in nodes])
     meta = {"polynomial": p.to_json(), "target": a, "depth": n}
-    m = _fold_merge([nd.point for nd in nodes], mults / float(d) ** n, meta,
-                    policy)
+    m = _fold_merge([nd.point for nd in nodes], mults / float(d) ** n, meta)
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"pullback mass {m.total_mass()} != 1")
     return m
@@ -190,19 +188,18 @@ def weak_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure,
     return max(abs(pair(m1, f) - pair(m2, f)) for f in panel)
 
 
-def pushforward(p: QPolynomial, m: EmpiricalMeasure,
-                policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
+def pushforward(p: QPolynomial, m: EmpiricalMeasure) -> EmpiricalMeasure:
     """p_* m: atoms map forward; spheres map to spheres (or collapse to
     real points) under a real-coefficient polynomial; weights preserved."""
     if not p.has_real_coeffs():
         raise ValueError("pushforward requires real coefficients")
-    pc = p.restrict_to_slice(policy)
+    pc = p.restrict_to_slice()
     images = pc(m.alpha + 1j * m.rho)
-    return _fold_merge(images, m.weight, m.meta, policy)
+    return _fold_merge(images, m.weight, m.meta)
 
 
-def measure_from_complex_atoms(points, weights, meta=None,
-                               policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
+def measure_from_complex_atoms(points, weights,
+                               meta=None) -> EmpiricalMeasure:
     """Build an axially symmetric measure from complex slice atoms.
 
     Conjugate mass is folded onto rho = |Im z|; callers supply both halves
@@ -212,4 +209,4 @@ def measure_from_complex_atoms(points, weights, meta=None,
     points = np.asarray(points, dtype=complex).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
     keep = ~(weights <= 0)  # a NaN weight is kept, and refused
-    return _fold_merge(points[keep], weights[keep], meta or {}, policy)
+    return _fold_merge(points[keep], weights[keep], meta or {})

@@ -1,31 +1,24 @@
-"""Global numeric policy: every tolerance that appears in more than one place.
+"""Every tolerance that appears in more than one place, as a fixed constant.
 
-A single mutable instance `DEFAULT` is shared by the library; callers that
-need different thresholds construct their own record and pass it explicitly.
+The results the library reports (a preimage atom's multiplicity, a certified
+fiber root, a sample after burn-in) are functions of these values; none of
+them is settable, so a run's numbers depend only on its inputs.
 """
 
-from dataclasses import dataclass, field
-
-
-@dataclass
-class NumericPolicy:
-    # absolute tolerance on the off-plane component in restrict_to_slice
-    off_slice_tol: float = 1e-12
-    # relative residual bound for certified fiber roots: |p(z)-w| <= tol*(1+|w|)
-    fiber_residual_tol: float = 1e-9
-    # clustering radius (times scale) for multiplicity detection
-    cluster_tol: float = 1e-7
-    # |Im z| below cluster scale counts as a real root in atom classification
-    real_axis_tol: float = 1e-7
-    # default backward-orbit burn-in
-    burn_in: int = 30
-    # depth of the exceptional-point screening
-    exceptional_depth: int = 5
-    # hard cap on polynomial coefficient counts
-    degree_budget: int = 4096
-    # Aberth iteration controls
-    aberth_max_iter: int = 200
-    aberth_tol: float = 1e-14
-
-
-DEFAULT = NumericPolicy()
+# absolute tolerance on the off-plane component in restrict_to_slice
+OFF_SLICE_TOL = 1e-12
+# relative residual bound for certified fiber roots: |p(z)-w| <= tol*(1+|w|)
+FIBER_RESIDUAL_TOL = 1e-9
+# clustering radius (times scale) for multiplicity detection
+CLUSTER_TOL = 1e-7
+# |Im z| below cluster scale counts as a real root in atom classification
+REAL_AXIS_TOL = 1e-7
+# backward-orbit burn-in
+BURN_IN = 30
+# depth of the exceptional-point screening
+EXCEPTIONAL_DEPTH = 5
+# hard cap on polynomial coefficient counts
+DEGREE_BUDGET = 4096
+# Aberth iteration controls
+ABERTH_MAX_ITER = 200
+ABERTH_TOL = 1e-14

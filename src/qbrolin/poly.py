@@ -17,10 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoefficientOffSlice
-from .policy import DEFAULT, NumericPolicy
+from .policy import OFF_SLICE_TOL
 from .quat import hamilton, inverse
 
 __all__ = ["QPolynomial", "ComplexPoly", "evaluate"]
+
+# largest imaginary part (absolute) of a coefficient that counts as real
+_REAL_TOL = 1e-12
 
 
 def evaluate(coeffs, q):
@@ -129,26 +132,25 @@ class QPolynomial:
             acc = acc + power.star_mul(QPolynomial(self.coeffs[n:n + 1]))
         return acc
 
-    def has_real_coeffs(self, tol=1e-12):
-        return self.max_imag_coeff() <= tol
+    def has_real_coeffs(self):
+        return self.max_imag_coeff() <= _REAL_TOL
 
     def max_imag_coeff(self):
         _, x, y, z = self.coeffs.T
         return float(np.max(np.sqrt(x * x + y * y + z * z), initial=0.0))
 
-    def restrict_to_slice(self,
-                          policy: NumericPolicy = DEFAULT) -> "ComplexPoly":
+    def restrict_to_slice(self) -> "ComplexPoly":
         """The complex polynomial w + x i of the reference slice C_i.
 
         Every coefficient must lie in C_i (off-plane part |(y, z)| below
-        policy.off_slice_tol), else CoefficientOffSlice with the first
+        OFF_SLICE_TOL), else CoefficientOffSlice with the first
         offending index.
         """
         w, x, y, z = self.coeffs.T
         # hypot: squares of coefficients near 1e300 would overflow to inf
         off = np.hypot(y, z)
         norm = np.hypot(np.hypot(w, x), off)
-        bad = np.flatnonzero(off > policy.off_slice_tol * np.maximum(1.0, norm))
+        bad = np.flatnonzero(off > OFF_SLICE_TOL * np.maximum(1.0, norm))
         if bad.size:
             raise CoefficientOffSlice(int(bad[0]), float(off[bad[0]]))
         out = w.astype(complex)
@@ -228,8 +230,8 @@ class ComplexPoly:
     def conj_coeffs(self) -> "ComplexPoly":
         return ComplexPoly(np.conj(self.coeffs))
 
-    def is_real(self, tol=1e-12):
-        return bool(np.all(np.abs(self.coeffs.imag) <= tol))
+    def is_real(self):
+        return bool(np.all(np.abs(self.coeffs.imag) <= _REAL_TOL))
 
     def lift(self) -> QPolynomial:
         """Lift back to a QPolynomial with coefficients in C_i."""

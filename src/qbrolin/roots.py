@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SolverFailure
-from .policy import DEFAULT, NumericPolicy
+from .policy import (ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL,
+                     FIBER_RESIDUAL_TOL)
 
 __all__ = ["all_roots", "cluster_roots", "fiber_roots", "merge_near",
            "quadratic_roots_many"]
@@ -34,7 +35,7 @@ def _horner(coeffs, z):
     return acc
 
 
-def all_roots(coeffs, policy: NumericPolicy = DEFAULT):
+def all_roots(coeffs):
     """Roots (with repetitions) of sum coeffs[k] z^k, ascending coefficients.
 
     Returns an ndarray of length deg, sorted by (real, imag). Raises
@@ -45,10 +46,10 @@ def all_roots(coeffs, policy: NumericPolicy = DEFAULT):
         coeffs = coeffs[:-1]
     if len(coeffs) < 2:
         return np.array([], dtype=complex)
-    return _certified_rows(coeffs, coeffs[:1], policy)[0]
+    return _certified_rows(coeffs, coeffs[:1])[0]
 
 
-def fiber_roots(coeffs, targets, policy: NumericPolicy = DEFAULT):
+def fiber_roots(coeffs, targets):
     """Every root of p(z) = t (coeffs ascending, leading one nonzero) for
     each target t: an (N, d) array, one row per target.
 
@@ -66,8 +67,8 @@ def fiber_roots(coeffs, targets, policy: NumericPolicy = DEFAULT):
     out = np.empty((len(c0s), deg), dtype=complex)
     step = max(1, _BLOCK // (deg * deg))
     for lo in range(0, len(c0s), step):
-        rows = _certified_rows(coeffs, c0s[lo:lo + step], policy)
-        out[lo:lo + step] = _clustered(rows, policy)
+        rows = _certified_rows(coeffs, c0s[lo:lo + step])
+        out[lo:lo + step] = _clustered(rows)
     return out
 
 
@@ -80,11 +81,11 @@ def _closed_form(coeffs, c0s):
     return quadratic_roots_many(c0s, coeffs[1], coeffs[2])
 
 
-def _certified_rows(coeffs, c0s, policy: NumericPolicy):
+def _certified_rows(coeffs, c0s):
     """Roots of the polynomials coeffs with constant terms c0s, one row each:
     polished, residual-certified and sorted by (real, imag) within rows."""
     z = (_closed_form(coeffs, c0s) if len(coeffs) <= 3
-         else _aberth(coeffs, c0s, policy))
+         else _aberth(coeffs, c0s))
     # backward-error residual: |p(z)| against sum |c_k| max(1,|z|)^k
     # (the max keeps clustered roots near the origin certifiable)
     col = c0s[:, None]
@@ -92,7 +93,7 @@ def _certified_rows(coeffs, c0s, policy: NumericPolicy):
                     np.maximum(np.abs(z), 1.0))
     resid = np.abs(_horner([col, *coeffs[1:]], z)) / np.maximum(bound, 1e-300)
     worst = np.max(resid, axis=1)
-    if not np.all(worst <= policy.fiber_residual_tol):
+    if not np.all(worst <= FIBER_RESIDUAL_TOL):
         raise SolverFailure(float(np.max(worst)))
     order = np.lexsort((z.imag, z.real), axis=-1)
     return np.take_along_axis(z, order, axis=1)
@@ -118,7 +119,7 @@ def quadratic_roots_many(c0s, c1, c2):
     return out
 
 
-def _aberth(coeffs, c0s, policy: NumericPolicy):
+def _aberth(coeffs, c0s):
     """Aberth-Ehrlich iteration on every row, then a 3-step Newton polish.
 
     A row leaves the active set when its own step test passes, so it does
@@ -141,7 +142,7 @@ def _aberth(coeffs, c0s, policy: NumericPolicy):
     z = np.maximum(radius, 1e-12)[:, None] * np.exp(1j * angles)
     active, za, col = np.arange(len(c0s)), z.copy(), c0s[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(policy.aberth_max_iter):
+        for _ in range(ABERTH_MAX_ITER):
             p, dp = _horner([col, *hi], za), _horner(dco, za)
             newton = np.divide(p, dp, out=np.zeros(p.shape, complex),
                                where=dp != 0)
@@ -151,13 +152,13 @@ def _aberth(coeffs, c0s, policy: NumericPolicy):
             step = np.divide(newton, denom, out=newton.copy(), where=denom != 0)
             za = za - step
             done = (np.abs(step).max(axis=1)
-                    < policy.aberth_tol * (1.0 + np.abs(za).max(axis=1)))
+                    < ABERTH_TOL * (1.0 + np.abs(za).max(axis=1)))
             if done.any():
                 z[active[done]] = za[done]
                 if done.all():
                     break
                 active, za, col = active[~done], za[~done], col[~done]
-        else:   # aberth_max_iter reached: rows still active keep their last iterate
+        else:   # ABERTH_MAX_ITER reached: rows still active keep their last iterate
             z[active] = za
     for _ in range(3):
         p, dp = _horner([c0s[:, None], *hi], z), _horner(dco, z)
@@ -168,7 +169,7 @@ def _aberth(coeffs, c0s, policy: NumericPolicy):
     return z
 
 
-def _clustered(rows, policy: NumericPolicy):
+def _clustered(rows):
     """Sorted root rows -> cluster means repeated by multiplicity.
 
     A row with no two roots within twice the cluster radius has nothing to
@@ -176,25 +177,25 @@ def _clustered(rows, policy: NumericPolicy):
     only clears signed zeros); the other rows go through cluster_roots.
     """
     scale = 1.0 + np.max(np.abs(rows), axis=1)
-    tol = 2.0 * policy.cluster_tol * np.maximum(scale, 1.0)
+    tol = 2.0 * CLUSTER_TOL * np.maximum(scale, 1.0)
     close = np.abs(rows[:, :, None] - rows[:, None, :]) <= tol[:, None, None]
     out = rows + 0.0
     # every root is close to itself: a row with more close pairs than roots
     # has a cluster
     for i in np.flatnonzero(close.sum(axis=(1, 2)) > rows.shape[1]):
-        clusters = cluster_roots(rows[i], float(scale[i]), policy)
+        clusters = cluster_roots(rows[i], float(scale[i]))
         out[i] = np.repeat([c for c, _ in clusters], [m for _, m in clusters])
     return out
 
 
-def cluster_roots(roots, scale, policy: NumericPolicy = DEFAULT):
+def cluster_roots(roots, scale):
     """Group near-identical roots; returns list of (center, multiplicity).
 
-    Clusters of merge_near at radius cluster_tol * max(scale, 1), centered
+    Clusters of merge_near at radius CLUSTER_TOL * max(scale, 1), centered
     at their means and sorted by (real, imag).
     """
     roots = np.asarray(roots, dtype=complex).reshape(-1)
-    order, head = merge_near(roots, policy.cluster_tol * max(scale, 1.0))
+    order, head = merge_near(roots, CLUSTER_TOL * max(scale, 1.0))
     roots = roots[order]
     heads, cluster, counts = np.unique(head, return_inverse=True,
                                        return_counts=True)

@@ -27,7 +27,7 @@ from .cdyn import is_exceptional, preimage_tree, solve_fiber
 from .errors import (BudgetExceeded, ConfigError, ExceptionalTarget,
                      InvariantViolation, ProbeOnFiber)
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
-from .policy import DEFAULT, NumericPolicy
+from .policy import DEGREE_BUDGET, FIBER_RESIDUAL_TOL
 from .poly import ComplexPoly, QPolynomial
 
 __all__ = [
@@ -40,21 +40,29 @@ __all__ = [
 ]
 
 
-def _realify(f: QPolynomial, scale: float, tol: float = 1e-10) -> QPolynomial:
-    """Check coefficients are real to tolerance, then drop the imaginary parts.
+# largest imaginary part of a symmetrized coefficient, relative to the
+# magnitude its convolution summed, that _realify accepts as rounding
+_REALIFY_TOL = 1e-10
+
+
+def _realify(f: QPolynomial, scale: float) -> QPolynomial:
+    """Check coefficients are finite and real to tolerance, then drop the
+    imaginary parts.
 
     scale is the magnitude the convolution producing f actually summed
     (symmetrization cancels heavily, so the output coefficients can sit many
     orders below the products whose rounding sets the error floor).
     """
-    if f.max_imag_coeff() > tol * scale:
+    bad = int(np.sum(~np.isfinite(f.coeffs).all(axis=1)))
+    if bad:
+        raise InvariantViolation(f"{bad} non-finite coefficients")
+    if f.max_imag_coeff() > _REALIFY_TOL * scale:
         raise InvariantViolation(
             f"expected real coefficients, worst imaginary part {f.max_imag_coeff():.3g}")
     return QPolynomial.from_real(f.coeffs[:, 0])
 
 
-def gn_build(pc: ComplexPoly, n: int,
-             policy: NumericPolicy = DEFAULT) -> QPolynomial:
+def gn_build(pc: ComplexPoly, n: int) -> QPolynomial:
     """g_n = (P^n_I)^s: iterate within the slice, lift, symmetrize.
 
     pc holds P's coefficients x + I y as complex numbers x + i y. C_I is a
@@ -64,8 +72,8 @@ def gn_build(pc: ComplexPoly, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     d = pc.degree
-    if d ** n > policy.degree_budget:
-        raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {policy.degree_budget}")
+    if d ** n > DEGREE_BUDGET:
+        raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {DEGREE_BUDGET}")
     pn = pc.iterate_poly(n)
     if pc.is_real():
         sq = ComplexPoly(np.convolve(pn.coeffs, pn.coeffs))
@@ -77,14 +85,14 @@ def gn_build(pc: ComplexPoly, n: int,
     return g
 
 
-def _screen_gn_target(pc: ComplexPoly, a: float, policy: NumericPolicy):
+def _screen_gn_target(pc: ComplexPoly, a: float):
     """Exceptional screening of a real target through g_1's slice restriction."""
-    g1 = gn_build(pc, 1, policy).restrict_to_slice(policy)
-    if is_exceptional(g1, complex(a), policy=policy):
+    g1 = gn_build(pc, 1).restrict_to_slice()
+    if is_exceptional(g1, complex(a)):
         raise ExceptionalTarget(f"target {a} is exceptional for g_n")
 
 
-def _binned(points, weights, bin_width, meta, policy):
+def _binned(points, weights, bin_width, meta):
     """Aggregate slice atoms into (alpha, rho) bins of the given width.
 
     Bin mass sits at the weighted mean of its members, which keeps first
@@ -102,12 +110,12 @@ def _binned(points, weights, bin_width, meta, policy):
     w = np.bincount(bin_of, weights)
     means = (np.bincount(bin_of, weights * alpha)
              + 1j * np.bincount(bin_of, weights * rho)) / w
-    return measure_from_complex_atoms(means, w, meta=meta, policy=policy)
+    return measure_from_complex_atoms(means, w, meta=meta)
 
 
 def mu_prime_estimate(pc: ComplexPoly, quad_level: int, n: int,
-                      a: float = 0.0, bin_width: float = 1.0 / 128.0,
-                      policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
+                      a: float = 0.0,
+                      bin_width: float = 1.0 / 128.0) -> EmpiricalMeasure:
     """Estimator of mu' from depth-n Brolin pullbacks of the real target a.
 
     P(., J) has the same complex coefficients pc for every unit J, so in
@@ -120,54 +128,52 @@ def mu_prime_estimate(pc: ComplexPoly, quad_level: int, n: int,
     d = pc.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
-    _screen_gn_target(pc, a, policy)
+    _screen_gn_target(pc, a)
 
     points, weights = [], []
     for half in (pc, pc.conj_coeffs()):
-        nodes = preimage_tree(half, complex(a), n, policy.degree_budget,
-                              policy)
+        nodes = preimage_tree(half, complex(a), n, DEGREE_BUDGET)
         points.extend(nd.point for nd in nodes)
         weights.extend(nd.multiplicity / float(d) ** n / 2.0 for nd in nodes)
     meta = {"estimator": "mu_prime", "depth": n, "target": a,
             "quad_level": quad_level, "bin_width": bin_width,
             "binning": {"width": bin_width, "rule": "weighted-mean"}}
-    m = _binned(points, weights, bin_width, meta, policy)
+    m = _binned(points, weights, bin_width, meta)
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"mu' mass {m.total_mass()} != 1")
     return m
 
 
-def gn_pullback_measure(pc: ComplexPoly, a: float, n: int,
-                        policy: NumericPolicy = DEFAULT) -> EmpiricalMeasure:
+def gn_pullback_measure(pc: ComplexPoly, a: float,
+                        n: int) -> EmpiricalMeasure:
     """Normalized fiber measure of the real target a under g_n.
 
     g_n has real coefficients and degree 2 d^n; each complex fiber root
     carries 1/(2 d^n), and conjugate roots fold onto one sphere.
     """
-    g = gn_build(pc, n, policy)
-    _screen_gn_target(pc, a, policy)
-    gc = g.restrict_to_slice(policy)
-    fiber = solve_fiber(gc, complex(a), policy)
+    g = gn_build(pc, n)
+    _screen_gn_target(pc, a)
+    gc = g.restrict_to_slice()
+    fiber = solve_fiber(gc, complex(a))
     meta = {"estimator": "gn_pullback", "depth": n, "target": a}
     m = measure_from_complex_atoms([z for z, _ in fiber],
                                    [mult / gc.degree for _, mult in fiber],
-                                   meta=meta, policy=policy)
+                                   meta=meta)
     if abs(m.total_mass() - 1.0) > 1e-6:
         raise InvariantViolation(f"g_n fiber mass {m.total_mass()} != 1")
     return m
 
 
-def hn_build(p: QPolynomial, n: int,
-             policy: NumericPolicy = DEFAULT) -> QPolynomial:
+def hn_build(p: QPolynomial, n: int) -> QPolynomial:
     """h_n = (p^{bullet n})^s for arbitrary quaternionic coefficients."""
     d = p.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if 2 * d ** n > policy.degree_budget:
+    if 2 * d ** n > DEGREE_BUDGET:
         raise BudgetExceeded(
-            f"2 d^n = {2 * d ** n} exceeds budget {policy.degree_budget}")
+            f"2 d^n = {2 * d ** n} exceeds budget {DEGREE_BUDGET}")
     it = p
     for _ in range(n - 1):
         it = p.bullet_compose(it)
@@ -192,20 +198,20 @@ def annulus_probes(count: int = 100) -> np.ndarray:
 
 
 def brolin3_gap(p: QPolynomial, a: float, b: float, n: int,
-                probe_points=None,
-                policy: NumericPolicy = DEFAULT) -> float:
+                probe_points=None) -> float:
     """max over probes of |d^-n (log|h_n(q) - a| - log|h_n(q) - b|)|.
 
     h_n has real coefficients, so its value on the sphere of a slice probe
     z = alpha + i beta is read off h_n(z) on C_i; probes are complex points.
     Probes too close to a fiber of a or b are skipped; an empty surviving
-    probe set raises ProbeOnFiber. a and b are not screened for finite
-    h-orbits: bounded targets routinely have them, while the gap statement,
-    probed away from the fibers, is insensitive to that.
+    probe set raises ProbeOnFiber, and a non-finite |h_n - a| or |h_n - b|
+    at any probe raises InvariantViolation. a and b are not screened for
+    finite h-orbits: bounded targets routinely have them, while the gap
+    statement, probed away from the fibers, is insensitive to that.
     """
     if a == b:
         return 0.0
-    hc = hn_build(p, n, policy).restrict_to_slice(policy)
+    hc = hn_build(p, n).restrict_to_slice()
     d = p.degree
     gap = 0.0
     survivors = 0
@@ -213,7 +219,9 @@ def brolin3_gap(p: QPolynomial, a: float, b: float, n: int,
     for z in (probe_points if probe_points is not None else annulus_probes()):
         v = hc(z)
         da, db = abs(v - a), abs(v - b)
-        if min(da, db) < policy.fiber_residual_tol * (1.0 + abs(v)):
+        if not (math.isfinite(da) and math.isfinite(db)):
+            raise InvariantViolation(f"h_{n} is not finite at probe {z}")
+        if min(da, db) < FIBER_RESIDUAL_TOL * (1.0 + abs(v)):
             continue  # on (or hugging) a fiber; skip this probe
         survivors += 1
         gap = max(gap, abs(math.log(da) - math.log(db)) / float(d) ** n)

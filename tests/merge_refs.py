@@ -17,14 +17,14 @@ interleaved with another point in the (real, imag) order.
 import numpy as np
 
 from qbrolin.measures import EmpiricalMeasure
-from qbrolin.policy import DEFAULT
+from qbrolin.policy import CLUSTER_TOL, REAL_AXIS_TOL
 
 
-def ref_cluster_roots(roots, scale, policy=DEFAULT):
+def ref_cluster_roots(roots, scale):
     roots = np.asarray(roots, dtype=complex)
     if len(roots) == 0:
         return []
-    tol = policy.cluster_tol * max(scale, 1.0)
+    tol = CLUSTER_TOL * max(scale, 1.0)
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
     used = np.zeros(len(roots), dtype=bool)
@@ -41,11 +41,11 @@ def ref_cluster_roots(roots, scale, policy=DEFAULT):
     return clusters
 
 
-def ref_merge_level(points, mults, scale, policy=DEFAULT):
+def ref_merge_level(points, mults, scale):
     order = np.lexsort((np.imag(points), np.real(points)))
     points = np.asarray(points)[order]
     mults = np.asarray(mults)[order]
-    tol = policy.cluster_tol * max(scale, 1.0)
+    tol = CLUSTER_TOL * max(scale, 1.0)
     out_p, out_m = [], []
     for pt, m in zip(points, mults):
         if out_p and abs(pt - out_p[-1]) <= tol:
@@ -56,18 +56,18 @@ def ref_merge_level(points, mults, scale, policy=DEFAULT):
     return out_p, out_m
 
 
-def ref_fold(z, weight, policy=DEFAULT):
+def ref_fold(z, weight):
     z = np.asarray(z, dtype=complex).reshape(-1)
     rho = np.abs(z.imag)
-    rho[rho <= policy.real_axis_tol * (1.0 + np.abs(z))] = 0.0
+    rho[rho <= REAL_AXIS_TOL * (1.0 + np.abs(z))] = 0.0
     return z.real, rho, np.asarray(weight, dtype=float).reshape(-1)
 
 
-def ref_measure_merge(alpha, rho, weight, meta, policy=DEFAULT):
+def ref_measure_merge(alpha, rho, weight, meta):
     order = np.lexsort((rho, alpha, rho > 0))
     alpha, rho, weight = alpha[order], rho[order], weight[order]
     sphere = rho > 0
-    tol = policy.cluster_tol * (1.0 + np.abs(alpha) + rho)
+    tol = CLUSTER_TOL * (1.0 + np.abs(alpha) + rho)
     # a run's first merge is always with the atom right before it
     near_next = ((sphere[1:] == sphere[:-1])
                  & (np.abs(alpha[1:] - alpha[:-1]) <= tol[:-1])

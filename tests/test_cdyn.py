@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from escape_refs import ref_filled_julia_mask, ref_green_field
 from merge_refs import ref_merge_level
-from qbrolin.cdyn import (EscapeParams, _escape, _ledger_switch,
-                          escape_radius, filled_julia_mask, green_field,
-                          is_exceptional, preimage_tree, solve_fiber)
+from qbrolin.cdyn import (_escape, _ledger_switch, escape_radius,
+                          filled_julia_mask, green_field, is_exceptional,
+                          preimage_tree, solve_fiber)
 from qbrolin.errors import BudgetExceeded
 from qbrolin.grids import SliceGrid
 from qbrolin.poly import ComplexPoly
@@ -118,8 +119,8 @@ _grids = st.builds(lambda hw, k: SliceGrid.square(0j, hw, hw / k),
 def test_escape_kernel_bit_identical_to_full_raster_loops(p, grid, n, max_iter):
     with np.errstate(all="ignore"):   # overflow to inf and NaN on purpose
         got, want = green_field(p, grid, n), ref_green_field(p, grid, n)
-        esc = EscapeParams(escape_radius(p), max_iter)
-        mask = filled_julia_mask(p, grid, esc)
+        mask = filled_julia_mask(p, grid, max_iter)
+        esc = SimpleNamespace(radius=escape_radius(p), max_iter=max_iter)
         ref_mask = ref_filled_julia_mask(p, grid, esc)
     assert got.values.tobytes() == want.values.tobytes()
     assert mask.shape == ref_mask.shape and np.array_equal(mask, ref_mask)
@@ -205,7 +206,8 @@ def test_is_exceptional_cubic():
 def test_filled_julia_mask_disk():
     # K(z^2) is the closed unit disk
     grid = SliceGrid.square(0j, 1.5, 0.125)
-    inside = filled_julia_mask(SQ, grid, EscapeParams(2.0, 80))
+    assert escape_radius(SQ) == 2.0
+    inside = filled_julia_mask(SQ, grid, 80)
     z = grid.mesh()
     mod = np.abs(z)
     assert np.all(inside[mod <= 0.95])

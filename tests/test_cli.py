@@ -5,6 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from qbrolin import cli
@@ -264,20 +265,24 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     assert err["error"] == "ConfigError" and "seed" in err["message"]
 
 
-def test_bad_policy_values_are_config_errors(tmp_path, capsys):
-    for policy in ({"burn_in": "x"}, {"cluster_tol": -1}, {"burn_in": 0},
-                   {"aberth_max_iter": 2.5}, {"aberth_tol": float("nan")}):
-        code, err = _config_error(tmp_path, capsys, _q2_minus_1(
-            "equilibrium", {"depth": 3}, policy=policy))
-        assert code == 2 and err["error"] == "ConfigError"
-        assert f"policy.{next(iter(policy))}" in err["message"]
+def test_policy_key_is_refused_before_out(tmp_path, capsys):
+    # every tolerance is a library constant: no config sets one
+    code, err = _config_error(tmp_path, capsys, _q2_minus_1(
+        "equilibrium", {"depth": 3}, policy={"burn_in": 5}))
+    assert code == 2 and err["error"] == "ConfigError"
+    assert "policy" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
-def test_valid_policy_values_run(tmp_path):
-    path = _write(tmp_path, "c.json", _q2_minus_1(
-        "equilibrium", {"depth": 3}, out=str(tmp_path / "out"),
-        policy={"burn_in": 5, "cluster_tol": 1e-8, "aberth_tol": 1}))
-    assert main([path]) == 0
+def test_general_gap_refuses_a_non_finite_h_n(tmp_path, capsys):
+    # h_10 of q^2 + j has 201 NaN coefficients: its gap is no number
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, err = _config_error(tmp_path, capsys, {
+            "mode": "general-gap", "polynomial": {"coeffs": [
+                [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+            "params": {"n_list": [9, 10], "probe_count": 4}})
+    assert code == 3 and err["error"] == "InvariantViolation"
+    assert "non-finite" in err["message"]
 
 
 def test_off_slice_coefficient_is_a_config_error(tmp_path, capsys):
@@ -358,11 +363,21 @@ def test_bad_params_are_refused_before_any_file_is_written(tmp_path, capsys):
             (_q2_minus_1("entropy", {"kind": "bogus"}), "params.kind"),
             # a target is one number, or a list of exactly one
             (_q2_minus_1("equilibrium", {"target": [0.5, "x", None]}),
-             "params.target")]:
+             "params.target"),
+            # a delta-star grid spans [-2, 2]: h = 1e-6 would ask for
+            # 4,000,001 nodes a side (116 TiB per raster), 4 / 8193 for 8194
+            (_q2_minus_1("delta-star", {"h_list": [0.5, 1e-6]}),
+             "params.h_list"),
+            (_q2_minus_1("delta-star", {"h_list": [0.5, 4 / 8193]}),
+             "params.h_list")]:
         code, err = _config_error(tmp_path, capsys, cfg)
         assert code == 2 and err["error"] == "ConfigError"
         assert err["message"].startswith(key)
         assert not (tmp_path / "out").exists()
+    # h = 1/2048 gives 8193 nodes a side, the most a grid may have
+    cfg = load_config(_write(tmp_path, "c.json", _q2_minus_1(
+        "delta-star", {"h_list": [0.5, 1 / 2048]})), {})
+    assert cfg["params"]["h_list"] == [0.5, 1 / 2048]
 
 
 def test_manifest_echoes_the_resolved_params_and_grid(tmp_path):

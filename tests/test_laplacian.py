@@ -78,11 +78,11 @@ def test_measure_from_green_unit_mass():
 
 
 def test_measure_from_green_clamp_limit():
-    # the stencil overshoots at the level curve, so some mass is clamped
+    # the stencil overshoots at the level curve: at h = 1/16 it clamps
+    # 7.3% of the mass, past the 5% limit
     p = QPolynomial.from_real([-2.0, 0.0, 1.0])
     with pytest.raises(InvariantViolation):
-        measure_from_green(p, 8, SliceGrid.square(0j, 2.5, 1.0 / 16),
-                           clamp_limit=0.0)
+        measure_from_green(p, 8, SliceGrid.square(0j, 2.5, 1.0 / 16))
 
 
 def test_raster_vs_preimage_measure():

@@ -8,7 +8,7 @@ from qbrolin.errors import ExceptionalTarget
 from qbrolin.measures import (EmpiricalMeasure, TestFunction,
                               brolin_pullback, measure_from_complex_atoms, pair,
                               pushforward, standard_panel, weak_distance)
-from qbrolin.policy import DEFAULT
+from qbrolin.policy import CLUSTER_TOL, REAL_AXIS_TOL
 from qbrolin.poly import QPolynomial
 from qbrolin.quat import sphere_quadrature
 
@@ -44,13 +44,13 @@ def test_measure_sorted_and_json():
 _Atom = namedtuple("_Atom", "alpha rho weight")
 
 
-def _reference_fold_merge(points, weights, policy=DEFAULT):
+def _reference_fold_merge(points, weights):
     atoms = []
     for z, w in zip(points, weights):
         if w <= 0:
             continue
         rho = abs(z.imag)
-        if rho <= policy.real_axis_tol * (1.0 + abs(z)):
+        if rho <= REAL_AXIS_TOL * (1.0 + abs(z)):
             rho = 0.0
         atoms.append(_Atom(z.real, rho, float(w)))
     atoms = sorted(atoms, key=lambda a: (a.rho > 0, a.alpha, a.rho))
@@ -58,7 +58,7 @@ def _reference_fold_merge(points, weights, policy=DEFAULT):
     for i, b in enumerate(atoms):
         if used[i]:
             continue
-        tol = policy.cluster_tol * (1.0 + abs(b.alpha) + b.rho)
+        tol = CLUSTER_TOL * (1.0 + abs(b.alpha) + b.rho)
         weight = b.weight
         for j, a in enumerate(atoms[i + 1:], i + 1):
             if (not used[j] and (a.rho > 0) == (b.rho > 0)
@@ -80,7 +80,7 @@ def _clouds(draw):
                               min_size=1, max_size=10)):
         z = complex(a, b)
         points.append(z)
-        step = draw(st.floats(0.5, 2.0)) * DEFAULT.cluster_tol * (1 + abs(z))
+        step = draw(st.floats(0.5, 2.0)) * CLUSTER_TOL * (1 + abs(z))
         kind = draw(st.sampled_from(["dup", "near", "chain", "conj", "real", "-"]))
         if kind == "dup":
             points.append(z)
@@ -92,7 +92,7 @@ def _clouds(draw):
         elif kind == "conj":
             points.append(z.conjugate())
         elif kind == "real":
-            near_axis = step / DEFAULT.cluster_tol * DEFAULT.real_axis_tol
+            near_axis = step / CLUSTER_TOL * REAL_AXIS_TOL
             points.append(complex(a, draw(st.sampled_from([1, -1])) * near_axis))
     weights = draw(st.lists(st.sampled_from([0.0, 0.25]) | st.floats(1e-6, 1.0),
                             min_size=len(points), max_size=len(points)))

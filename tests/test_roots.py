@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -7,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from merge_refs import (ref_cluster_roots, ref_fold, ref_measure_merge,
                         ref_merge_level)
+from qbrolin import roots as roots_module
 from qbrolin.cdyn import solve_fiber
 from qbrolin.errors import SolverFailure
 from qbrolin.measures import measure_from_complex_atoms
-from qbrolin.policy import DEFAULT
+from qbrolin.policy import ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL
 from qbrolin.poly import ComplexPoly
 from qbrolin.roots import (all_roots, cluster_roots, fiber_roots,
                            merge_near, quadratic_roots_many)
@@ -109,7 +109,7 @@ def _ref_horner(coeffs, z):
     return acc
 
 
-def _ref_all_roots(coeffs, policy=DEFAULT):
+def _ref_all_roots(coeffs):
     """The scalar Aberth solve, one polynomial at a time (the former
     implementation of all_roots for degree >= 3, kept as the reference)."""
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -125,7 +125,7 @@ def _ref_all_roots(coeffs, policy=DEFAULT):
     radius = max(radius, 1e-12)
     angles = 2.0 * np.pi * (np.arange(deg) + 0.25) / deg + 0.5 / deg
     z = radius * np.exp(1j * angles)
-    for _ in range(policy.aberth_max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         p, dp = _ref_horner(coeffs, z), _ref_horner(dcoeffs, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dp != 0, p / np.where(dp != 0, dp, 1), 0.0)
@@ -136,7 +136,7 @@ def _ref_all_roots(coeffs, policy=DEFAULT):
             step = np.where(denom != 0,
                             newton / np.where(denom != 0, denom, 1), newton)
         z = z - step
-        if np.max(np.abs(step)) < policy.aberth_tol * (1.0 + np.max(np.abs(z))):
+        if np.max(np.abs(step)) < ABERTH_TOL * (1.0 + np.max(np.abs(z))):
             break
     for _ in range(3):
         p, dp = _ref_horner(coeffs, z), _ref_horner(dcoeffs, z)
@@ -210,12 +210,11 @@ def test_fiber_roots_closed_forms_for_low_degree():
     assert np.allclose(line[:, 0], (targets - 1.0) / 2.0)
 
 
-def test_fiber_roots_certificate_raises():
-    tight = dataclasses.replace(DEFAULT, fiber_residual_tol=0.0)
+def test_fiber_roots_certificate_raises(monkeypatch):
+    monkeypatch.setattr(roots_module, "FIBER_RESIDUAL_TOL", 0.0)
     targets = np.array([0.1, 0.7 + 0.2j, -0.4j])
     with pytest.raises(SolverFailure) as info:
-        fiber_roots(np.array([0.2, 0.0, 0.0, 1.0], dtype=complex), targets,
-                    tight)
+        fiber_roots(np.array([0.2, 0.0, 0.0, 1.0], dtype=complex), targets)
     assert info.value.worst_residual > 0.0
 
 
@@ -284,7 +283,7 @@ def test_merge_near_matches_former_level_merge(points, rnd):
     # preimage_tree's level merge: heads keep the summed multiplicity
     mults = np.array([rnd.randint(1, 3) for _ in points])
     scale = 1.0 + float(np.max(np.abs(points)))
-    order, head = merge_near(points, DEFAULT.cluster_tol * scale)
+    order, head = merge_near(points, CLUSTER_TOL * scale)
     heads, cluster = np.unique(head, return_inverse=True)
     want_p, want_m = ref_merge_level(points, mults, scale)
     assert np.bincount(cluster, mults[order]).tolist() == want_m
@@ -313,8 +312,8 @@ def test_double_roots_of_a_real_g5_form_32_clusters():
     scale = 1.0 + float(np.max(np.abs(roots)))
     assert [m for _, m in cluster_roots(roots, scale)] == [2] * 32
     assert [m for _, m in solve_fiber(g, 0.0)] == [2] * 32
-    measure_tol = DEFAULT.cluster_tol * (1.0 + np.abs(roots.real)
-                                         + np.abs(roots.imag))
+    measure_tol = CLUSTER_TOL * (1.0 + np.abs(roots.real)
+                                 + np.abs(roots.imag))
     assert len(np.unique(merge_near(roots, measure_tol)[1])) == 32
     assert len(ref_merge_level(roots, np.ones(64, int), scale)[0]) == 50
 

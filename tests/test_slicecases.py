@@ -3,11 +3,10 @@ import pytest
 
 from qbrolin.errors import BudgetExceeded, InvariantViolation, ProbeOnFiber
 from qbrolin.measures import weak_distance
-from qbrolin.policy import DEFAULT
 from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.quat import sphere_quadrature
-from qbrolin.slicecases import (annulus_probes, brolin3_gap, gn_build,
-                                gn_pullback_measure, hn_build,
+from qbrolin.slicecases import (_realify, annulus_probes, brolin3_gap,
+                                gn_build, gn_pullback_measure, hn_build,
                                 mu_prime_estimate)
 
 P_I = ComplexPoly([1j, 0.0, 1.0])                                # q^2 + i
@@ -113,6 +112,15 @@ def test_brolin3_gap_probe_on_fiber():
         brolin3_gap(P_J, 2.0, 3.0, 1, probe_points=[1.0 + 0j])
 
 
+def test_non_finite_h_n_is_refused():
+    # a NaN gap was once dropped by max and a NaN coefficient let through
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvariantViolation):   # h_1(1e200) overflows
+            brolin3_gap(P_J, 0.0, 1.0, 1, probe_points=[0.5j, 1e200 + 0j])
+    with pytest.raises(InvariantViolation):
+        _realify(QPolynomial.from_real([np.nan, 1.0]), 1.0)
+
+
 def test_gn_pullback_measure_atoms():
     # g_1 = q^4 + 1 above 0: roots of q^4 = -1, two conjugate sphere pairs
     m = gn_pullback_measure(P_I, 0.0, 1)
@@ -151,7 +159,7 @@ def _former_mu_prime(P, quad_weights, n, bin_width=1.0 / 128.0):
             points.extend(nd.point for nd in nodes)
             weights.extend(nd.multiplicity / 2.0 ** n * wj
                            / (2.0 * sum(quad_weights)) for nd in nodes)
-    return _binned(points, weights, bin_width, {}, DEFAULT)
+    return _binned(points, weights, bin_width, {})
 
 
 @pytest.mark.parametrize("c", [1j, 0.3 + 0.5j, -0.8 + 0.2j])
