@@ -8,7 +8,7 @@ arrays whenever one leaves; G_n takes log|z| once per point, at its exit step
 ledger log|p(z)| ~ d log|z| + log|c_d|. The escape radius R also covers
 non-monic maps: |z| > R implies |p(z)| > |z| and escape.
 `roots.merge_near` decides coincident points: fibers keep cluster means,
-tree levels heads with summed multiplicities; screening counts clusters.
+tree levels heads with summed multiplicities.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolation
 from .grids import GridField, SliceGrid
-from .policy import CLUSTER_TOL, EXCEPTIONAL_DEPTH
+from .policy import CLUSTER_TOL
 from .poly import ComplexPoly
 from .roots import all_roots, cluster_roots, fiber_roots, merge_near
 
@@ -33,6 +33,9 @@ __all__ = [
     "filled_julia_mask",
     "is_exceptional",
 ]
+
+_EXCEPTIONAL_TOL = 1e-12   # relative size of vanishing Taylor coefficients
+
 
 def _ledger_switch(d: int) -> float:
     """Magnitude at which iteration switches to log tracking.
@@ -155,21 +158,19 @@ def filled_julia_mask(p: ComplexPoly, grid: SliceGrid,
 
 
 def is_exceptional(p: ComplexPoly, a: complex) -> bool:
-    """True iff the backward orbit of a stays a set of <= deg p points.
-
-    For complex polynomials of degree >= 2 the exceptional set has at most
-    one finite point (a critical fixed point of full multiplicity), so a
-    non-exceptional backward orbit exceeds d points within two levels;
-    EXCEPTIONAL_DEPTH levels add margin.
+    """True iff p(z) - a = c_d (z - a)^d: a is a critical fixed point of full
+    multiplicity, the one finite exceptional point a polynomial of degree
+    d >= 2 can have. Reads the Taylor coefficients (p - a)^(k)(a) / k! at a,
+    k < d, against _EXCEPTIONAL_TOL * sum_k |c_k| max(1, |a|)^k.
     """
-    if p.degree < 2:
+    d, a = p.degree, complex(a)
+    if d < 2:
         raise ValueError("exceptional screening needs degree >= 2")
-    current = np.array([complex(a)])
-    for _ in range(EXCEPTIONAL_DEPTH):
-        pts = fiber_roots(p.coeffs, current).reshape(-1)
-        scale = 1.0 + float(np.max(np.abs(pts)))
-        order, head = merge_near(pts, CLUSTER_TOL * scale)
-        current = pts[order][np.unique(head)]
-        if len(current) > p.degree:
+    q = p.shifted(a)
+    tol = _EXCEPTIONAL_TOL * float(
+        np.sum(np.abs(p.coeffs) * max(1.0, abs(a)) ** np.arange(d + 1)))
+    for k in range(d):
+        if not abs(q(a)) <= tol * math.factorial(k):
             return False
+        q = q.derivative()
     return True

@@ -49,20 +49,20 @@ _GRID_DEFAULTS = {"center": [0.0, 0.0], "half_width": 2.0, "h": 1.0 / 128.0}
 _GRID_MAX_SIDE = 8193
 
 
-def _fmt(x) -> str:
-    return "%.17g" % float(x)
-
-
 def write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float)) else str(v)
-                              for v in row))
+    """%.17g for numbers (bools too), else str: one % format per row type."""
+    lines, formats = [",".join(header)], {}
+    for row in map(tuple, rows):
+        sig = tuple(map(type, row))
+        if sig not in formats:
+            formats[sig] = ",".join("%.17g" if issubclass(t, (int, float))
+                                    else "%s" for t in sig)
+        lines.append(formats[sig] % row)
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n")  # C encoder: no indent
 
 
 def write_pgm(path: Path, image: np.ndarray):

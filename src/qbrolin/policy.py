@@ -15,8 +15,6 @@ CLUSTER_TOL = 1e-7
 REAL_AXIS_TOL = 1e-7
 # backward-orbit burn-in
 BURN_IN = 30
-# depth of the exceptional-point screening
-EXCEPTIONAL_DEPTH = 5
 # hard cap on polynomial coefficient counts
 DEGREE_BUDGET = 4096
 # Aberth iteration controls

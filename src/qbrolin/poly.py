@@ -222,7 +222,7 @@ class ComplexPoly:
         return acc
 
     def shifted(self, w) -> "ComplexPoly":
-        """self - w, for fiber solves."""
+        """self - w, for fiber solves and exceptional screening."""
         c = self.coeffs.copy()
         c[0] -= w
         return ComplexPoly(c)

@@ -175,10 +175,11 @@ def hn_build(p: QPolynomial, n: int) -> QPolynomial:
         raise BudgetExceeded(
             f"2 d^n = {2 * d ** n} exceeds budget {DEGREE_BUDGET}")
     it = p
-    for _ in range(n - 1):
-        it = p.bullet_compose(it)
-    hn = _realify(it.symmetrize(),
-                  scale=float(np.sum(np.linalg.norm(it.coeffs, axis=1))) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # _realify refuses inf
+        for _ in range(n - 1):
+            it = p.bullet_compose(it)
+        hn = _realify(it.symmetrize(),
+                      scale=float(np.sum(np.linalg.norm(it.coeffs, axis=1))) ** 2)
     if hn.degree != 2 * d ** n:
         raise InvariantViolation(f"deg h_n = {hn.degree}, expected {2 * d ** n}")
     return hn

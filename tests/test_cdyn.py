@@ -203,6 +203,29 @@ def test_is_exceptional_cubic():
     assert not is_exceptional(ComplexPoly([0.0, -1.0, 0.0, 1.0]), 0.0)
 
 
+def _shifted_power(lead, s, d):
+    """lead (z - s)^d + s, whose exceptional point is s."""
+    c = lead * np.polynomial.polynomial.polypow([-s, 1.0], d).astype(complex)
+    c[0] += s
+    return ComplexPoly(c)
+
+
+# z^2 and z^3 at 0, z^2 at 1, z^2 - 2 and z^3 - z at 0: test_is_exceptional
+# and test_is_exceptional_cubic
+@pytest.mark.parametrize("p, a", [
+    (_shifted_power(1.0, 0.1, 2), 0.1),
+    (_shifted_power(1.0, 0.41 + 0.37j, 2), 0.41 + 0.37j),
+    (_shifted_power(3.0, 0.7, 3), 0.7)])
+def test_is_exceptional_at_an_inexact_critical_fixed_point(p, a):
+    # a float fiber of a splits by rounding, so no finite tree keeps the
+    # backward orbit of a at one point; the Taylor coefficients at a vanish
+    assert is_exceptional(p, a)
+
+
+def test_is_exceptional_false_near_an_exceptional_map():
+    assert not is_exceptional(ComplexPoly([1e-9, 0.0, 1.0]), 0.0)
+
+
 def test_filled_julia_mask_disk():
     # K(z^2) is the closed unit disk
     grid = SliceGrid.square(0j, 1.5, 0.125)

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qbrolin import cli
 from qbrolin.cli import load_config, main
+from writer_refs import ref_write_csv, ref_write_json
 
 SQ_MINUS_2 = {"coeffs": [[-2, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
 
@@ -285,6 +289,36 @@ def test_general_gap_refuses_a_non_finite_h_n(tmp_path, capsys):
     assert "non-finite" in err["message"]
 
 
+def test_general_gap_stderr_is_one_json_line(tmp_path):
+    # h_10 of q^2 + j overflows inside hn_build; a fresh interpreter (no
+    # pytest warning capture) must print the error line and nothing else
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "general-gap", "polynomial": {"coeffs": [
+            [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"n_list": [9, 10]}})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-m", "qbrolin.cli", cfg,
+                        "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 3
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert json.loads(lines[0])["error"] == "InvariantViolation"
+
+
+def test_equilibrium_refuses_an_inexact_exceptional_target(tmp_path, capsys):
+    # (q - 0.1)^2 + 0.1: 0.1 is a critical fixed point, which no float
+    # fiber of 0.1 keeps exactly
+    code, err = _config_error(tmp_path, capsys, {
+        "mode": "equilibrium", "polynomial": {"coeffs": [
+            [0.11, 0, 0, 0], [-0.2, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"target": 0.1, "depth": 8}})
+    assert code == 3 and err["error"] == "ExceptionalTarget"
+
+
 def test_off_slice_coefficient_is_a_config_error(tmp_path, capsys):
     # j-component 0.3 in the constant term: off the reference slice C_i
     poly = {"coeffs": [[0, 0, 0.3, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
@@ -529,3 +563,57 @@ def test_topological_entropy_refuses_nonreal_coefficients(tmp_path, capsys):
            "out": str(tmp_path / "partition")}
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([_write(tmp_path, "p.json", cfg)]) == 0
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                   1e308, -1e308, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_csv_value = st.one_of(
+    st.text(max_size=4), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    _floats, _floats.map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+_csv_row = st.lists(_csv_value, max_size=5)
+
+
+def _written(writer, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f"
+        writer(path, *args)
+        return path.read_bytes()
+
+
+@example(["h", "x"], [[1, 0.1]] * 3 + [["a", True], [np.int64(7)], []])
+@example(["x"], [[x] for x in _SPECIAL_FLOATS]
+         + [[np.float64(x)] for x in _SPECIAL_FLOATS])
+@given(st.lists(st.text(alphabet="abc_", max_size=3), max_size=4),
+       st.lists(st.one_of(_csv_row, _csv_row.map(tuple)), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_bytes_equal_the_former_writer(header, rows):
+    assert (_written(cli.write_csv, header, rows)
+            == _written(ref_write_csv, header, rows))
+
+
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(), _floats,
+                       _floats.map(np.float64), st.text(max_size=4))
+_json_obj = st.recursive(
+    _json_leaf, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _sorted_pairs(pairs):
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+@example({"b": [1.5, float("nan")], "a": {"z": -0.0, "\n": "x\ny"}})
+@given(_json_obj)
+@settings(max_examples=300, deadline=None)
+def test_write_json_parses_back_equal_to_the_former_writer(obj):
+    text = _written(cli.write_json, obj).decode()
+    assert text.endswith("\n") and text.count("\n") == 1
+    got = json.loads(text, object_pairs_hook=_sorted_pairs)
+    # repr compares NaN, -0.0 and int against float exactly
+    assert repr(got) == repr(json.loads(_written(ref_write_json, obj)))

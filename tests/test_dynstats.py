@@ -58,12 +58,17 @@ def test_sampler_lands_on_support():
 
 
 def test_sampler_rejects_exceptional_start(monkeypatch):
-    # 0 is exceptional for z^2; every chain starts at dynstats._START. The
-    # map (z - s)^2 + s with s = _START will not do: rounding splits the
-    # fiber of its critical fixed point past the cluster radius
+    # 0 is exceptional for z^2; every chain starts at dynstats._START
     monkeypatch.setattr(dynstats, "_START", 0j)
     with pytest.raises(ExceptionalTarget):
         sample_mu(ComplexPoly([0.0, 0.0, 1.0]), 10, seed=0)
+
+
+def test_sampler_rejects_a_start_that_is_an_inexact_critical_fixed_point():
+    # (z - s)^2 + s with s = _START: s is no float fixed point exactly
+    s = dynstats._START
+    with pytest.raises(ExceptionalTarget):
+        sample_mu(ComplexPoly([s * s + s, -2 * s, 1.0]), 10, seed=0)
 
 
 def test_sample_mu_chains_shape():
