@@ -7,25 +7,22 @@ arrays whenever one leaves; G_n takes log|z| once per point, at its exit step
 (past `_ledger_switch`) or at step n, and continues an exited point by the
 ledger log|p(z)| ~ d log|z| + log|c_d|. The escape radius R also covers
 non-monic maps: |z| > R implies |p(z)| > |z| and escape.
-`roots.merge_near` decides coincident points: fibers keep cluster means,
-tree levels heads with summed multiplicities.
+A preimage tree returns its d^n points, a multiple fiber root repeated, and
+merges nothing: the measure built on them decides which coincide.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import BudgetExceeded
 from .grids import GridField, SliceGrid
-from .policy import CLUSTER_TOL
 from .poly import ComplexPoly
-from .roots import all_roots, cluster_roots, fiber_roots, merge_near
+from .roots import fiber_roots
 
 __all__ = [
-    "PreimageNode",
     "escape_radius",
     "green_field",
     "solve_fiber",
@@ -105,48 +102,31 @@ def green_field(p: ComplexPoly, grid: SliceGrid, n: int) -> GridField:
 
 
 def solve_fiber(p: ComplexPoly, w: complex):
-    """All d roots of p(z) = w with multiplicity, residual-certified.
+    """All d roots of p(z) = w with multiplicity: the distinct points of one
+    `fiber_roots` row, which repeats each cluster mean by its multiplicity.
 
-    Returns list of (root, multiplicity) with multiplicities summing to d.
+    Returns list of (root, multiplicity), sorted by (real, imag), with
+    multiplicities summing to d.
     """
     if p.degree < 1:
         raise ValueError("fiber solve needs degree >= 1")
-    roots = all_roots(p.shifted(w).coeffs)
-    scale = 1.0 + float(np.max(np.abs(roots))) if len(roots) else 1.0
-    return cluster_roots(roots, scale)
+    roots, counts = np.unique(fiber_roots(p.coeffs, [w])[0],
+                              return_counts=True)
+    return list(zip(roots.tolist(), counts.tolist()))
 
 
-@dataclass(frozen=True)
-class PreimageNode:
-    """A depth-n preimage point with its accumulated multiplicity."""
-
-    point: complex
-    depth: int
-    multiplicity: int
-
-
-def preimage_tree(p: ComplexPoly, a: complex, n: int, budget: int = 1 << 20):
-    """All d^n depth-n preimages of a, counted with multiplicity.
-
-    Each level is one `fiber_roots` solve over all the points of the level
-    above; coincident points (merge_near, radius CLUSTER_TOL * (1 + max|z|))
-    then become their cluster head, carrying the summed multiplicity.
+def preimage_tree(p: ComplexPoly, a: complex, n: int,
+                  budget: int = 1 << 20) -> np.ndarray:
+    """All d^n depth-n preimages of a, a multiple one repeated: a (d^n,)
+    complex array, each level one `fiber_roots` solve over the level above.
     """
     d = p.degree
     if d ** n > budget:
         raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {budget}")
-    points, mults = np.array([complex(a)]), np.array([1])
+    points = np.array([complex(a)])
     for _ in range(n):
         points = fiber_roots(p.coeffs, points).reshape(-1)
-        scale = 1.0 + float(np.max(np.abs(points)))
-        order, head = merge_near(points, CLUSTER_TOL * scale)
-        heads, cluster = np.unique(head, return_inverse=True)
-        points = points[order][heads]
-        mults = np.bincount(cluster, np.repeat(mults, d)[order]).astype(int)
-    if mults.sum() != d ** n:
-        raise InvariantViolation(f"multiplicities sum to {mults.sum()}, not {d ** n}")
-    return [PreimageNode(pt, n, m)
-            for pt, m in zip(points.tolist(), mults.tolist())]
+    return points
 
 
 def filled_julia_mask(p: ComplexPoly, grid: SliceGrid,

@@ -30,7 +30,8 @@ from .dynstats import (AxialBox, calibrate_ks_null, clt_harness,
                        fit_log_slope, interval_partition, lyapunov_slice,
                        lyapunov_sphere_direction, mixing_correlation,
                        partition_entropy, sample_mu, topological_entropy)
-from .errors import CoefficientOffSlice, ConfigError, QBrolinError
+from .errors import (CoefficientOffSlice, ConfigError, InvariantViolation,
+                     QBrolinError)
 from .grids import SliceGrid
 from .laplacian import (fundamental_solution_check, measure_from_green,
                         refinement_order, sphere_kernel_check)
@@ -41,8 +42,7 @@ from .quat import hamilton, inverse, norm_sq, sphere_quadrature
 from .slicecases import (annulus_probes, brolin3_gap, gn_pullback_measure,
                          mu_prime_estimate)
 
-_TOP_KEYS = {"mode", "polynomial", "grid", "quad_level", "seed", "out",
-             "params"}
+_TOP_KEYS = {"mode", "polynomial", "grid", "seed", "out", "params"}
 # a grid side has round(2 half_width / h) + 1 nodes, from two up to 8193
 # (h = 1/2048 over [-2, 2]: 67M nodes, about 1 GB per complex raster)
 _GRID_DEFAULTS = {"center": [0.0, 0.0], "half_width": 2.0, "h": 1.0 / 128.0}
@@ -284,8 +284,7 @@ def run_one_slice(cfg, out: Path):
     pc = _cpoly(cfg)
     params = cfg["params"]
     depth, target = params["depth"], params["target"]
-    mp = mu_prime_estimate(pc, cfg["quad_level"], depth, target,
-                           params["bin_width"])
+    mp = mu_prime_estimate(pc, depth, target, params["bin_width"])
     mg = gn_pullback_measure(pc, target, depth)
     dist = weak_distance(mg, mp)
     write_json(out / "mu_prime.json", mp.to_json())
@@ -315,7 +314,8 @@ def run_general_gap(cfg, out: Path):
 
 
 def run_verify(cfg, out: Path):
-    """Fast invariant suite; exit 0 iff all checks pass."""
+    """Fast invariant suite; InvariantViolation (exit 3) names the failed
+    checks, after the files and the summary are written."""
     seed = cfg["seed"]
     checks = []
 
@@ -394,7 +394,10 @@ def run_verify(cfg, out: Path):
     width = max(len(n) for n, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    return 0 if all(o for _, o, _ in checks) else 1
+    failed = [name for name, ok, _ in checks if not ok]
+    if failed:
+        raise InvariantViolation(f"verify checks failed: {failed}")
+    return 0
 
 
 class _Param(NamedTuple):
@@ -497,11 +500,9 @@ def load_config(path: str, overrides) -> dict:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     cfg.setdefault("seed", 0)
-    cfg.setdefault("quad_level", 3)
     cfg.setdefault("out", ".")
-    for key, low in (("seed", 0), ("quad_level", 1)):
-        if not _is_count(cfg[key], low):
-            raise ConfigError(f"{key} must be an integer >= {low}, got {cfg[key]!r}")
+    if not _is_count(cfg["seed"], 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     given, table = cfg.get("params", {}), _MODES[mode][1]
     if not isinstance(given, dict):
         raise ConfigError("params must be an object")

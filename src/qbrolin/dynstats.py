@@ -424,7 +424,7 @@ def interval_partition(lo: float, hi: float, cells: int,
 
 
 def partition_entropy(pc: ComplexPoly, partition, n_max: int,
-                      samples: int | np.ndarray = 100000,
+                      samples: int = 100000,
                       seed: int = 0) -> EstimateReport:
     """Kolmogorov entropy of the refined partition via itinerary coding,
     for the slice restriction pc.
@@ -432,18 +432,13 @@ def partition_entropy(pc: ComplexPoly, partition, n_max: int,
     Chain samples give sliding itinerary words (the forward orbit of z_t is
     z_{t-1}, z_{t-2}, ...). A point outside every cell breaks the chain: no
     word spans it, nor a boundary between two sampler chains; a length left
-    with no word raises InvariantViolation. An array of samples is read as
-    one chain.
+    with no word raises InvariantViolation.
     H_n is the n-gram entropy with the Miller-Madow bias correction; the
     reported value is the least-squares slope of H_n vs n on the last
     max(3, n_max//2) points.
     """
-    if isinstance(samples, np.ndarray):
-        z = samples
-        lengths = [len(z)]
-    else:
-        z = sample_mu(pc, int(samples), seed)
-        lengths = _chain_lengths(int(samples), SAMPLER_CHAINS)
+    z = sample_mu(pc, samples, seed)
+    lengths = _chain_lengths(samples, SAMPLER_CHAINS)
     alpha, beta = z.real, np.abs(z.imag)
     symbols = np.full(len(z), -1, dtype=np.int64)
     for k, cell in enumerate(partition):

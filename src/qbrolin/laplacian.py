@@ -151,10 +151,14 @@ def raster_to_measure(density: GridField) -> EmpiricalMeasure:
 
 
 def refinement_order(values_by_h, exact):
-    """Least-squares slope of log|error| vs log h for an h-refinement study."""
+    """Least-squares slope of log|error| vs log h for an h-refinement study.
+
+    An exact zero error has no logarithm: InvariantViolation, not an order.
+    """
     hs = np.array(sorted(values_by_h))
     errs = np.array([abs(values_by_h[h] - exact) for h in hs])
     if np.any(errs == 0):
-        return 2.0
+        raise InvariantViolation(
+            f"zero error at h = {hs[errs == 0].tolist()}: no refinement order")
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     return float(slope)

@@ -165,10 +165,9 @@ def brolin_pullback(p: QPolynomial, a: float, n: int) -> EmpiricalMeasure:
         raise ValueError("degree must be >= 2")
     if is_exceptional(pc, complex(a)):
         raise ExceptionalTarget(f"target {a} is exceptional for this polynomial")
-    nodes = preimage_tree(pc, complex(a), n)
-    mults = np.array([nd.multiplicity for nd in nodes])
+    points = preimage_tree(pc, complex(a), n)
     meta = {"polynomial": p.to_json(), "target": a, "depth": n}
-    m = _fold_merge([nd.point for nd in nodes], mults / float(d) ** n, meta)
+    m = _fold_merge(points, np.full(len(points), 1.0 / float(d) ** n), meta)
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"pullback mass {m.total_mass()} != 1")
     return m

@@ -6,8 +6,7 @@ It runs on rows: `fiber_roots` solves p(z) = t for many targets t at once
 (every p - t shares all but the constant term), `all_roots` is its one-row
 case. Degrees 1 and 2 use closed forms (they dominate the preimage workloads).
 `merge_near` is the library's one rule for which points coincide: fiber
-clusters keep their mean, preimage trees and measures their head, and
-exceptional screening counts clusters.
+clusters keep their mean, measures their head atom.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ def fiber_roots(coeffs, targets):
     Degrees 1 and 2 give the closed forms in `quadratic_roots_many` order,
     uncertified. Higher degrees run the certified Aberth solve on all rows at
     once (SolverFailure carries the worst residual of any row); a row is then
-    bit for bit `solve_fiber`'s clusters, each center repeated by its
-    multiplicity.
+    bit for bit a one-row solve, sorted, each `cluster_roots` center repeated
+    by its multiplicity.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     c0s = coeffs[0] - np.asarray(targets, dtype=complex).reshape(-1)

@@ -23,12 +23,13 @@ import math
 
 import numpy as np
 
-from .cdyn import is_exceptional, preimage_tree, solve_fiber
+from .cdyn import is_exceptional, preimage_tree
 from .errors import (BudgetExceeded, ConfigError, ExceptionalTarget,
                      InvariantViolation, ProbeOnFiber)
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .policy import DEGREE_BUDGET, FIBER_RESIDUAL_TOL
 from .poly import ComplexPoly, QPolynomial
+from .roots import fiber_roots
 
 __all__ = [
     "gn_build",
@@ -113,32 +114,28 @@ def _binned(points, weights, bin_width, meta):
     return measure_from_complex_atoms(means, w, meta=meta)
 
 
-def mu_prime_estimate(pc: ComplexPoly, quad_level: int, n: int,
-                      a: float = 0.0,
+def mu_prime_estimate(pc: ComplexPoly, n: int, a: float = 0.0,
                       bin_width: float = 1.0 / 128.0) -> EmpiricalMeasure:
     """Estimator of mu' from depth-n Brolin pullbacks of the real target a.
 
     P(., J) has the same complex coefficients pc for every unit J, so in
     axial coordinates (1/8 pi) int_S mu_{P(., J)} dJ is half of mu_{P(., I)},
     and likewise for P^c (coefficients conjugated): the two pullback clouds
-    are binned once, at weight 1/2 each, and quad_level is only reported.
-    With real coefficients both halves coincide (the slice-preserving
-    corollary).
+    are binned once, each of their 2 d^n points at weight d^-n / 2. With
+    real coefficients both halves coincide (the slice-preserving corollary).
     """
     d = pc.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
     _screen_gn_target(pc, a)
 
-    points, weights = [], []
-    for half in (pc, pc.conj_coeffs()):
-        nodes = preimage_tree(half, complex(a), n, DEGREE_BUDGET)
-        points.extend(nd.point for nd in nodes)
-        weights.extend(nd.multiplicity / float(d) ** n / 2.0 for nd in nodes)
+    points = np.concatenate([preimage_tree(half, complex(a), n, DEGREE_BUDGET)
+                             for half in (pc, pc.conj_coeffs())])
     meta = {"estimator": "mu_prime", "depth": n, "target": a,
-            "quad_level": quad_level, "bin_width": bin_width,
+            "bin_width": bin_width,
             "binning": {"width": bin_width, "rule": "weighted-mean"}}
-    m = _binned(points, weights, bin_width, meta)
+    m = _binned(points, np.full(len(points), 1.0 / float(d) ** n / 2.0),
+                bin_width, meta)
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"mu' mass {m.total_mass()} != 1")
     return m
@@ -149,15 +146,15 @@ def gn_pullback_measure(pc: ComplexPoly, a: float,
     """Normalized fiber measure of the real target a under g_n.
 
     g_n has real coefficients and degree 2 d^n; each complex fiber root
-    carries 1/(2 d^n), and conjugate roots fold onto one sphere.
+    (a multiple one repeated) carries 1/(2 d^n), and conjugate roots fold
+    onto one sphere.
     """
     g = gn_build(pc, n)
     _screen_gn_target(pc, a)
     gc = g.restrict_to_slice()
-    fiber = solve_fiber(gc, complex(a))
+    fiber = fiber_roots(gc.coeffs, [complex(a)])[0]
     meta = {"estimator": "gn_pullback", "depth": n, "target": a}
-    m = measure_from_complex_atoms([z for z, _ in fiber],
-                                   [mult / gc.degree for _, mult in fiber],
+    m = measure_from_complex_atoms(fiber, np.full(len(fiber), 1.0 / gc.degree),
                                    meta=meta)
     if abs(m.total_mass() - 1.0) > 1e-6:
         raise InvariantViolation(f"g_n fiber mass {m.total_mass()} != 1")

@@ -235,11 +235,11 @@ def test_criterion_09_entropy():
 
 def test_criterion_10_one_slice():
     P = ComplexPoly([1j, 0.0, 1.0])
-    m_prime = mu_prime_estimate(P, 3, 6)
+    m_prime = mu_prime_estimate(P, 6)
     m_gn = gn_pullback_measure(P, 0.0, 6)
     dist = weak_distance(m_gn, m_prime)
     real_mass = float(np.sum(m_prime.weight[m_prime.rho == 0.0]))
-    m_prime_b = mu_prime_estimate(P, 3, 6, a=1.0)
+    m_prime_b = mu_prime_estimate(P, 6, a=1.0)
     a_indep = weak_distance(m_prime, m_prime_b)
     ok = dist <= 0.05 and real_mass <= 0.01 and a_indep <= 0.05
     _report(10, "one-slice case", ok,

@@ -135,10 +135,9 @@ def test_solve_fiber_multiplicity():
 
 
 def test_preimage_tree_counts_and_inversion():
-    nodes = preimage_tree(CHEB, 0.0, 6)
-    assert sum(nd.multiplicity for nd in nodes) == 64
-    for nd in nodes[:5]:
-        w = nd.point
+    points = preimage_tree(CHEB, 0.0, 6)
+    assert points.shape == (64,) and points.dtype == complex
+    for w in points[:5]:
         for _ in range(6):
             w = CHEB(w)
         assert abs(w) < 1e-7
@@ -149,11 +148,10 @@ def test_preimage_tree_budget():
         preimage_tree(CHEB, 0.0, 8, budget=100)
 
 
-def test_preimage_tree_merges_multiplicity():
-    # z^2 above 0: single point of multiplicity 2 at every level
-    nodes = preimage_tree(SQ, 0.0, 5)
-    assert len(nodes) == 1
-    assert nodes[0].multiplicity == 32
+def test_preimage_tree_repeats_multiple_roots():
+    # z^2 above 0: a double root at every level, so all 32 points are 0
+    points = preimage_tree(SQ, 0.0, 5)
+    assert points.shape == (32,) and np.all(points == 0.0)
 
 
 def _ref_preimage_tree(p, a, n):
@@ -178,23 +176,28 @@ def _ref_preimage_tree(p, a, n):
     ([0.0, -1.0, 0.0, 1.0], 0.0),     # z^3 - z, target a fixed point
 ])
 def test_cubic_preimage_tree_depth_6_unchanged(coeffs, a):
+    # no two of these preimages crowd within the merge radius, so the former
+    # merged tree, each head repeated by its multiplicity, is the same points
     p = ComplexPoly(coeffs)
-    nodes = preimage_tree(p, a, 6)
+    got = preimage_tree(p, a, 6)
     points, mults = _ref_preimage_tree(p, a, 6)
-    assert [nd.multiplicity for nd in nodes] == mults
-    got = np.array([nd.point for nd in nodes])
-    assert got.tobytes() == np.array(points).tobytes()
-    assert sum(mults) == 3 ** 6
+    assert sum(mults) == len(got) == 3 ** 6
+    got = got[np.lexsort((got.imag, got.real))]
+    assert got.tobytes() == np.repeat(np.array(points), mults).tobytes()
 
 
-def test_depth_16_chebyshev_tree_keeps_65404_nodes():
-    # the 65,536 preimages of 0.5 under z^2 - 2 crowd near +-2 closer than
-    # the cluster radius; the merge (as the former one) keeps 65,404 nodes,
-    # up to 13 preimages in one
-    nodes = preimage_tree(CHEB, 0.5, 16)
-    assert len(nodes) == 65404
-    assert max(nd.multiplicity for nd in nodes) == 13
-    assert sum(nd.multiplicity for nd in nodes) == 2 ** 16
+def test_depth_16_chebyshev_tree_has_the_arcsine_moments():
+    # the 65,536 preimages of 0.5 = 2 cos(theta) under z^2 - 2 are
+    # 2 cos((theta + 2 pi j) / 2^16): for k <= 8 their k-th moment is the
+    # arcsine law's, C(k, k/2) for even k and 0 for odd k. Near +-2 they
+    # crowd closer than the cluster radius, which a merged tree would count
+    # as multiplicities.
+    points = preimage_tree(CHEB, 0.5, 16)
+    assert points.shape == (2 ** 16,)
+    worst = max(abs(np.mean(points ** k)
+                    - (math.comb(k, k // 2) if k % 2 == 0 else 0))
+                for k in range(1, 9))
+    assert worst <= 1e-12
 
 
 def test_is_exceptional_cubic():

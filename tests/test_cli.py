@@ -237,21 +237,22 @@ def test_bad_count_params_are_config_errors(tmp_path, capsys):
 
 
 def test_bad_top_level_values_are_config_errors(tmp_path, capsys):
-    # seed is an integer >= 0 and quad_level one >= 1, bools refused; a
-    # grid side has 2 to 8193 nodes; an int past the float range is no number
+    # seed is an integer >= 0, bools refused; quad_level is no config key
+    # (it changed no number); a grid side has 2 to 8193 nodes; an int past
+    # the float range is no number
     for cfg, key in [
             (_q2_minus_1("lyapunov", {"n_samples": 5}, seed=-1), "seed"),
             (_q2_minus_1("clt", {"n_samples": 5}, seed=-1), "seed"),
             (_q2_minus_1("verify", {}, seed=-1), "seed"),
             (_q2_minus_1("lyapunov", {"n_samples": 5}, seed=True), "seed"),
             (_q2_minus_1("one-slice", {"depth": 2}, quad_level="x"),
-             "quad_level"),
+             "unknown config keys: ['quad_level']"),
             (_q2_minus_1("one-slice", {"depth": 2}, quad_level=2.5),
-             "quad_level"),
+             "unknown config keys: ['quad_level']"),
             (_q2_minus_1("one-slice", {"depth": 2}, quad_level=0),
-             "quad_level"),
+             "unknown config keys: ['quad_level']"),
             (_q2_minus_1("one-slice", {"depth": 2}, quad_level=True),
-             "quad_level"),
+             "unknown config keys: ['quad_level']"),
             (_q2_minus_1("julia", {}, grid={"half_width": 1e-9, "h": 0.5}),
              "grid"),
             (_q2_minus_1("green", {}, grid={"half_width": 1e300}), "grid"),
@@ -259,6 +260,7 @@ def test_bad_top_level_values_are_config_errors(tmp_path, capsys):
         code, err = _config_error(tmp_path, capsys, cfg)
         assert code == 2 and err["error"] == "ConfigError"
         assert err["message"].startswith(key)
+        assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
@@ -307,6 +309,22 @@ def test_general_gap_stderr_is_one_json_line(tmp_path):
     lines = r.stderr.splitlines()
     assert len(lines) == 1, r.stderr
     assert json.loads(lines[0])["error"] == "InvariantViolation"
+
+
+def test_failed_verify_check_exits_3(tmp_path, capsys, monkeypatch):
+    # the files and the summary are written first; then the error line
+    monkeypatch.setattr(cli, "fundamental_solution_check",
+                        lambda *args: 0.0)
+    out = tmp_path / "out"
+    path = _write(tmp_path, "c.json", {"mode": "verify", "out": str(out)})
+    assert main([path]) == 3
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "InvariantViolation"
+    assert "fundamental solution (coarse)" in err["message"]
+    assert "FAIL" in captured.out
+    assert json.loads((out / "verify.json").read_text())["all_pass"] is False
 
 
 def test_equilibrium_refuses_an_inexact_exceptional_target(tmp_path, capsys):
@@ -513,11 +531,13 @@ def _configs(draw):
     return cfg
 
 
-# pinned: a negative seed, a quad_level that is no integer >= 1, and grids
-# of one node and of about 2.6e302 nodes a side
+# pinned: a negative seed, quad_level (no config key) at its former default
+# and at values it used to refuse, and grids of one node and of about
+# 2.6e302 nodes a side
 @example(_small_config("lyapunov", seed=-1))
 @example(_small_config("clt", seed=-1))
 @example(_small_config("verify", seed=-1))
+@example(_small_config("one-slice", quad_level=3))
 @example(_small_config("one-slice", quad_level="x"))
 @example(_small_config("one-slice", quad_level=2.5))
 @example(_small_config("one-slice", quad_level=0))

@@ -129,11 +129,14 @@ def test_mixing_correlation_decays():
     assert abs(corr[6]) < abs(corr[1])
 
 
-def test_partition_entropy_needs_words_of_every_length():
+def test_partition_entropy_needs_words_of_every_length(monkeypatch):
+    import qbrolin.dynstats as dyn
+    monkeypatch.setattr(dyn, "SAMPLER_CHAINS", 1)
+    monkeypatch.setattr(dyn, "sample_mu", lambda *a, **k: np.array(
+        [0.5 + 0j, 1.5 + 0j, -0.3 + 0j]))
     part = interval_partition(-2.0, 2.0, 4)
     with pytest.raises(InvariantViolation):
-        partition_entropy(CHEB, part, 4, samples=np.array(
-            [0.5 + 0j, 1.5 + 0j, -0.3 + 0j]))
+        dyn.partition_entropy(CHEB, part, 4, samples=3)
 
 
 def test_fit_log_slope():
@@ -264,14 +267,18 @@ def test_interval_partition():
     assert cells[1].contains(-0.5, 0.2)
 
 
-def test_partition_entropy_breaks_words_at_dropped_points():
+def test_partition_entropy_breaks_words_at_dropped_points(monkeypatch):
     # runs of three points in cell 0, then in cell 1, each run followed by a
     # point outside the partition: every 2-word stays inside one run, so only
     # (0, 0) and (1, 1) occur, in equal numbers
+    import qbrolin.dynstats as dyn
     run = [0.5, 0.5, 0.5, 5.0, 1.5, 1.5, 1.5, 5.0]
     z = np.array(run * 50, dtype=complex)
-    rep = partition_entropy(ComplexPoly([0.0, 0.0, 1.0]),
-                            interval_partition(0.0, 2.0, 2), 3, samples=z)
+    monkeypatch.setattr(dyn, "SAMPLER_CHAINS", 1)
+    monkeypatch.setattr(dyn, "sample_mu", lambda *a, **k: z)
+    rep = dyn.partition_entropy(ComplexPoly([0.0, 0.0, 1.0]),
+                                interval_partition(0.0, 2.0, 2), 3,
+                                samples=len(z))
     h = dict(rep.params["H_n"])
     words = 4 * 50      # two 2-words per run, two runs per repeat
     assert h[2] == pytest.approx(math.log(2.0) + 1.0 / (2.0 * words))

@@ -67,7 +67,9 @@ def test_sphere_kernel_rejects_real_center():
 def test_refinement_order_synthetic():
     values = {h: 1.0 + 3.0 * h ** 2 for h in (0.1, 0.05, 0.025)}
     assert refinement_order(values, 1.0) == pytest.approx(2.0, abs=1e-6)
-    assert refinement_order({0.1: 1.0, 0.05: 1.0}, 1.0) == 2.0
+    # an exact zero error measures no order
+    with pytest.raises(InvariantViolation):
+        refinement_order({0.1: 1.0, 0.05: 1.0}, 1.0)
 
 
 def test_measure_from_green_unit_mass():

@@ -132,7 +132,7 @@ def test_gn_pullback_measure_atoms():
 
 
 def test_mu_prime_mass_and_distance():
-    m = mu_prime_estimate(P_I, 2, 4)
+    m = mu_prime_estimate(P_I, 4)
     assert m.total_mass() == pytest.approx(1.0, abs=1e-9)
     mg = gn_pullback_measure(P_I, 0.0, 4)
     assert weak_distance(m, mg) < 0.05
@@ -142,7 +142,7 @@ def test_mu_prime_collapses_for_real_coeffs():
     # with real coefficients both conjugate halves coincide with nu_n
     from qbrolin.measures import brolin_pullback
     real = ComplexPoly([-2.0, 0.0, 1.0])
-    m = mu_prime_estimate(real, 1, 5)
+    m = mu_prime_estimate(real, 5)
     nu = brolin_pullback(QPolynomial.from_real([-2.0, 0.0, 1.0]), 0.0, 5)
     assert weak_distance(m, nu) < 0.02
 
@@ -155,28 +155,20 @@ def _former_mu_prime(P, quad_weights, n, bin_width=1.0 / 128.0):
     points, weights = [], []
     for wj in quad_weights:
         for half in (P, P.conj_coeffs()):
-            nodes = preimage_tree(half, 0j, n)
-            points.extend(nd.point for nd in nodes)
-            weights.extend(nd.multiplicity / 2.0 ** n * wj
-                           / (2.0 * sum(quad_weights)) for nd in nodes)
+            tree = preimage_tree(half, 0j, n)
+            points.extend(tree)
+            weights.extend([wj / 2.0 ** n / (2.0 * sum(quad_weights))]
+                           * len(tree))
     return _binned(points, weights, bin_width, {})
 
 
 @pytest.mark.parametrize("c", [1j, 0.3 + 0.5j, -0.8 + 0.2j])
 def test_mu_prime_matches_the_per_unit_loop(c):
     P = ComplexPoly([c, 0.0, 1.0])
-    got = mu_prime_estimate(P, 3, 6)
+    got = mu_prime_estimate(P, 6)
     want = _former_mu_prime(P, sphere_quadrature(3)[1], 6)
     assert len(got) == len(want)
     assert np.allclose(got.alpha, want.alpha, rtol=0, atol=1e-14)
     assert np.allclose(got.rho, want.rho, rtol=0, atol=1e-14)
     assert np.allclose(got.weight, want.weight, rtol=0, atol=1e-16)
 
-
-def test_unit_transport_invariance():
-    # the pullback cloud is shared across units J, so the unit quadrature
-    # changes nothing but the reported level
-    m1 = mu_prime_estimate(P_I, 2, 3)
-    m2 = mu_prime_estimate(P_I, 4, 3)
-    assert weak_distance(m1, m2) == 0.0
-    assert (m1.meta["quad_level"], m2.meta["quad_level"]) == (2, 4)
