@@ -88,7 +88,8 @@ def green_field(p: ComplexPoly, grid: SliceGrid, n: int) -> GridField:
     """
     d = p.degree
     step, mag = _escape(p, grid.mesh(), n, _ledger_switch(d))
-    order = np.argsort(step, kind="stable")
+    # an 8- or 16-bit copy takes numpy's stable radix sort
+    order = np.argsort(step.astype(np.min_scalar_type(n)), kind="stable")
     x = np.log(np.maximum(mag[order], 1e-320))
     log_lead = math.log(abs(p.coeffs[-1]))
     # after the j-th ledger step the nodes with exit step < n - j go on

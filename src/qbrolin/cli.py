@@ -33,8 +33,8 @@ from .dynstats import (AxialBox, calibrate_ks_null, clt_harness,
 from .errors import (CoefficientOffSlice, ConfigError, InvariantViolation,
                      QBrolinError)
 from .grids import SliceGrid
-from .laplacian import (fundamental_solution_check, measure_from_green,
-                        refinement_order, sphere_kernel_check)
+from .laplacian import (fundamental_solution_check, kernel_pairings,
+                        measure_from_green, refinement_order)
 from .measures import (TestFunction, brolin_pullback, pair,
                        pushforward, standard_panel, weak_distance)
 from .poly import ComplexPoly, QPolynomial, evaluate
@@ -183,12 +183,13 @@ def run_delta_star(cfg, out: Path):
         "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
     rows = []
     by_h_real, by_h_pair = {}, {}
+    a, b = center[0], abs(center[1])
+    want_r, want_p = 0.5 * bump.axial(a, 0.0), float(bump.axial(a, b))
     for h in cfg["params"]["h_list"]:
-        grid = SliceGrid.square(0j, 2.0, h)
-        got_r = fundamental_solution_check(center[0], bump, grid)
-        want_r = 0.5 * bump.axial(center[0], 0.0)
-        got_p, want_p = sphere_kernel_check(center[0], abs(center[1]), bump,
-                                            grid)
+        # fundamental_solution_check's and sphere_kernel_check's kernels
+        got_r, got_p = kernel_pairings(
+            SliceGrid.square(0j, 2.0, h), bump,
+            [[complex(a, 0.0)], [complex(a, b), complex(a, -b)]])
         by_h_real[h], by_h_pair[h] = got_r, got_p
         rows.append([h, got_r, want_r, got_p, want_p])
     write_csv(out / "delta_star.csv",

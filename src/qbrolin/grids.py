@@ -49,8 +49,7 @@ class SliceGrid:
 
     def mesh(self):
         """Complex node coordinates, shape (ny, nx); row = beta, col = alpha."""
-        a, b = np.meshgrid(self.alphas(), self.betas())
-        return a + 1j * b
+        return self.alphas() + 1j * self.betas()[:, None]
 
     def to_json(self):
         return {

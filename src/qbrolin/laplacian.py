@@ -26,6 +26,7 @@ from .poly import QPolynomial
 __all__ = [
     "slice_laplacian",
     "log_distance_field",
+    "kernel_pairings",
     "fundamental_solution_check",
     "sphere_kernel_check",
     "measure_from_green",
@@ -55,8 +56,9 @@ def slice_laplacian(f: GridField) -> GridField:
     return GridField(f.grid, out, mask)
 
 
-def log_distance_field(grid: SliceGrid, singularities) -> GridField:
-    """sum_k log|z - s_k| with the distance floored at 1e-3 h.
+def log_distance_field(grid: SliceGrid, singularities, z=None) -> GridField:
+    """sum_k log|z - s_k| on the nodes z = grid.mesh() (or the caller's),
+    with the distance floored at 1e-3 h.
 
     No masking: the delta mass of the discrete Laplacian lives entirely in
     the stencils touching the singular node, so dropping them loses the
@@ -64,29 +66,30 @@ def log_distance_field(grid: SliceGrid, singularities) -> GridField:
     and the value there cancels in bump-weighted sums up to O(h^2 log h)
     (a node's value enters neighboring stencils with net coefficient zero).
     """
-    z = grid.mesh()
-    values = np.zeros(z.shape)
+    z = grid.mesh() if z is None else z
+    values, dist, diff = np.zeros(z.shape), np.empty(z.shape), np.empty_like(z)
     floor = 1e-3 * grid.h
     for s in singularities:
-        values += np.log(np.maximum(np.abs(z - s), floor))
+        np.abs(np.subtract(z, s, out=diff), out=dist)
+        values += np.log(np.maximum(dist, floor, out=dist), out=dist)
     return GridField(grid, values)
 
 
-def _pairing(lap: GridField, bump: TestFunction) -> float:
-    """(1/pi) sum lap * bump * h^2 over unmasked nodes."""
-    z = lap.grid.mesh()
+def kernel_pairings(grid: SliceGrid, bump: TestFunction, kernels):
+    """(1/pi) sum lap * bump * h^2 over unmasked nodes, lap the slice
+    Laplacian of log_distance_field, for each singularity list in kernels;
+    one mesh and one bump evaluation serve them all."""
+    z = grid.mesh()
     bump_vals = bump.axial(z.real, np.abs(z.imag))
-    h2 = lap.grid.h ** 2
-    total = np.sum(np.where(lap.mask, 0.0, lap.values * bump_vals)) * h2
-    return float(total / math.pi)
+    laps = (slice_laplacian(log_distance_field(grid, s, z)) for s in kernels)
+    return [float(np.sum(np.where(lap.mask, 0.0, lap.values * bump_vals))
+                  * grid.h ** 2 / math.pi) for lap in laps]
 
 
 def fundamental_solution_check(a: float, bump: TestFunction,
                                grid: SliceGrid) -> float:
     """Pair lap log|z-a| against a bump; the limit value is bump(a)/2."""
-    field = log_distance_field(grid, [complex(a, 0.0)])
-    lap = slice_laplacian(field)
-    return _pairing(lap, bump)
+    return kernel_pairings(grid, bump, [[complex(a, 0.0)]])[0]
 
 
 def sphere_kernel_check(alpha0: float, beta0: float, bump: TestFunction,
@@ -102,11 +105,8 @@ def sphere_kernel_check(alpha0: float, beta0: float, bump: TestFunction,
     """
     if beta0 <= 0:
         raise ValueError("sphere_kernel_check needs a non-real center")
-    s1 = complex(alpha0, beta0)
-    s2 = complex(alpha0, -beta0)
-    field = log_distance_field(grid, [s1, s2])
-    lap = slice_laplacian(field)
-    computed = _pairing(lap, bump)
+    [computed] = kernel_pairings(
+        grid, bump, [[complex(alpha0, beta0), complex(alpha0, -beta0)]])
     return computed, float(bump.axial(alpha0, beta0))
 
 

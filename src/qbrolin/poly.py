@@ -20,10 +20,25 @@ from .errors import CoefficientOffSlice
 from .policy import OFF_SLICE_TOL
 from .quat import hamilton, inverse
 
-__all__ = ["QPolynomial", "ComplexPoly", "evaluate"]
+__all__ = ["QPolynomial", "ComplexPoly", "evaluate", "horner"]
 
 # largest imaginary part (absolute) of a coefficient that counts as real
 _REAL_TOL = 1e-12
+
+
+def horner(coeffs, z):
+    """sum coeffs[k] z^k (ascending, degree >= 1) at an array z in place:
+    acc = c_d * z, then acc += c_k, acc *= z for k = d-1 .. 1, then += c_0.
+    A coefficient may broadcast against z, the leading one only to z's
+    shape. One element gets a fresh product each step: numpy's in-place
+    complex product there is its reduction loop, which rounds differently."""
+    acc = coeffs[-1] * z
+    out = acc if acc.size > 1 else None
+    for c in coeffs[-2:0:-1]:
+        acc += c
+        acc = np.multiply(acc, z, out=out)
+    acc += coeffs[0]
+    return acc
 
 
 def evaluate(coeffs, q):
@@ -192,12 +207,19 @@ class ComplexPoly:
         return f"ComplexPoly(deg={self.degree})"
 
     def __call__(self, z):
+        """p(z); at an array z (degree >= 1) `horner`, bit for bit the
+        former loop acc = acc * z + c from acc = 0 at finite z, but for the
+        sign of a zero part of p(z) where c_d has a -0.0 part. The
+        coefficient is the left factor: numpy's array complex product is
+        not operand-symmetric. Scalars and constants take that loop: a
+        scalar stays a scalar in numpy's scalar arithmetic, which rounds
+        unlike its array loops (so slicecases.brolin3_gap goes per point)."""
+        if np.ndim(z) and len(self.coeffs) > 1:
+            return horner(self.coeffs, z)
         acc = np.zeros_like(np.asarray(z, dtype=complex))
         for c in self.coeffs[::-1]:
             acc = acc * z + c
-        if np.ndim(z) == 0:
-            return complex(acc)
-        return acc
+        return complex(acc) if np.ndim(z) == 0 else acc
 
     def derivative(self) -> "ComplexPoly":
         if self.degree < 1:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import SolverFailure
 from .policy import (ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL,
                      FIBER_RESIDUAL_TOL)
+from .poly import horner
 
 __all__ = ["all_roots", "cluster_roots", "fiber_roots", "merge_near",
            "quadratic_roots_many"]
@@ -23,15 +24,6 @@ __all__ = ["all_roots", "cluster_roots", "fiber_roots", "merge_near",
 # complex entries in one (rows, d, d) repulsion block: a batched solve takes
 # max(1, _BLOCK // d^2) rows at a time, about 4 MB per temporary
 _BLOCK = 1 << 18
-
-
-def _horner(coeffs, z):
-    """sum coeffs[k] z^k (ascending) at z; a coefficient may be a scalar or
-    a per-row column broadcasting against z."""
-    acc = np.zeros(z.shape, z.dtype)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def all_roots(coeffs):
@@ -88,9 +80,9 @@ def _certified_rows(coeffs, c0s):
     # backward-error residual: |p(z)| against sum |c_k| max(1,|z|)^k
     # (the max keeps clustered roots near the origin certifiable)
     col = c0s[:, None]
-    bound = _horner([np.abs(col), *np.abs(coeffs[1:])],
-                    np.maximum(np.abs(z), 1.0))
-    resid = np.abs(_horner([col, *coeffs[1:]], z)) / np.maximum(bound, 1e-300)
+    bound = horner([np.abs(col), *np.abs(coeffs[1:])],
+                   np.maximum(np.abs(z), 1.0))
+    resid = np.abs(horner([col, *coeffs[1:]], z)) / np.maximum(bound, 1e-300)
     worst = np.max(resid, axis=1)
     if not np.all(worst <= FIBER_RESIDUAL_TOL):
         raise SolverFailure(float(np.max(worst)))
@@ -142,7 +134,7 @@ def _aberth(coeffs, c0s):
     active, za, col = np.arange(len(c0s)), z.copy(), c0s[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(ABERTH_MAX_ITER):
-            p, dp = _horner([col, *hi], za), _horner(dco, za)
+            p, dp = horner([col, *hi], za), horner(dco, za)
             newton = np.divide(p, dp, out=np.zeros(p.shape, complex),
                                where=dp != 0)
             diff = za[:, :, None] - za[:, None, :]
@@ -160,7 +152,7 @@ def _aberth(coeffs, c0s):
         else:   # ABERTH_MAX_ITER reached: rows still active keep their last iterate
             z[active] = za
     for _ in range(3):
-        p, dp = _horner([c0s[:, None], *hi], z), _horner(dco, z)
+        p, dp = horner([c0s[:, None], *hi], z), horner(dco, z)
         step = np.divide(p, dp, out=np.zeros(z.shape, complex),
                          where=(dp != 0) & (np.abs(p) > 0))
         # do not polish across a cluster: cap the step

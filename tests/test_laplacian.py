@@ -1,16 +1,21 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qbrolin.cli import main
 from qbrolin.errors import InvariantViolation
 from qbrolin.grids import GridField, SliceGrid
-from qbrolin.laplacian import (fundamental_solution_check, log_distance_field,
-                               measure_from_green, raster_to_measure,
-                               refinement_order, slice_laplacian,
-                               sphere_kernel_check)
+from qbrolin.laplacian import (fundamental_solution_check, kernel_pairings,
+                               log_distance_field, measure_from_green,
+                               raster_to_measure, refinement_order,
+                               slice_laplacian, sphere_kernel_check)
 from qbrolin.measures import TestFunction, brolin_pullback, weak_distance
 from qbrolin.poly import QPolynomial
+from raster_refs import ref_fundamental_solution_check, ref_sphere_kernel_check
 
 BUMP = TestFunction(
     "bump", lambda a, b: np.exp(-((a - 0.1) ** 2 + b ** 2)))
@@ -62,6 +67,34 @@ def test_sphere_kernel_half_weights():
 def test_sphere_kernel_rejects_real_center():
     with pytest.raises(ValueError):
         sphere_kernel_check(1.0, 0.0, BUMP, _grid(0.25))
+
+
+def test_delta_star_pairings_match_the_former_checks_bit_for_bit(tmp_path):
+    # criterion 02: h 1/32 .. 1/256 on [-2, 2]^2, the real point 0.25 and
+    # the sphere of 0.25 + 0.5 j, the CLI's bump
+    cfg = tmp_path / "delta.json"
+    cfg.write_text(json.dumps({
+        "mode": "delta-star",
+        "polynomial": {"coeffs": [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"center": [0.25, 0.5],
+                   "h_list": [1 / 32, 1 / 64, 1 / 128, 1 / 256]}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "delta_star.csv").read_text().splitlines()
+    assert len(lines) == 5
+    for line in lines[1:]:
+        h, real, real_want, pair, pair_want = map(float, line.split(","))
+        grid = _grid(h)
+        want_r = ref_fundamental_solution_check(0.25, BUMP, grid)
+        want_p = ref_sphere_kernel_check(0.25, 0.5, BUMP, grid)
+        # %.17g round-trips every float
+        assert (real, real_want) == (want_r, 0.5 * BUMP.axial(0.25, 0.0))
+        assert (pair, pair_want) == want_p
+        assert kernel_pairings(grid, BUMP, [[0.25 + 0j],
+                                            [0.25 + 0.5j, 0.25 - 0.5j]]) \
+            == [want_r, want_p[0]]
+        assert fundamental_solution_check(0.25, BUMP, grid) == want_r
+        assert sphere_kernel_check(0.25, 0.5, BUMP, grid) == want_p
 
 
 def test_refinement_order_synthetic():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qbrolin.errors import CoefficientOffSlice, ZeroDivisor
 from qbrolin.poly import ComplexPoly, QPolynomial
@@ -8,6 +9,7 @@ from qbrolin.quat import hamilton, norm_sq
 from qbrolin.slicecases import hn_build
 from quat_refs import (Quaternion, TupleQPolynomial, ref_eval, ref_lift,
                        ref_slice_imag, rows)
+from raster_refs import ref_complex_poly_call
 
 coeff = st.tuples(*(st.floats(min_value=-2, max_value=2, allow_nan=False),) * 4)
 qpolys = st.lists(coeff, min_size=1, max_size=5).map(
@@ -214,3 +216,54 @@ def test_complexpoly_shifted_and_json():
     assert p.shifted(1.0)(0.0) == 0.0
     assert np.allclose(ComplexPoly.from_json(p.to_json()).coeffs, p.coeffs)
 
+
+edge_complex = st.builds(complex, edge_float, edge_float)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+def _generic(seed, shape):
+    """Complex values with full mantissas (Hypothesis favours simple floats,
+    on which both operand orders of a product round alike)."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
+
+
+call_coeffs = st.one_of(
+    st.lists(edge_complex, max_size=31),
+    st.builds(lambda s, n: list(_generic(s, n)), seeds, st.integers(1, 31)))
+# 1-D and 2-D, one-element arrays included (numpy's in-place complex
+# product rounds differently there)
+small_shapes = hnp.array_shapes(min_dims=1, max_dims=2, max_side=6)
+generic_scalars = st.builds(lambda s: complex(_generic(s, 1)[0]), seeds)
+call_points = st.one_of(
+    hnp.arrays(complex, small_shapes, elements=edge_complex),
+    hnp.arrays(float, small_shapes, elements=edge_float),
+    st.builds(_generic, seeds, small_shapes),
+    st.builds(lambda s, shape: _generic(s, shape).real, seeds, small_shapes),
+    edge_complex, edge_float, generic_scalars,
+    st.one_of(edge_complex, generic_scalars).map(np.complex128),
+    generic_scalars.map(lambda z: z.real))
+
+
+def _exact(v):
+    """Type, shape, dtype and bytes of a scalar or an array value."""
+    return type(v), np.shape(v), np.asarray(v).dtype, np.asarray(v).tobytes()
+
+
+def _has_negative_zero_part(c):
+    return any(x == 0 and np.signbit(x) for x in (c.real, c.imag))
+
+
+@given(call_coeffs, call_points)
+@settings(max_examples=500, deadline=None)
+def test_complexpoly_call_matches_the_former_loop_bit_for_bit(coeffs, z):
+    # degrees 0-30 (and the zero polynomial), non-monic complex coefficients
+    p = ComplexPoly(coeffs)
+    got, want = p(z), ref_complex_poly_call(p.coeffs, z)
+    if np.ndim(z) and p.degree >= 1 and _has_negative_zero_part(p.coeffs[-1]):
+        # the documented exception: c_d * z keeps a -0.0 part of c_d where
+        # the loop's 0 * z + c_d may give +0.0; only zero signs differ
+        assert _exact(got)[:3] == _exact(want)[:3]
+        assert np.array_equal(got, want)
+    else:
+        assert _exact(got) == _exact(want)
