@@ -1,15 +1,22 @@
 """All-roots solver for complex polynomials.
 
-Aberth-Ehrlich simultaneous iteration with deterministic initial guesses on a
-circle, followed by Newton polish, with multiplicity detection by clustering.
-It runs on rows: `fiber_roots` solves p(z) = t for many targets t at once
-(every p - t shares all but the constant term), `all_roots` is its one-row
-case. Degrees 1 and 2 use closed forms (they dominate the preimage workloads).
-`merge_near` is the library's one rule for which points coincide: fiber
-clusters keep their mean, measures their head atom.
+One Aberth-Ehrlich loop (`_aberth`) with a capped 3-step Newton polish runs
+on rows of start points and a callable giving the Newton pair (f, f') at
+them; it reads no coefficients. `fiber_roots` solves p(z) = t for many
+targets t at once (every p - t shares all but the constant term) from a
+Fujiwara circle with Horner pairs, certified by backward error; `all_roots`
+is its one-row case. `newton_roots` solves a function known only by its
+Newton pairs (the one-slice g_n, evaluated by composition) from given start
+points, certified by Newton distance. Both sort each row and detect
+multiplicities by clustering. Degrees 1 and 2 use closed forms (they
+dominate the preimage workloads). `merge_near` is the library's one rule for
+which points coincide: fiber clusters keep their mean, measures their head
+atom.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -19,10 +26,11 @@ from .policy import (ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL,
 from .poly import horner
 
 __all__ = ["all_roots", "cluster_roots", "fiber_roots", "merge_near",
-           "quadratic_roots_many"]
+           "newton_roots", "quadratic_roots_many"]
 
-# complex entries in one (rows, d, d) repulsion block: a batched solve takes
-# max(1, _BLOCK // d^2) rows at a time, about 4 MB per temporary
+# complex entries in one pairwise block: a batched solve takes
+# max(1, _BLOCK // d^2) rows at a time, and the repulsion and the cluster
+# test of a wider row take blocks of its points; about 4 MB per temporary
 _BLOCK = 1 << 18
 
 
@@ -63,6 +71,44 @@ def fiber_roots(coeffs, targets):
     return out
 
 
+def newton_roots(start, newton):
+    """Every root, with repetitions, of a function f with len(start) roots:
+    the Aberth iteration from the points start, on f's Newton pairs alone
+    (newton(z) gives f(z) and f'(z) at an array z; f need have no
+    coefficients).
+
+    Start points that crowd within the cluster radius must be the copies of
+    a multiple root, as in an exact start: the iteration does not split
+    them (its steps can just swap them), so crowded start points that are
+    not roots raise SolverFailure. Each root is certified by its Newton
+    distance (`_newton_certified`). The roots come as a fiber_roots row:
+    sorted, each `cluster_roots` center repeated by its multiplicity.
+    """
+    start = np.asarray(start, dtype=complex).reshape(1, -1)
+    crowded = _crowded(start)[0]
+    _newton_certified(start[crowded], newton)
+    z = _aberth(start, lambda z, _: newton(z), np.empty((1, 0)),
+                coincide=bool(crowded.any()))
+    z = _newton_certified(z, newton)
+    order = np.lexsort((z.imag, z.real), axis=-1)
+    return _clustered(np.take_along_axis(z, order, axis=1))[0]
+
+
+def _newton_certified(z, newton):
+    """z, if every point is within CLUSTER_TOL (1 + |z|) of a root by its
+    Newton distance |f / f'| (0 at f = 0); else SolverFailure with the worst
+    ratio."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f, df = newton(z)
+        dist = np.divide(np.abs(f), np.abs(df),
+                         out=np.where(f == 0, 0.0, np.inf), where=df != 0)
+        ratio = dist / (1.0 + np.abs(z))
+    if not np.all(ratio <= CLUSTER_TOL):
+        raise SolverFailure(float(np.max(ratio)),
+                            "root solve failed Newton-distance check")
+    return z
+
+
 def _closed_form(coeffs, c0s):
     deg = len(coeffs) - 1
     if deg < 1:
@@ -75,11 +121,16 @@ def _closed_form(coeffs, c0s):
 def _certified_rows(coeffs, c0s):
     """Roots of the polynomials coeffs with constant terms c0s, one row each:
     polished, residual-certified and sorted by (real, imag) within rows."""
-    z = (_closed_form(coeffs, c0s) if len(coeffs) <= 3
-         else _aberth(coeffs, c0s))
+    col = c0s[:, None]
+    if len(coeffs) <= 3:
+        z = _closed_form(coeffs, c0s)
+    else:
+        hi = list(coeffs[1:])
+        dco = list(coeffs[1:] * np.arange(1, len(coeffs)))
+        z = _aberth(_fujiwara_circle(coeffs, c0s), lambda z, c: (
+            horner([c, *hi], z), horner(dco, z)), col)
     # backward-error residual: |p(z)| against sum |c_k| max(1,|z|)^k
     # (the max keeps clustered roots near the origin certifiable)
-    col = c0s[:, None]
     bound = horner([np.abs(col), *np.abs(coeffs[1:])],
                    np.maximum(np.abs(z), 1.0))
     resid = np.abs(horner([col, *coeffs[1:]], z)) / np.maximum(bound, 1e-300)
@@ -110,16 +161,76 @@ def quadratic_roots_many(c0s, c1, c2):
     return out
 
 
-def _aberth(coeffs, c0s):
-    """Aberth-Ehrlich iteration on every row, then a 3-step Newton polish.
+def _aberth(z, newton, col, coincide=False):
+    """Aberth-Ehrlich iteration from the start points z, an (N, d) array of
+    rows, then a capped 3-step Newton polish.
 
-    A row leaves the active set when its own step test passes, so it does
+    newton(z, c) gives (f, f') at the points z of some rows, c being those
+    rows of col, the callers' per-row data (such as a constant term).
+    coincide says whether start points may coincide (see `_repulsion`). A
+    row leaves the active set when its own step test passes, so it does
     exactly the arithmetic of a one-row solve.
     """
+    z = z.copy()
+    active, za, ca = np.arange(len(z)), z.copy(), col
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(ABERTH_MAX_ITER):
+            p, dp = newton(za, ca)
+            quot = np.divide(p, dp, out=np.zeros(p.shape, complex),
+                             where=dp != 0)
+            denom = 1.0 - quot * _repulsion(za, coincide)
+            step = np.divide(quot, denom, out=quot.copy(), where=denom != 0)
+            za = za - step
+            done = (np.abs(step).max(axis=1)
+                    < ABERTH_TOL * (1.0 + np.abs(za).max(axis=1)))
+            if done.any():
+                z[active[done]] = za[done]
+                if done.all():
+                    break
+                active, za, ca = active[~done], za[~done], ca[~done]
+        else:   # ABERTH_MAX_ITER reached: rows still active keep their last iterate
+            z[active] = za
+        for _ in range(3):
+            p, dp = newton(z, col)
+            step = np.divide(p, dp, out=np.zeros(z.shape, complex),
+                             where=(dp != 0) & (np.abs(p) > 0))
+            # do not polish across a cluster: cap the step
+            z = z - np.where(np.abs(step) < 1e-2 * (1 + np.abs(z)), step, 0.0)
+    return z
+
+
+def _block_width(z):
+    """How many points i of each row of the (N, d) array z go in one
+    pairwise (N, width, d) block of about _BLOCK entries."""
+    return max(1, _BLOCK // max(1, z.size))
+
+
+def _repulsion(z, coincide=False):
+    """sum_{j != i} 1 / (z_i - z_j) for every point z_i of every row, one
+    block of i at a time (each sum over j is the same contiguous reduction
+    whatever the block). With coincide, iterates that coincide (the copies
+    of a multiple root in an exact start) do not repel each other; without
+    it, such a pair makes its sums NaN."""
+    deg, width = z.shape[1], _block_width(z)
+    sums = []
+    for lo in range(0, deg, width):
+        diff = z[:, lo:lo + width, None] - z[:, None, :]
+        diff.reshape(len(z), -1)[:, lo::deg + 1] = np.inf   # 1/inf: no self term
+        sums.append(np.divide(1.0, diff, out=diff).sum(axis=2))
+    out = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
+    if coincide and not cmath.isfinite(out.sum()):
+        bad = np.nonzero(~np.isfinite(out) & np.isfinite(z))
+        diff = z[bad][:, None] - z[bad[0]]   # a zero difference: no term
+        out[bad] = np.divide(1.0, diff, out=np.zeros(diff.shape, complex),
+                             where=diff != 0).sum(axis=1)
+    return out
+
+
+def _fujiwara_circle(coeffs, c0s):
+    """Aberth start for each row: deg points on a circle of twice the
+    Fujiwara root bound, taken via logs (iterated polynomials have huge
+    mid-range coefficients; the Cauchy bound would overflow the solver)."""
     deg = len(coeffs) - 1
-    hi, dco = list(coeffs[1:]), list(coeffs[1:] * np.arange(1, deg + 1))
-    # Fujiwara root bound per row, via logs (iterated polynomials have huge
-    # mid-range coefficients; the Cauchy bound would overflow the solver)
     lower = np.empty((len(c0s), deg), dtype=complex)
     lower[:], lower[:, 0] = coeffs[:-1], c0s
     with np.errstate(divide="ignore"):
@@ -130,34 +241,20 @@ def _aberth(coeffs, c0s):
     radius = np.where(finite.any(axis=1), 2.0 * np.exp(bound), 1e-12)
     # deterministic start: slightly irrational phase offset breaks symmetry
     angles = 2.0 * np.pi * (np.arange(deg) + 0.25) / deg + 0.5 / deg
-    z = np.maximum(radius, 1e-12)[:, None] * np.exp(1j * angles)
-    active, za, col = np.arange(len(c0s)), z.copy(), c0s[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(ABERTH_MAX_ITER):
-            p, dp = horner([col, *hi], za), horner(dco, za)
-            newton = np.divide(p, dp, out=np.zeros(p.shape, complex),
-                               where=dp != 0)
-            diff = za[:, :, None] - za[:, None, :]
-            diff.reshape(len(za), -1)[:, ::deg + 1] = np.inf   # 1/inf: no self term
-            denom = 1.0 - newton * (1.0 / diff).sum(axis=2)
-            step = np.divide(newton, denom, out=newton.copy(), where=denom != 0)
-            za = za - step
-            done = (np.abs(step).max(axis=1)
-                    < ABERTH_TOL * (1.0 + np.abs(za).max(axis=1)))
-            if done.any():
-                z[active[done]] = za[done]
-                if done.all():
-                    break
-                active, za, col = active[~done], za[~done], col[~done]
-        else:   # ABERTH_MAX_ITER reached: rows still active keep their last iterate
-            z[active] = za
-    for _ in range(3):
-        p, dp = horner([c0s[:, None], *hi], z), horner(dco, z)
-        step = np.divide(p, dp, out=np.zeros(z.shape, complex),
-                         where=(dp != 0) & (np.abs(p) > 0))
-        # do not polish across a cluster: cap the step
-        z = z - np.where(np.abs(step) < 1e-2 * (1 + np.abs(z)), step, 0.0)
-    return z
+    return np.maximum(radius, 1e-12)[:, None] * np.exp(1j * angles)
+
+
+def _crowded(rows):
+    """For each point of the (N, d) rows, whether another point of its row
+    lies within twice the cluster radius CLUSTER_TOL max(scale, 1), scale
+    1 + the row's largest |z|; and the scales. Blocked like `_repulsion`."""
+    scale = 1.0 + np.max(np.abs(rows), axis=1)
+    tol = 2.0 * CLUSTER_TOL * np.maximum(scale, 1.0)[:, None, None]
+    width = _block_width(rows)
+    # every point is close to itself
+    near = [(np.abs(rows[:, lo:lo + width, None] - rows[:, None, :]) <= tol)
+            .sum(axis=2) > 1 for lo in range(0, rows.shape[1], width)]
+    return (near[0] if len(near) == 1 else np.concatenate(near, axis=1)), scale
 
 
 def _clustered(rows):
@@ -167,13 +264,9 @@ def _clustered(rows):
     merge and is final (a lone root's cluster mean is the root plus 0, which
     only clears signed zeros); the other rows go through cluster_roots.
     """
-    scale = 1.0 + np.max(np.abs(rows), axis=1)
-    tol = 2.0 * CLUSTER_TOL * np.maximum(scale, 1.0)
-    close = np.abs(rows[:, :, None] - rows[:, None, :]) <= tol[:, None, None]
+    crowded, scale = _crowded(rows)
     out = rows + 0.0
-    # every root is close to itself: a row with more close pairs than roots
-    # has a cluster
-    for i in np.flatnonzero(close.sum(axis=(1, 2)) > rows.shape[1]):
+    for i in np.flatnonzero(crowded.any(axis=1)):
         clusters = cluster_roots(rows[i], float(scale[i]))
         out[i] = np.repeat([c for c, _ in clusters], [m for _, m in clusters])
     return out

@@ -9,7 +9,11 @@ coefficients, and the candidate limit measure is
 where P(., J) rewrites each coefficient x + I y as x + J y. Over every J
 that is the same complex data, so the one-slice functions (gn_build,
 mu_prime_estimate, gn_pullback_measure) take P as one ComplexPoly with
-coefficients x + i y: P restricted to its slice, written over C_i.
+coefficients x + i y: P restricted to its slice, written over C_i. On C_I,
+g_n = P^n (P^c)^n, so its fiber is solved by composition, from the depth-n
+preimage trees of 0 under P and P^c (its exact fiber of 0), without its
+2 d^n coefficients; gn_build expands them for g_1's exceptional screening
+and as a small-n oracle.
 
 General case: arbitrary quaternionic coefficients. The bullet iterate
 p^{bullet n} symmetrizes to a real-coefficient h_n of degree 2 d^n, and the
@@ -29,7 +33,7 @@ from .errors import (BudgetExceeded, ConfigError, ExceptionalTarget,
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .policy import DEGREE_BUDGET, FIBER_RESIDUAL_TOL
 from .poly import ComplexPoly, QPolynomial
-from .roots import fiber_roots
+from .roots import newton_roots
 
 __all__ = [
     "gn_build",
@@ -141,22 +145,64 @@ def mu_prime_estimate(pc: ComplexPoly, n: int, a: float = 0.0,
     return m
 
 
+def _gn_start(pc: ComplexPoly, a: float, n: int) -> np.ndarray:
+    """Aberth start for the g_n fiber of a: two depth-n preimage trees.
+
+    Real P: g_n = (P^n)^2, whose fiber is exactly the trees of +-sqrt(a)
+    under P (at a = 0 they coincide: every root is double). Otherwise the
+    trees of 0 under P and P^c, the fiber of 0. When 0 is P's exceptional
+    point, P = c z^d, those collapse onto 0; then the trees of 1 under P and
+    of 2 under P^c are taken. A polynomial has at most one finite
+    exceptional point, so neither tree repeats a point, and they lie on the
+    circles |c|^m |z|^(d^n) = 1 and 2 (m = (d^n - 1) / (d - 1)), so they
+    share none.
+    """
+    if pc.is_real():
+        s = np.sqrt(complex(a))
+        halves = ((pc, s), (pc, -s))
+    elif is_exceptional(pc, 0.0):
+        halves = ((pc, 1.0), (pc.conj_coeffs(), 2.0))
+    else:
+        halves = ((pc, 0.0), (pc.conj_coeffs(), 0.0))
+    return np.concatenate([preimage_tree(half, t, n, DEGREE_BUDGET)
+                           for half, t in halves])
+
+
+def _gn_newton(pc: ComplexPoly, a: float, n: int):
+    """z -> (g_n(z) - a, g_n'(z)) on C_I by composition: n steps of
+    u <- P(u), v <- P^c(v) with the chain rule, then g_n = u v and
+    g_n' = u' v + u v'."""
+    p, q = pc, pc.conj_coeffs()
+    dp, dq = p.derivative(), q.derivative()
+
+    def newton(z):
+        u, du, v, dv = z, 1.0, z, 1.0
+        for _ in range(n):
+            u, du, v, dv = p(u), du * dp(u), q(v), dv * dq(v)
+        return u * v - a, du * v + u * dv
+    return newton
+
+
 def gn_pullback_measure(pc: ComplexPoly, a: float,
                         n: int) -> EmpiricalMeasure:
     """Normalized fiber measure of the real target a under g_n.
 
-    g_n has real coefficients and degree 2 d^n; each complex fiber root
-    (a multiple one repeated) carries 1/(2 d^n), and conjugate roots fold
-    onto one sphere.
+    g_n has real coefficients and degree 2 d^n; its fiber is solved without
+    them, by `newton_roots` on the composition `_gn_newton` from the trees
+    of `_gn_start`. Each complex fiber root (a multiple one repeated)
+    carries 1/(2 d^n), and conjugate roots fold onto one sphere.
     """
-    g = gn_build(pc, n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    d = pc.degree
+    if d ** n > DEGREE_BUDGET:
+        raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {DEGREE_BUDGET}")
     _screen_gn_target(pc, a)
-    gc = g.restrict_to_slice()
-    fiber = fiber_roots(gc.coeffs, [complex(a)])[0]
+    fiber = newton_roots(_gn_start(pc, a, n), _gn_newton(pc, a, n))
     meta = {"estimator": "gn_pullback", "depth": n, "target": a}
-    m = measure_from_complex_atoms(fiber, np.full(len(fiber), 1.0 / gc.degree),
-                                   meta=meta)
-    if abs(m.total_mass() - 1.0) > 1e-6:
+    m = measure_from_complex_atoms(
+        fiber, np.full(len(fiber), 1.0 / (2 * d ** n)), meta=meta)
+    if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"g_n fiber mass {m.total_mass()} != 1")
     return m
 

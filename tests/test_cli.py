@@ -556,6 +556,7 @@ def test_arbitrary_params_keep_the_exit_code_contract(cfg):
 
 
 Q2_PLUS_03I = {"coeffs": [[0, 0.3, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
+Q2_PLUS_I = {"coeffs": [[0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
 
 
 def test_one_slice_bin_width_past_exact_bin_keys(tmp_path, capsys):
@@ -566,6 +567,22 @@ def test_one_slice_bin_width_past_exact_bin_keys(tmp_path, capsys):
         "params": {"depth": 4, "bin_width": 1e-300}})
     assert code == 2 and err["error"] == "ConfigError"
     assert "bin_width" in err["message"]
+
+
+def test_one_slice_runs_past_the_expanded_solve(tmp_path):
+    # g_n's expanded coefficients gave NaN residuals at depths 8 and 9 and
+    # overflowed at 10; the fiber is solved by composition now
+    for depth in (8, 9, 10):
+        for target in (0.0, 0.3):
+            out = tmp_path / f"out{depth}-{target}"
+            cfg = _write(tmp_path, "c.json", {
+                "mode": "one-slice", "polynomial": Q2_PLUS_I,
+                "params": {"depth": depth, "target": target},
+                "out": str(out)})
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([cfg]) == 0, (depth, target)
+            report = json.loads((out / "one_slice.json").read_text())
+            assert report["weak_distance"] <= 0.05
 
 
 def test_topological_entropy_refuses_nonreal_coefficients(tmp_path, capsys):

@@ -13,7 +13,7 @@ from qbrolin.measures import measure_from_complex_atoms
 from qbrolin.policy import ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL
 from qbrolin.poly import ComplexPoly
 from qbrolin.roots import (all_roots, cluster_roots, fiber_roots,
-                           merge_near, quadratic_roots_many)
+                           merge_near, newton_roots, quadratic_roots_many)
 from qbrolin.slicecases import gn_build
 
 
@@ -219,7 +219,7 @@ def test_fiber_roots_certificate_raises(monkeypatch):
 
 
 def test_degree_128_one_row_solve_unchanged():
-    # the one-slice g_6 of q^2 + I: the largest solve the CLI makes
+    # the expanded one-slice g_6 of q^2 + I: a degree-128 solve on one row
     g = gn_build(ComplexPoly([1j, 0.0, 1.0]), 6).restrict_to_slice()
     assert g.degree == 128
     roots = all_roots(g.coeffs)
@@ -230,6 +230,43 @@ def test_degree_128_one_row_solve_unchanged():
     expanded = [r for r, m in solve_fiber(g, 0.0) for _ in range(m)]
     assert _same_bits(rows[0], np.array(expanded))
     assert _same_bits(rows[-1], rows[0])
+
+
+def test_blocked_solves_are_bit_for_bit_the_unblocked_ones(monkeypatch):
+    # _BLOCK bounds the pairwise temporaries of the repulsion and of the
+    # cluster test; every sum over j is the same reduction in any block
+    from qbrolin.slicecases import _gn_newton, _gn_start
+    P = ComplexPoly([1j, 0.0, 1.0])
+    start, newton = _gn_start(P, 0.3, 6), _gn_newton(P, 0.3, 6)
+    cube = np.array([0.2, 0.0, 0.0, 1.0], dtype=complex)
+    targets = np.linspace(-1.0, 1.0, 40) + 0.5j
+    whole = (newton_roots(start, newton), fiber_roots(cube, targets))
+    assert roots_module._block_width(start[None]) >= len(start)
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(roots_module, "_BLOCK", block)
+        assert roots_module._block_width(start[None]) < len(start)
+        assert _same_bits(newton_roots(start, newton), whole[0])
+        assert _same_bits(fiber_roots(cube, targets), whole[1])
+
+
+def test_coinciding_iterates_do_not_repel():
+    # the two copies of a double root feel only the third point, which
+    # feels both; the exact start of the double root stays put
+    z = np.array([[1.0, 1.0, -1.0 + 0j]])
+    with np.errstate(divide="ignore", invalid="ignore"):   # as in _aberth
+        rep = roots_module._repulsion(z, coincide=True)
+    assert rep.tolist() == [[0.5, 0.5, -1.0]]
+    newton = lambda w: ((w - 1) ** 2 * (w + 1), (w - 1) * (3 * w + 1))
+    assert newton_roots([1.0, 1.0, -1.0], newton).tolist() == [-1, 1, 1]
+
+
+def test_crowded_start_points_off_the_roots_are_refused():
+    # the iteration would not split them: two roots would be lost silently
+    newton = lambda w: ((w - 1) * (w - 2) * (w + 1),
+                        3 * w ** 2 - 4 * w - 1)
+    assert np.allclose(newton_roots([0.5, 1.5, 3.0], newton), [-1, 1, 2])
+    with pytest.raises(SolverFailure):
+        newton_roots([0.5, 0.5 + 1e-13, 3.0], newton)
 
 
 # -- merge_near against the three merges it replaced -------------------------

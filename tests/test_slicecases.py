@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from qbrolin.errors import BudgetExceeded, InvariantViolation, ProbeOnFiber
-from qbrolin.measures import weak_distance
+from qbrolin import roots as roots_module
+from qbrolin.cdyn import preimage_tree
+from qbrolin.errors import (BudgetExceeded, InvariantViolation, ProbeOnFiber,
+                            SolverFailure)
+from qbrolin.measures import measure_from_complex_atoms, weak_distance
 from qbrolin.poly import ComplexPoly, QPolynomial
+from qbrolin.policy import CLUSTER_TOL
 from qbrolin.quat import sphere_quadrature
-from qbrolin.slicecases import (_realify, annulus_probes, brolin3_gap,
-                                gn_build, gn_pullback_measure, hn_build,
+from qbrolin.roots import all_roots, fiber_roots, newton_roots
+from qbrolin.slicecases import (_gn_newton, _gn_start, _realify,
+                                annulus_probes, brolin3_gap, gn_build,
+                                gn_pullback_measure, hn_build,
                                 mu_prime_estimate)
 
 P_I = ComplexPoly([1j, 0.0, 1.0])                                # q^2 + i
@@ -172,3 +179,105 @@ def test_mu_prime_matches_the_per_unit_loop(c):
     assert np.allclose(got.rho, want.rho, rtol=0, atol=1e-14)
     assert np.allclose(got.weight, want.weight, rtol=0, atol=1e-16)
 
+
+
+# -- the g_n fiber by composition ---------------------------------------------
+
+def _same_atoms(m, want, tol):
+    """Atoms matched one to one within tol in (alpha, rho), equal weights."""
+    assert len(m) == len(want)
+    dist = np.abs((m.alpha + 1j * m.rho)[:, None]
+                  - (want.alpha + 1j * want.rho)[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert np.max(dist[rows, cols]) <= tol
+    assert np.allclose(m.weight[rows], want.weight[cols], rtol=1e-14, atol=0)
+
+
+def _expanded_fiber(P, a, n):
+    """The former solve: fiber_roots on g_n's 2 d^n expanded coefficients."""
+    return fiber_roots(gn_build(P, n).restrict_to_slice().coeffs, [a])[0]
+
+
+def _match_distance(a, b):
+    """Largest distance in the closest one-to-one matching of two root sets."""
+    dist = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return float(np.max(dist[rows, cols]))
+
+
+@pytest.mark.parametrize("c", [1j, -0.3 + 0.6j])
+def test_depth_7_fiber_of_0_is_the_two_trees(c):
+    # g_n = P^n (P^c)^n on C_I: its zeros are the depth-n trees of 0 under
+    # P and P^c (the expanded degree-256 solve missed them by up to 0.5)
+    P = ComplexPoly([c, 0.0, 1.0])
+    trees = np.concatenate([preimage_tree(P, 0.0, 7),
+                            preimage_tree(P.conj_coeffs(), 0.0, 7)])
+    want = measure_from_complex_atoms(trees, np.full(256, 1.0 / 256))
+    _same_atoms(gn_pullback_measure(P, 0.0, 7), want, 1e-12)
+
+
+def test_newton_certificate_rejects_the_expanded_g6_roots():
+    # all_roots certifies these by backward error; their Newton distance on
+    # the composition is far above CLUSTER_TOL
+    z = all_roots(gn_build(P_I, 6).restrict_to_slice().coeffs)
+    with pytest.raises(SolverFailure) as info:
+        roots_module._newton_certified(z[None], _gn_newton(P_I, 0.0, 6))
+    assert info.value.worst_residual > 1e3 * CLUSTER_TOL
+
+
+@pytest.mark.parametrize("coeffs", [[1j, 0.0, 1.0], [-0.3 + 0.6j, 0.0, 1.0],
+                                    [0.1 + 0.2j, 0.0, 0.0, 1.0]])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [0.3, -0.5, 1.0])
+def test_composition_fiber_matches_the_expanded_solve(coeffs, n, a):
+    P = ComplexPoly(coeffs)
+    fiber = newton_roots(_gn_start(P, a, n), _gn_newton(P, a, n))
+    # a = 1 = g_n(0) for odd n on q^2 + I (and g_4 - 1 has a double root at
+    # i): roots of multiplicity m are placed only to about eps^(1/m), here
+    # m <= 4, by either solve
+    multiple = coeffs[0] == 1j and a == 1.0 and n != 2
+    assert _match_distance(fiber, _expanded_fiber(P, a, n)) <= (
+        1e-5 if multiple else 1e-12)
+
+
+@pytest.mark.parametrize("c, n, a", [(1j, 3, 1.0),
+                                     (np.exp(1j * np.pi / 3), 2, 1.0),
+                                     (np.exp(1j * np.pi / 3), 2, 0.5)])
+def test_exceptional_zero_starts_from_the_trees_of_1_and_2(c, n, a):
+    # P = c q^2: 0 is exceptional, so the trees of 0 are 2 d^n copies of 0.
+    # The trees of 1 under P and P^c coincide when c^(2^n - 1) is real
+    # (c = e^(i pi/3), n = 2); those of 1 and 2 lie on two circles
+    P = ComplexPoly([0.0, 0.0, c])
+    start = _gn_start(P, a, n)
+    gaps = np.abs(start[:, None] - start[None, :]) + np.eye(len(start))
+    assert np.min(gaps) > 0.1
+    want = measure_from_complex_atoms(_expanded_fiber(P, a, n),
+                                      np.full(len(start), 1.0 / len(start)))
+    _same_atoms(gn_pullback_measure(P, a, n), want, 1e-12)
+
+
+def test_real_coefficients_start_from_the_exact_fiber():
+    # g_n = (P^n)^2: the fiber of a is the trees of +-sqrt(a) under P, and at
+    # a = 0 every root of P^n twice (two exact copies of each start point)
+    P = ComplexPoly([-1.0, 0.0, 1.0])
+    for a, halves in ((0.25, (0.5, -0.5)), (0.0, (0.0, 0.0))):
+        trees = np.concatenate([preimage_tree(P, t, 5) for t in halves])
+        want = measure_from_complex_atoms(trees, np.full(64, 1.0 / 64))
+        _same_atoms(gn_pullback_measure(P, a, 5), want, 1e-12)
+
+
+def test_a_critical_value_target_is_certified_or_refused():
+    # a = 2 = |P^n(0)|^2 = g_n(0) for even n on q^2 + I. At n = 6 the root
+    # 0 is double and clusters; at n = 8 g_8''(0) = 0 too, so it is a root
+    # of multiplicity 4 that doubles place only to about 1e-4: the
+    # certificate must refuse it rather than report four atoms near 0
+    m = gn_pullback_measure(P_I, 2.0, 6)
+    at_0 = (np.abs(m.alpha) < 1e-7) & (m.rho < 1e-7)
+    assert m.weight[at_0].tolist() == [2.0 / 128]
+    try:
+        m = gn_pullback_measure(P_I, 2.0, 8)
+    except SolverFailure as failure:
+        assert failure.worst_residual > CLUSTER_TOL
+    else:
+        at_0 = (np.abs(m.alpha) < 1e-4) & (m.rho < 1e-4)
+        assert m.weight[at_0].sum() == pytest.approx(4.0 / 512)
