@@ -79,12 +79,15 @@ def gn_build(pc: ComplexPoly, n: int) -> QPolynomial:
     d = pc.degree
     if d ** n > DEGREE_BUDGET:
         raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {DEGREE_BUDGET}")
-    pn = pc.iterate_poly(n)
-    if pc.is_real():
-        sq = ComplexPoly(np.convolve(pn.coeffs, pn.coeffs))
-        return QPolynomial.from_real(sq.coeffs.real)
-    g = pn.lift().symmetrize()
-    g = _realify(g, scale=float(np.sum(np.abs(pn.coeffs))) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # _realify refuses inf
+        pn = pc.iterate_poly(n)
+        if pc.is_real():
+            sq = ComplexPoly(np.convolve(pn.coeffs, pn.coeffs))
+            g = QPolynomial.from_real(sq.coeffs.real)
+        else:
+            # s * s overflows to inf where s ** 2 would raise OverflowError
+            s = float(np.sum(np.abs(pn.coeffs)))
+            g = _realify(pn.lift().symmetrize(), scale=s * s)
     if g.degree != 2 * d ** n:
         raise InvariantViolation(f"deg g_n = {g.degree}, expected {2 * d ** n}")
     return g
@@ -221,8 +224,8 @@ def hn_build(p: QPolynomial, n: int) -> QPolynomial:
     with np.errstate(over="ignore", invalid="ignore"):  # _realify refuses inf
         for _ in range(n - 1):
             it = p.bullet_compose(it)
-        hn = _realify(it.symmetrize(),
-                      scale=float(np.sum(np.linalg.norm(it.coeffs, axis=1))) ** 2)
+        s = float(np.sum(np.linalg.norm(it.coeffs, axis=1)))
+        hn = _realify(it.symmetrize(), scale=s * s)
     if hn.degree != 2 * d ** n:
         raise InvariantViolation(f"deg h_n = {hn.degree}, expected {2 * d ** n}")
     return hn

@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbrolin import cli
@@ -298,6 +299,29 @@ def test_general_gap_stderr_is_one_json_line(tmp_path):
         "mode": "general-gap", "polynomial": {"coeffs": [
             [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
         "params": {"n_list": [9, 10]}})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-m", "qbrolin.cli", cfg,
+                        "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 3
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert json.loads(lines[0])["error"] == "InvariantViolation"
+
+
+@pytest.mark.parametrize("lead", [1e300, 1e-300])
+def test_one_slice_extreme_coefficient_stderr_is_one_json_line(tmp_path,
+                                                               lead):
+    # g_1 of lead I q^2: its coefficient sum squared raised OverflowError
+    # (1e300) and its leading coefficient underflowed to a degree-0 g_1 that
+    # the exceptional screening refused with a ValueError (1e-300)
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "one-slice", "polynomial": {"coeffs": [
+            [0, 0, 0, 0], [0, 0, 0, 0], [0, lead, 0, 0]]},
+        "params": {"depth": 1}})
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"),
