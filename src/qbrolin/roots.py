@@ -7,16 +7,14 @@ targets t at once (every p - t shares all but the constant term) from a
 Fujiwara circle with Horner pairs, certified by backward error; `all_roots`
 is its one-row case. `newton_roots` solves a function known only by its
 Newton pairs (the one-slice g_n, evaluated by composition) from given start
-points, certified by Newton distance. Both sort each row and detect
-multiplicities by clustering. Degrees 1 and 2 use closed forms (they
-dominate the preimage workloads). `merge_near` is the library's one rule for
-which points coincide: fiber clusters keep their mean, measures their head
-atom.
+points, crowded ones spread apart first, certified by Newton distance. Both
+return rows as `fiber_row` does: sorted, multiplicities detected by
+clustering. Degrees 1 and 2 use closed forms (they dominate the preimage
+workloads). `merge_near` is the library's one rule for which points
+coincide: fiber clusters keep their mean, measures their head atom.
 """
 
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
@@ -25,13 +23,17 @@ from .policy import (ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL,
                      FIBER_RESIDUAL_TOL)
 from .poly import horner
 
-__all__ = ["all_roots", "cluster_roots", "fiber_roots", "merge_near",
-           "newton_roots", "quadratic_roots_many"]
+__all__ = ["all_roots", "cluster_roots", "fiber_roots", "fiber_row",
+           "merge_near", "newton_roots", "quadratic_roots_many"]
 
 # complex entries in one pairwise block: a batched solve takes
 # max(1, _BLOCK // d^2) rows at a time, and the repulsion and the cluster
 # test of a wider row take blocks of its points; about 4 MB per temporary
 _BLOCK = 1 << 18
+
+# radius, relative to 1 + |z|, of the circle that crowded start points of
+# newton_roots are spread on
+_SPREAD = 1e-3
 
 
 def all_roots(coeffs):
@@ -77,21 +79,39 @@ def newton_roots(start, newton):
     (newton(z) gives f(z) and f'(z) at an array z; f need have no
     coefficients).
 
-    Start points that crowd within the cluster radius must be the copies of
-    a multiple root, as in an exact start: the iteration does not split
-    them (its steps can just swap them), so crowded start points that are
-    not roots raise SolverFailure. Each root is certified by its Newton
-    distance (`_newton_certified`). The roots come as a fiber_roots row:
-    sorted, each `cluster_roots` center repeated by its multiplicity.
+    Start points that crowd within the cluster radius are first spread
+    (`_spread_crowded`): the iteration does not split coinciding points (its
+    steps can just swap them). Each root is certified by its Newton distance
+    (`_newton_certified`). The roots come as a `fiber_row`.
     """
-    start = np.asarray(start, dtype=complex).reshape(1, -1)
-    crowded = _crowded(start)[0]
-    _newton_certified(start[crowded], newton)
-    z = _aberth(start, lambda z, _: newton(z), np.empty((1, 0)),
-                coincide=bool(crowded.any()))
-    z = _newton_certified(z, newton)
+    start = _spread_crowded(np.asarray(start, dtype=complex).reshape(-1))
+    z = _aberth(start[None], lambda z, _: newton(z), np.empty((1, 0)))
+    return fiber_row(_newton_certified(z, newton)[0])
+
+
+def fiber_row(points):
+    """points as a fiber_roots row: sorted by (real, imag), each
+    `cluster_roots` center repeated by its multiplicity."""
+    z = np.asarray(points, dtype=complex).reshape(1, -1)
     order = np.lexsort((z.imag, z.real), axis=-1)
     return _clustered(np.take_along_axis(z, order, axis=1))[0]
+
+
+def _spread_crowded(start):
+    """The start points with each cluster of crowded ones (merge_near at
+    twice the cluster radius) moved evenly onto a circle of radius
+    _SPREAD (1 + |mean|) about its mean."""
+    crowded, scale = _crowded(start[None])
+    idx = np.flatnonzero(crowded[0])
+    order, head = merge_near(start[idx],
+                             2.0 * CLUSTER_TOL * max(scale[0], 1.0))
+    idx, out = idx[order], start.copy()
+    for h in np.unique(head):
+        members = idx[head == h]
+        mean, m = np.mean(start[members]), len(members)
+        out[members] = mean + _SPREAD * (1.0 + abs(mean)) * np.exp(
+            2j * np.pi * (np.arange(m) + 0.25) / m)
+    return out
 
 
 def _newton_certified(z, newton):
@@ -161,13 +181,12 @@ def quadratic_roots_many(c0s, c1, c2):
     return out
 
 
-def _aberth(z, newton, col, coincide=False):
+def _aberth(z, newton, col):
     """Aberth-Ehrlich iteration from the start points z, an (N, d) array of
     rows, then a capped 3-step Newton polish.
 
     newton(z, c) gives (f, f') at the points z of some rows, c being those
-    rows of col, the callers' per-row data (such as a constant term).
-    coincide says whether start points may coincide (see `_repulsion`). A
+    rows of col, the callers' per-row data (such as a constant term). A
     row leaves the active set when its own step test passes, so it does
     exactly the arithmetic of a one-row solve.
     """
@@ -178,7 +197,7 @@ def _aberth(z, newton, col, coincide=False):
             p, dp = newton(za, ca)
             quot = np.divide(p, dp, out=np.zeros(p.shape, complex),
                              where=dp != 0)
-            denom = 1.0 - quot * _repulsion(za, coincide)
+            denom = 1.0 - quot * _repulsion(za)
             step = np.divide(quot, denom, out=quot.copy(), where=denom != 0)
             za = za - step
             done = (np.abs(step).max(axis=1)
@@ -205,25 +224,17 @@ def _block_width(z):
     return max(1, _BLOCK // max(1, z.size))
 
 
-def _repulsion(z, coincide=False):
+def _repulsion(z):
     """sum_{j != i} 1 / (z_i - z_j) for every point z_i of every row, one
     block of i at a time (each sum over j is the same contiguous reduction
-    whatever the block). With coincide, iterates that coincide (the copies
-    of a multiple root in an exact start) do not repel each other; without
-    it, such a pair makes its sums NaN."""
+    whatever the block)."""
     deg, width = z.shape[1], _block_width(z)
     sums = []
     for lo in range(0, deg, width):
         diff = z[:, lo:lo + width, None] - z[:, None, :]
         diff.reshape(len(z), -1)[:, lo::deg + 1] = np.inf   # 1/inf: no self term
         sums.append(np.divide(1.0, diff, out=diff).sum(axis=2))
-    out = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
-    if coincide and not cmath.isfinite(out.sum()):
-        bad = np.nonzero(~np.isfinite(out) & np.isfinite(z))
-        diff = z[bad][:, None] - z[bad[0]]   # a zero difference: no term
-        out[bad] = np.divide(1.0, diff, out=np.zeros(diff.shape, complex),
-                             where=diff != 0).sum(axis=1)
-    return out
+    return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
 
 
 def _fujiwara_circle(coeffs, c0s):

@@ -10,10 +10,10 @@ where P(., J) rewrites each coefficient x + I y as x + J y. Over every J
 that is the same complex data, so the one-slice functions (gn_build,
 mu_prime_estimate, gn_pullback_measure) take P as one ComplexPoly with
 coefficients x + i y: P restricted to its slice, written over C_i. On C_I,
-g_n = P^n (P^c)^n, so its fiber is solved by composition, from the depth-n
-preimage trees of 0 under P and P^c (its exact fiber of 0), without its
-2 d^n coefficients; gn_build expands them for g_1's exceptional screening
-and as a small-n oracle.
+g_n = P^n (P^c)^n, so its fiber of 0 is the depth-n preimage trees of 0
+under P and P^c, and the fiber of another target is solved by composition,
+started from those trees, without g_n's 2 d^n coefficients; gn_build
+expands them for g_1's exceptional screening and as a small-n oracle.
 
 General case: arbitrary quaternionic coefficients. The bullet iterate
 p^{bullet n} symmetrizes to a real-coefficient h_n of degree 2 d^n, and the
@@ -33,7 +33,7 @@ from .errors import (BudgetExceeded, ConfigError, ExceptionalTarget,
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .policy import DEGREE_BUDGET, FIBER_RESIDUAL_TOL
 from .poly import ComplexPoly, QPolynomial
-from .roots import newton_roots
+from .roots import fiber_row, newton_roots
 
 __all__ = [
     "gn_build",
@@ -67,6 +67,16 @@ def _realify(f: QPolynomial, scale: float) -> QPolynomial:
     return QPolynomial.from_real(f.coeffs[:, 0])
 
 
+def _check_depth(pc: ComplexPoly, n: int):
+    """The depths g_n is made for: n >= 1 (else ValueError) and d^n within
+    DEGREE_BUDGET (else BudgetExceeded)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if pc.degree ** n > DEGREE_BUDGET:
+        raise BudgetExceeded(
+            f"d^n = {pc.degree ** n} exceeds budget {DEGREE_BUDGET}")
+
+
 def gn_build(pc: ComplexPoly, n: int) -> QPolynomial:
     """g_n = (P^n_I)^s: iterate within the slice, lift, symmetrize.
 
@@ -74,11 +84,8 @@ def gn_build(pc: ComplexPoly, n: int) -> QPolynomial:
     commutative field, so the slice iterate is an ordinary complex
     composition. Real-coefficient input short-circuits to g_n = (P^n)^2.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_depth(pc, n)
     d = pc.degree
-    if d ** n > DEGREE_BUDGET:
-        raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {DEGREE_BUDGET}")
     with np.errstate(over="ignore", invalid="ignore"):  # _realify refuses inf
         pn = pc.iterate_poly(n)
         if pc.is_real():
@@ -148,11 +155,13 @@ def mu_prime_estimate(pc: ComplexPoly, n: int, a: float = 0.0,
     return m
 
 
-def _gn_start(pc: ComplexPoly, a: float, n: int) -> np.ndarray:
-    """Aberth start for the g_n fiber of a: two depth-n preimage trees.
+def _trees(halves, n: int) -> np.ndarray:
+    """The depth-n preimage trees of t under Q for each (Q, t) of halves."""
+    return np.concatenate([preimage_tree(q, t, n) for q, t in halves])
 
-    Real P: g_n = (P^n)^2, whose fiber is exactly the trees of +-sqrt(a)
-    under P (at a = 0 they coincide: every root is double). Otherwise the
+
+def _gn_start(pc: ComplexPoly, n: int) -> np.ndarray:
+    """Aberth start for the g_n fiber of a target a != 0, P not real: the
     trees of 0 under P and P^c, the fiber of 0. When 0 is P's exceptional
     point, P = c z^d, those collapse onto 0; then the trees of 1 under P and
     of 2 under P^c are taken. A polynomial has at most one finite
@@ -160,15 +169,9 @@ def _gn_start(pc: ComplexPoly, a: float, n: int) -> np.ndarray:
     circles |c|^m |z|^(d^n) = 1 and 2 (m = (d^n - 1) / (d - 1)), so they
     share none.
     """
-    if pc.is_real():
-        s = np.sqrt(complex(a))
-        halves = ((pc, s), (pc, -s))
-    elif is_exceptional(pc, 0.0):
-        halves = ((pc, 1.0), (pc.conj_coeffs(), 2.0))
-    else:
-        halves = ((pc, 0.0), (pc.conj_coeffs(), 0.0))
-    return np.concatenate([preimage_tree(half, t, n, DEGREE_BUDGET)
-                           for half, t in halves])
+    if is_exceptional(pc, 0.0):
+        return _trees(((pc, 1.0), (pc.conj_coeffs(), 2.0)), n)
+    return _trees(((pc, 0.0), (pc.conj_coeffs(), 0.0)), n)
 
 
 def _gn_newton(pc: ComplexPoly, a: float, n: int):
@@ -186,25 +189,37 @@ def _gn_newton(pc: ComplexPoly, a: float, n: int):
     return newton
 
 
+def _gn_fiber(pc: ComplexPoly, a: float, n: int) -> np.ndarray:
+    """Every root of g_n - a, with repetitions, as a `fiber_row`.
+
+    Where it is known exactly it is read off preimage trees: for real P,
+    g_n = (P^n)^2 and the fiber is the trees of +-sqrt(a) under P (at a = 0
+    every root is double); at a = 0 it is the trees of 0 under P and P^c.
+    Otherwise `newton_roots` solves it on the composition `_gn_newton` from
+    the trees of `_gn_start`.
+    """
+    if pc.is_real():
+        s = np.sqrt(complex(a))
+        return fiber_row(_trees(((pc, s), (pc, -s)), n))
+    if a == 0.0:
+        return fiber_row(_trees(((pc, 0.0), (pc.conj_coeffs(), 0.0)), n))
+    return newton_roots(_gn_start(pc, n), _gn_newton(pc, a, n))
+
+
 def gn_pullback_measure(pc: ComplexPoly, a: float,
                         n: int) -> EmpiricalMeasure:
     """Normalized fiber measure of the real target a under g_n.
 
-    g_n has real coefficients and degree 2 d^n; its fiber is solved without
-    them, by `newton_roots` on the composition `_gn_newton` from the trees
-    of `_gn_start`. Each complex fiber root (a multiple one repeated)
+    g_n has real coefficients and degree 2 d^n; its fiber is found without
+    them (`_gn_fiber`). Each complex fiber root (a multiple one repeated)
     carries 1/(2 d^n), and conjugate roots fold onto one sphere.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d = pc.degree
-    if d ** n > DEGREE_BUDGET:
-        raise BudgetExceeded(f"d^n = {d ** n} exceeds budget {DEGREE_BUDGET}")
+    _check_depth(pc, n)
     _screen_gn_target(pc, a)
-    fiber = newton_roots(_gn_start(pc, a, n), _gn_newton(pc, a, n))
+    fiber = _gn_fiber(pc, a, n)
     meta = {"estimator": "gn_pullback", "depth": n, "target": a}
     m = measure_from_complex_atoms(
-        fiber, np.full(len(fiber), 1.0 / (2 * d ** n)), meta=meta)
+        fiber, np.full(len(fiber), 1.0 / (2 * pc.degree ** n)), meta=meta)
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"g_n fiber mass {m.total_mass()} != 1")
     return m
@@ -224,8 +239,8 @@ def hn_build(p: QPolynomial, n: int) -> QPolynomial:
     with np.errstate(over="ignore", invalid="ignore"):  # _realify refuses inf
         for _ in range(n - 1):
             it = p.bullet_compose(it)
-        s = float(np.sum(np.linalg.norm(it.coeffs, axis=1)))
-        hn = _realify(it.symmetrize(), scale=s * s)
+        hn = _realify(it.symmetrize(),
+                      scale=float(np.sum(np.linalg.norm(it.coeffs, axis=1))) ** 2)
     if hn.degree != 2 * d ** n:
         raise InvariantViolation(f"deg h_n = {hn.degree}, expected {2 * d ** n}")
     return hn

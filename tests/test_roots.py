@@ -237,7 +237,7 @@ def test_blocked_solves_are_bit_for_bit_the_unblocked_ones(monkeypatch):
     # cluster test; every sum over j is the same reduction in any block
     from qbrolin.slicecases import _gn_newton, _gn_start
     P = ComplexPoly([1j, 0.0, 1.0])
-    start, newton = _gn_start(P, 0.3, 6), _gn_newton(P, 0.3, 6)
+    start, newton = _gn_start(P, 6), _gn_newton(P, 0.3, 6)
     cube = np.array([0.2, 0.0, 0.0, 1.0], dtype=complex)
     targets = np.linspace(-1.0, 1.0, 40) + 0.5j
     whole = (newton_roots(start, newton), fiber_roots(cube, targets))
@@ -249,24 +249,23 @@ def test_blocked_solves_are_bit_for_bit_the_unblocked_ones(monkeypatch):
         assert _same_bits(fiber_roots(cube, targets), whole[1])
 
 
-def test_coinciding_iterates_do_not_repel():
-    # the two copies of a double root feel only the third point, which
-    # feels both; the exact start of the double root stays put
-    z = np.array([[1.0, 1.0, -1.0 + 0j]])
-    with np.errstate(divide="ignore", invalid="ignore"):   # as in _aberth
-        rep = roots_module._repulsion(z, coincide=True)
-    assert rep.tolist() == [[0.5, 0.5, -1.0]]
-    newton = lambda w: ((w - 1) ** 2 * (w + 1), (w - 1) * (3 * w + 1))
-    assert newton_roots([1.0, 1.0, -1.0], newton).tolist() == [-1, 1, 1]
-
-
-def test_crowded_start_points_off_the_roots_are_refused():
-    # the iteration would not split them: two roots would be lost silently
+def test_crowded_start_points_are_spread_apart():
+    # the iteration does not split coinciding points (its steps can just
+    # swap them): two roots would be lost silently
     newton = lambda w: ((w - 1) * (w - 2) * (w + 1),
                         3 * w ** 2 - 4 * w - 1)
-    assert np.allclose(newton_roots([0.5, 1.5, 3.0], newton), [-1, 1, 2])
-    with pytest.raises(SolverFailure):
-        newton_roots([0.5, 0.5 + 1e-13, 3.0], newton)
+    want = np.array([-1.0, 1.0, 2.0])
+    for start in ([0.5, 1.5, 3.0], [0.5, 0.5 + 1e-13, 3.0], [0.5, 0.5, 0.5]):
+        assert np.allclose(newton_roots(start, newton), want,
+                           rtol=0, atol=1e-14)
+    spread = roots_module._spread_crowded(np.array([0.5, 0.5, 0.5, 3.0 + 0j]))
+    assert spread[3] == 3.0
+    assert np.allclose(np.abs(spread[:3] - 0.5), 1.5e-3, rtol=1e-12)
+    # the copies of a double root in the start come back as one cluster
+    newton = lambda w: ((w - 1) ** 2 * (w + 1), (w - 1) * (3 * w + 1))
+    roots = newton_roots([1.0, 1.0, -1.0], newton)
+    assert roots[1] == roots[2]
+    assert np.allclose(roots, [-1.0, 1.0, 1.0], rtol=0, atol=1e-8)
 
 
 # -- merge_near against the three merges it replaced -------------------------

@@ -225,13 +225,21 @@ def test_newton_certificate_rejects_the_expanded_g6_roots():
     assert info.value.worst_residual > 1e3 * CLUSTER_TOL
 
 
-@pytest.mark.parametrize("coeffs", [[1j, 0.0, 1.0], [-0.3 + 0.6j, 0.0, 1.0],
-                                    [0.1 + 0.2j, 0.0, 0.0, 1.0]])
+# the rabbit: the centre c of the period-3 component, c^3 + 2c^2 + c + 1 = 0
+_RABBIT = complex(max(np.roots([1, 2, 1, 1]), key=lambda r: r.imag))
+
+
+@pytest.mark.parametrize("coeffs, a", [
+    *((c, a) for c in ([1j, 0.0, 1.0], [-0.3 + 0.6j, 0.0, 1.0],
+                       [0.1 + 0.2j, 0.0, 0.0, 1.0]) for a in (0.3, -0.5, 1.0)),
+    # trees of 0 that share or repeat points: q^2 + I q fixes 0 (P and P^c
+    # both), the rabbit's 0 is a double preimage of c at depths >= 3
+    *((c, a) for c in ([0.0, 1j, 1.0], [_RABBIT, 0.0, 1.0])
+      for a in (0.3, -0.5))])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("a", [0.3, -0.5, 1.0])
-def test_composition_fiber_matches_the_expanded_solve(coeffs, n, a):
+def test_composition_fiber_matches_the_expanded_solve(coeffs, a, n):
     P = ComplexPoly(coeffs)
-    fiber = newton_roots(_gn_start(P, a, n), _gn_newton(P, a, n))
+    fiber = newton_roots(_gn_start(P, n), _gn_newton(P, a, n))
     # a = 1 = g_n(0) for odd n on q^2 + I (and g_4 - 1 has a double root at
     # i): roots of multiplicity m are placed only to about eps^(1/m), here
     # m <= 4, by either solve
@@ -248,7 +256,7 @@ def test_exceptional_zero_starts_from_the_trees_of_1_and_2(c, n, a):
     # The trees of 1 under P and P^c coincide when c^(2^n - 1) is real
     # (c = e^(i pi/3), n = 2); those of 1 and 2 lie on two circles
     P = ComplexPoly([0.0, 0.0, c])
-    start = _gn_start(P, a, n)
+    start = _gn_start(P, n)
     gaps = np.abs(start[:, None] - start[None, :]) + np.eye(len(start))
     assert np.min(gaps) > 0.1
     want = measure_from_complex_atoms(_expanded_fiber(P, a, n),
@@ -258,7 +266,7 @@ def test_exceptional_zero_starts_from_the_trees_of_1_and_2(c, n, a):
 
 def test_real_coefficients_start_from_the_exact_fiber():
     # g_n = (P^n)^2: the fiber of a is the trees of +-sqrt(a) under P, and at
-    # a = 0 every root of P^n twice (two exact copies of each start point)
+    # a = 0 every root of P^n twice (two exact copies of each tree point)
     P = ComplexPoly([-1.0, 0.0, 1.0])
     for a, halves in ((0.25, (0.5, -0.5)), (0.0, (0.0, 0.0))):
         trees = np.concatenate([preimage_tree(P, t, 5) for t in halves])
