@@ -28,5 +28,5 @@ from .dynstats import (AxialBox, CltResult, EstimateReport, calibrate_ks_null,
                        clt_harness, lyapunov_slice, lyapunov_sphere_direction,
                        mixing_correlation, partition_entropy, sample_mu,
                        separated_count, topological_entropy)
-from .slicecases import (brolin3_gap, gn_build, gn_pullback_measure, hn_build,
+from .slicecases import (brolin3_gap, gn_pullback_measure, hn_build,
                          mu_prime_estimate)

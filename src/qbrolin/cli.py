@@ -47,6 +47,9 @@ _TOP_KEYS = {"mode", "polynomial", "grid", "seed", "out", "params"}
 # (h = 1/2048 over [-2, 2]: 67M nodes, about 1 GB per complex raster)
 _GRID_DEFAULTS = {"center": [0.0, 0.0], "half_width": 2.0, "h": 1.0 / 128.0}
 _GRID_MAX_SIDE = 8193
+# the Gaussian bump that delta-star and verify pair the Laplacian kernels with
+_BUMP = TestFunction(
+    "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
 
 
 def write_csv(path: Path, header, rows):
@@ -179,16 +182,14 @@ def run_green(cfg, out: Path):
 
 def run_delta_star(cfg, out: Path):
     center = cfg["params"]["center"]
-    bump = TestFunction(
-        "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
     rows = []
     by_h_real, by_h_pair = {}, {}
     a, b = center[0], abs(center[1])
-    want_r, want_p = 0.5 * bump.axial(a, 0.0), float(bump.axial(a, b))
+    want_r, want_p = 0.5 * _BUMP.axial(a, 0.0), float(_BUMP.axial(a, b))
     for h in cfg["params"]["h_list"]:
         # fundamental_solution_check's and sphere_kernel_check's kernels
         got_r, got_p = kernel_pairings(
-            SliceGrid.square(0j, 2.0, h), bump,
+            SliceGrid.square(0j, 2.0, h), _BUMP,
             [[complex(a, 0.0)], [complex(a, b), complex(a, -b)]])
         by_h_real[h], by_h_pair[h] = got_r, got_p
         rows.append([h, got_r, want_r, got_p, want_p])
@@ -377,11 +378,9 @@ def run_verify(cfg, out: Path):
           float(np.max(np.abs(s1.imag))) < 1e-9
           and float(np.max(np.abs(s1.real))) <= 2.0 + 1e-9)
 
-    bump = TestFunction(
-        "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
     grid = SliceGrid.square(0j, 2.0, 1.0 / 64)
-    got = fundamental_solution_check(0.3, bump, grid)
-    want = 0.5 * bump.axial(0.3, 0.0)
+    got = fundamental_solution_check(0.3, _BUMP, grid)
+    want = 0.5 * _BUMP.axial(0.3, 0.0)
     rel = abs(got / want - 1.0)
     check("fundamental solution (coarse)", rel < 0.05, f"rel err {rel:.2e}")
 

@@ -254,17 +254,3 @@ class ComplexPoly:
 
     def is_real(self):
         return bool(np.all(np.abs(self.coeffs.imag) <= _REAL_TOL))
-
-    def lift(self) -> QPolynomial:
-        """Lift back to a QPolynomial with coefficients in C_i."""
-        re, im = self.coeffs.real, self.coeffs.imag
-        # im * 0.0: the j and k parts keep the sign of the imaginary part
-        return QPolynomial(np.stack([re, im, im * 0.0, im * 0.0], axis=1))
-
-    def to_json(self):
-        return {"coeffs": [[c.real, c.imag] for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data):
-        return ComplexPoly([complex(re, im) for re, im in data["coeffs"]])
-

@@ -81,10 +81,16 @@ def newton_roots(start, newton):
 
     Start points that crowd within the cluster radius are first spread
     (`_spread_crowded`): the iteration does not split coinciding points (its
-    steps can just swap them). Each root is certified by its Newton distance
-    (`_newton_certified`). The roots come as a `fiber_row`.
+    steps can just swap them). f not finite at a start point, which would
+    poison every repulsion sum, raises SolverFailure. Each root is certified
+    by its Newton distance (`_newton_certified`). The roots come as a
+    `fiber_row`.
     """
     start = _spread_crowded(np.asarray(start, dtype=complex).reshape(-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = int(np.sum(~np.isfinite(newton(start)[0])))
+    if bad:
+        raise SolverFailure(np.nan, f"f is not finite at {bad} start points")
     z = _aberth(start[None], lambda z, _: newton(z), np.empty((1, 0)))
     return fiber_row(_newton_certified(z, newton)[0])
 

@@ -7,13 +7,12 @@ coefficients, and the candidate limit measure is
     mu' = (1/8 pi) int_S mu_{P(.,J)} dJ + (1/8 pi) int_S mu_{P^c(.,J)} dJ,
 
 where P(., J) rewrites each coefficient x + I y as x + J y. Over every J
-that is the same complex data, so the one-slice functions (gn_build,
-mu_prime_estimate, gn_pullback_measure) take P as one ComplexPoly with
-coefficients x + i y: P restricted to its slice, written over C_i. On C_I,
-g_n = P^n (P^c)^n, so its fiber of 0 is the depth-n preimage trees of 0
-under P and P^c, and the fiber of another target is solved by composition,
-started from those trees, without g_n's 2 d^n coefficients; gn_build
-expands them for g_1's exceptional screening and as a small-n oracle.
+that is the same complex data, so the one-slice functions (mu_prime_estimate,
+gn_pullback_measure) take P as one ComplexPoly with coefficients x + i y: P
+restricted to its slice, written over C_i. On C_I, g_n = P^n (P^c)^n, so
+its fiber of 0 is the depth-n preimage trees of 0 under P and P^c, and the
+fiber of another target is solved by composition from those trees; g_n's
+2 d^n coefficients are never built. Targets are screened on g_1 = P^c P.
 
 General case: arbitrary quaternionic coefficients. The bullet iterate
 p^{bullet n} symmetrizes to a real-coefficient h_n of degree 2 d^n, and the
@@ -36,7 +35,6 @@ from .poly import ComplexPoly, QPolynomial
 from .roots import fiber_row, newton_roots
 
 __all__ = [
-    "gn_build",
     "mu_prime_estimate",
     "gn_pullback_measure",
     "hn_build",
@@ -67,43 +65,22 @@ def _realify(f: QPolynomial, scale: float) -> QPolynomial:
     return QPolynomial.from_real(f.coeffs[:, 0])
 
 
-def _check_depth(pc: ComplexPoly, n: int):
-    """The depths g_n is made for: n >= 1 (else ValueError) and d^n within
-    DEGREE_BUDGET (else BudgetExceeded)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if pc.degree ** n > DEGREE_BUDGET:
-        raise BudgetExceeded(
-            f"d^n = {pc.degree ** n} exceeds budget {DEGREE_BUDGET}")
-
-
-def gn_build(pc: ComplexPoly, n: int) -> QPolynomial:
-    """g_n = (P^n_I)^s: iterate within the slice, lift, symmetrize.
-
-    pc holds P's coefficients x + I y as complex numbers x + i y. C_I is a
-    commutative field, so the slice iterate is an ordinary complex
-    composition. Real-coefficient input short-circuits to g_n = (P^n)^2.
-    """
-    _check_depth(pc, n)
-    d = pc.degree
-    with np.errstate(over="ignore", invalid="ignore"):  # _realify refuses inf
-        pn = pc.iterate_poly(n)
-        if pc.is_real():
-            sq = ComplexPoly(np.convolve(pn.coeffs, pn.coeffs))
-            g = QPolynomial.from_real(sq.coeffs.real)
-        else:
-            # s * s overflows to inf where s ** 2 would raise OverflowError
-            s = float(np.sum(np.abs(pn.coeffs)))
-            g = _realify(pn.lift().symmetrize(), scale=s * s)
-    if g.degree != 2 * d ** n:
-        raise InvariantViolation(f"deg g_n = {g.degree}, expected {2 * d ** n}")
-    return g
+def _g1(pc: ComplexPoly) -> ComplexPoly:
+    """g_1 = P^c P on C_I, one convolution of P's coefficients (real up to
+    rounding); InvariantViolation unless it is finite of degree 2 d (a
+    leading coefficient can underflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g1 = ComplexPoly(np.convolve(pc.coeffs, np.conj(pc.coeffs)).real)
+    bad = int(np.sum(~np.isfinite(g1.coeffs)))
+    if bad or g1.degree != 2 * pc.degree:
+        raise InvariantViolation(f"g_1 has {bad} non-finite coefficients and "
+                                 f"degree {g1.degree}, not {2 * pc.degree}")
+    return g1
 
 
 def _screen_gn_target(pc: ComplexPoly, a: float):
-    """Exceptional screening of a real target through g_1's slice restriction."""
-    g1 = gn_build(pc, 1).restrict_to_slice()
-    if is_exceptional(g1, complex(a)):
+    """Exceptional screening of a real target through g_1."""
+    if is_exceptional(_g1(pc), complex(a)):
         raise ExceptionalTarget(f"target {a} is exceptional for g_n")
 
 
@@ -128,6 +105,13 @@ def _binned(points, weights, bin_width, meta):
     return measure_from_complex_atoms(means, w, meta=meta)
 
 
+def _trees(halves, n: int) -> np.ndarray:
+    """The depth-n preimage trees of t under Q, d^n within DEGREE_BUDGET,
+    for each (Q, t) of halves."""
+    return np.concatenate([preimage_tree(q, t, n, DEGREE_BUDGET)
+                           for q, t in halves])
+
+
 def mu_prime_estimate(pc: ComplexPoly, n: int, a: float = 0.0,
                       bin_width: float = 1.0 / 128.0) -> EmpiricalMeasure:
     """Estimator of mu' from depth-n Brolin pullbacks of the real target a.
@@ -142,9 +126,7 @@ def mu_prime_estimate(pc: ComplexPoly, n: int, a: float = 0.0,
     if d < 2:
         raise ValueError("degree must be >= 2")
     _screen_gn_target(pc, a)
-
-    points = np.concatenate([preimage_tree(half, complex(a), n, DEGREE_BUDGET)
-                             for half in (pc, pc.conj_coeffs())])
+    points = _trees(((pc, complex(a)), (pc.conj_coeffs(), complex(a))), n)
     meta = {"estimator": "mu_prime", "depth": n, "target": a,
             "bin_width": bin_width,
             "binning": {"width": bin_width, "rule": "weighted-mean"}}
@@ -153,11 +135,6 @@ def mu_prime_estimate(pc: ComplexPoly, n: int, a: float = 0.0,
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"mu' mass {m.total_mass()} != 1")
     return m
-
-
-def _trees(halves, n: int) -> np.ndarray:
-    """The depth-n preimage trees of t under Q for each (Q, t) of halves."""
-    return np.concatenate([preimage_tree(q, t, n) for q, t in halves])
 
 
 def _gn_start(pc: ComplexPoly, n: int) -> np.ndarray:
@@ -214,7 +191,8 @@ def gn_pullback_measure(pc: ComplexPoly, a: float,
     them (`_gn_fiber`). Each complex fiber root (a multiple one repeated)
     carries 1/(2 d^n), and conjugate roots fold onto one sphere.
     """
-    _check_depth(pc, n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _screen_gn_target(pc, a)
     fiber = _gn_fiber(pc, a, n)
     meta = {"estimator": "gn_pullback", "depth": n, "target": a}
@@ -239,8 +217,9 @@ def hn_build(p: QPolynomial, n: int) -> QPolynomial:
     with np.errstate(over="ignore", invalid="ignore"):  # _realify refuses inf
         for _ in range(n - 1):
             it = p.bullet_compose(it)
-        hn = _realify(it.symmetrize(),
-                      scale=float(np.sum(np.linalg.norm(it.coeffs, axis=1))) ** 2)
+        # s * s overflows to inf where s ** 2 would raise OverflowError
+        s = float(np.sum(np.linalg.norm(it.coeffs, axis=1)))
+        hn = _realify(it.symmetrize(), scale=s * s)
     if hn.degree != 2 * d ** n:
         raise InvariantViolation(f"deg h_n = {hn.degree}, expected {2 * d ** n}")
     return hn

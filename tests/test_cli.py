@@ -293,31 +293,35 @@ def test_general_gap_refuses_a_non_finite_h_n(tmp_path, capsys):
 
 
 def test_general_gap_stderr_is_one_json_line(tmp_path):
-    # h_10 of q^2 + j overflows inside hn_build; a fresh interpreter (no
-    # pytest warning capture) must print the error line and nothing else
-    cfg = _write(tmp_path, "c.json", {
-        "mode": "general-gap", "polynomial": {"coeffs": [
-            [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
-        "params": {"n_list": [9, 10]}})
+    # h_10 of q^2 + j overflows inside hn_build, and so does h_1 of
+    # 1e154 (q^2 + q j + j), whose coefficient-norm sum squared raised
+    # OverflowError; a fresh interpreter (no pytest warning capture) must
+    # print the error line and nothing else
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(Path(__file__).resolve().parents[1] / "src"),
         env.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, "-m", "qbrolin.cli", cfg,
-                        "--out", str(tmp_path / "out")],
-                       capture_output=True, text=True, env=env)
-    assert r.returncode == 3
-    lines = r.stderr.splitlines()
-    assert len(lines) == 1, r.stderr
-    assert json.loads(lines[0])["error"] == "InvariantViolation"
+    for k, (coeffs, n_list) in enumerate((
+            ([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]], [9, 10]),
+            ([[0, 0, 1e154, 0], [0, 0, 1e154, 0], [1e154, 0, 0, 0]], [1]))):
+        cfg = _write(tmp_path, f"c{k}.json", {
+            "mode": "general-gap", "polynomial": {"coeffs": coeffs},
+            "params": {"n_list": n_list}})
+        r = subprocess.run([sys.executable, "-m", "qbrolin.cli", cfg,
+                            "--out", str(tmp_path / f"out{k}")],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, r.stderr
+        assert json.loads(lines[0])["error"] == "InvariantViolation"
 
 
 @pytest.mark.parametrize("lead", [1e300, 1e-300])
 def test_one_slice_extreme_coefficient_stderr_is_one_json_line(tmp_path,
                                                                lead):
-    # g_1 of lead I q^2: its coefficient sum squared raised OverflowError
-    # (1e300) and its leading coefficient underflowed to a degree-0 g_1 that
-    # the exceptional screening refused with a ValueError (1e-300)
+    # g_1 of lead I q^2 overflows (1e300), or its leading coefficient
+    # underflows to a degree-0 g_1 (1e-300); these once left an
+    # OverflowError and a ValueError from the exceptional screening
     cfg = _write(tmp_path, "c.json", {
         "mode": "one-slice", "polynomial": {"coeffs": [
             [0, 0, 0, 0], [0, 0, 0, 0], [0, lead, 0, 0]]},

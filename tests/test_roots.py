@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gn_refs import gn_build
 from merge_refs import (ref_cluster_roots, ref_fold, ref_measure_merge,
                         ref_merge_level)
 from qbrolin import roots as roots_module
@@ -14,7 +15,6 @@ from qbrolin.policy import ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL
 from qbrolin.poly import ComplexPoly
 from qbrolin.roots import (all_roots, cluster_roots, fiber_roots,
                            merge_near, newton_roots, quadratic_roots_many)
-from qbrolin.slicecases import gn_build
 
 
 def _poly_from_roots(roots):

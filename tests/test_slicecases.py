@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from gn_refs import gn_build
 from qbrolin import roots as roots_module
-from qbrolin.cdyn import preimage_tree
-from qbrolin.errors import (BudgetExceeded, InvariantViolation, ProbeOnFiber,
-                            SolverFailure)
+from qbrolin.cdyn import is_exceptional, preimage_tree
+from qbrolin.errors import (BudgetExceeded, ExceptionalTarget,
+                            InvariantViolation, ProbeOnFiber, SolverFailure)
 from qbrolin.measures import measure_from_complex_atoms, weak_distance
 from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.policy import CLUSTER_TOL
 from qbrolin.quat import sphere_quadrature
 from qbrolin.roots import all_roots, fiber_roots, newton_roots
-from qbrolin.slicecases import (_gn_newton, _gn_start, _realify,
-                                annulus_probes, brolin3_gap, gn_build,
+from qbrolin.slicecases import (_g1, _gn_newton, _gn_start, _realify,
+                                annulus_probes, brolin3_gap,
                                 gn_pullback_measure, hn_build,
                                 mu_prime_estimate)
+from quat_refs import ref_lift
 
 P_I = ComplexPoly([1j, 0.0, 1.0])                                # q^2 + i
 P_J = QPolynomial(np.array([[0.0, 0, 1, 0], [0, 0, 0, 0],
@@ -22,7 +25,7 @@ P_J = QPolynomial(np.array([[0.0, 0, 1, 0], [0, 0, 0, 0],
 
 
 def test_one_slice_flags():
-    # gn_build routes on is_real; mu' pulls back through P and P^c
+    # _gn_fiber routes on is_real; mu' pulls back through P and P^c
     assert not P_I.is_real()
     assert ComplexPoly([-2.0, 0.0, 1.0]).is_real()
     assert np.allclose(P_I.conj_coeffs().coeffs, [-1j, 0.0, 1.0])
@@ -60,8 +63,68 @@ def test_gn_is_not_an_iteration_semigroup():
 
 
 def test_gn_budget():
+    # d^n = 8192 > DEGREE_BUDGET: both one-slice functions refuse depth 13
+    # in preimage_tree, before any tree level is solved
     with pytest.raises(BudgetExceeded):
-        gn_build(P_I, 14)
+        gn_pullback_measure(P_I, 0.3, 13)
+    with pytest.raises(BudgetExceeded):
+        mu_prime_estimate(P_I, 13)
+
+
+def test_an_exceptional_target_is_refused_before_the_budget():
+    # g_1 of I q^2 is q^4, exceptional at 0: the screen runs first, so
+    # depth 13 (over budget) is refused as exceptional too
+    P = ComplexPoly([0.0, 0.0, 1j])
+    for n in (2, 13):
+        with pytest.raises(ExceptionalTarget):
+            gn_pullback_measure(P, 0.0, n)
+        with pytest.raises(ExceptionalTarget):
+            mu_prime_estimate(P, n)
+
+
+def test_one_slice_functions_build_no_expanded_iterate(monkeypatch):
+    # both run on ComplexPoly alone: no QPolynomial, no expanded P^n
+    def refuse(*args):
+        raise AssertionError("expanded-coefficient path taken")
+    monkeypatch.setattr(QPolynomial, "__init__", refuse)
+    monkeypatch.setattr(ComplexPoly, "iterate_poly", refuse)
+    for P in (P_I, ComplexPoly([-1.0, 0.0, 1.0])):
+        for a in (0.0, 0.3):
+            mu_prime_estimate(P, 4, a)
+            gn_pullback_measure(P, a, 4)
+
+
+# P of degree 2-4 with coefficients of modulus at most 2 (the leading one
+# not tiny), or exactly c z^d, whose g_1 = |c|^2 z^(2d) is exceptional at 0
+_lead = st.complex_numbers(min_magnitude=1e-3, max_magnitude=2.0)
+_slice_poly = st.one_of(
+    st.builds(lambda lower, lead: ComplexPoly([*lower, lead]),
+              st.lists(st.complex_numbers(max_magnitude=2.0), min_size=2,
+                       max_size=4), _lead),
+    st.builds(lambda d, lead: ComplexPoly([0.0] * d + [lead]),
+              st.integers(2, 4), _lead))
+
+
+def _screen(g1_of, pc, a):
+    try:
+        return is_exceptional(g1_of(pc), a)
+    except InvariantViolation:
+        return "refused"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_slice_poly, st.sampled_from([0.0, 0.3, -0.5, 1.0]) | st.floats(-3, 3))
+@example(ComplexPoly([0.0, 0.0, 1j]), 0.0)
+@example(ComplexPoly([0.0, 0.0, 0.0, 0.6 - 0.8j]), 0.0)
+def test_g1_convolution_screen_matches_the_expanded_g1(pc, a):
+    # g_1 = P^c P by one convolution against the lifted, star-symmetrized
+    # g_1 of gn_build: same coefficients to rounding, same screening
+    def expanded(p):
+        return gn_build(p, 1).restrict_to_slice()
+    assert _screen(_g1, pc, a) == _screen(expanded, pc, a)
+    want = expanded(pc).coeffs
+    assert (np.max(np.abs(_g1(pc).coeffs - want))
+            <= 1e-14 * np.sum(np.abs(want)))
 
 
 def test_h1_closed_form():
@@ -80,7 +143,7 @@ def test_hn_degree_law():
 def test_hn_matches_gn_for_one_slice_input():
     # coefficients in one slice commute, so the bullet iterate restricts to
     # the ordinary slice iterate and h_n = g_n
-    p_i = P_I.lift()
+    p_i = QPolynomial(ref_lift(P_I.coeffs))
     for n in (1, 2, 3):
         hn = hn_build(p_i, n).restrict_to_slice()
         gn = gn_build(P_I, n).restrict_to_slice()
@@ -93,9 +156,9 @@ def test_degree_checks_raise_invariant_violation(monkeypatch):
     monkeypatch.setattr(QPolynomial, "bullet_compose", lambda self, q: q)
     with pytest.raises(InvariantViolation):
         hn_build(P_J, 3)
-    monkeypatch.setattr(ComplexPoly, "iterate_poly", lambda self, n: self)
+    # g_1 of 1e-300 I q^2: the leading coefficient underflows to 0
     with pytest.raises(InvariantViolation):
-        gn_build(P_I, 2)
+        _g1(ComplexPoly([0.0, 0.0, 1e-300j]))
 
 
 def test_annulus_probes():
@@ -289,3 +352,25 @@ def test_a_critical_value_target_is_certified_or_refused():
     else:
         at_0 = (np.abs(m.alpha) < 1e-4) & (m.rho < 1e-4)
         assert m.weight[at_0].sum() == pytest.approx(4.0 / 512)
+
+
+def test_an_overflowing_start_point_is_refused_by_name():
+    # q^2 + I q at depth 10: points of the P^c tree of 0 escape under P, so
+    # u = P^10(z) overflows while v = (P^c)^10(z) is about 0 and g_n = u v
+    # is inf * 0; that NaN would poison the whole row's repulsion
+    with pytest.raises(SolverFailure) as info:
+        gn_pullback_measure(ComplexPoly([0.0, 1j, 1.0]), 0.3, 10)
+    assert "not finite at" in str(info.value)
+
+
+@pytest.mark.parametrize("c", [1j, -0.3 + 0.6j])
+@pytest.mark.parametrize("a", [0.3, -0.5])
+def test_gn_fiber_of_a_nonzero_target_approaches_mu_prime(c, a):
+    # the one-slice theorem measured: the g_n fiber of a != 0 (not the trees
+    # mu' bins) tends to mu' as n grows; windows fixed before running
+    P = ComplexPoly([c, 0.0, 1.0])
+    d = {n: weak_distance(gn_pullback_measure(P, a, n),
+                          mu_prime_estimate(P, n, 0.0)) for n in (4, 6, 8)}
+    assert d[4] > d[6] > d[8]
+    assert d[8] <= d[4] / 10
+    assert d[8] <= 5e-3
