@@ -8,7 +8,8 @@ simulating the statistic exactly: on [-2, 2] the map conjugates to angle
 doubling, x_i = 2 cos(2 pi frac(2^i u)), and a 260-bit integer angle keeps
 every one of the 200 doublings exact. Each replication draws fresh starts,
 fits sigma from the data, and reports the KS distance to N(0, sigma), the
-same procedure the float harness applies.
+same procedure the float harness applies, through the same statistic
+(`qbrolin.dynstats.ks_distance`).
 
 Usage: python scripts/calibrate_clt_null.py [--reps 50] [--n-terms 200]
        [--n-chains 10000]
@@ -18,7 +19,8 @@ import argparse
 import math
 
 import numpy as np
-from scipy import stats
+
+from qbrolin.dynstats import ks_distance
 
 BITS = 260
 
@@ -35,7 +37,7 @@ def exact_ks(seed: int, n_chains: int, n_terms: int) -> float:
         vals[i] = 2.0 * np.cos(2.0 * np.pi * tops)
     s = (vals - vals.mean()).sum(axis=0) / math.sqrt(n_terms)
     s = s - s.mean()
-    return float(stats.kstest(s, "norm", args=(0.0, s.std(ddof=1))).statistic)
+    return float(ks_distance(s, s.std(ddof=1)))
 
 
 def main():

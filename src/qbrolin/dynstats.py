@@ -10,7 +10,9 @@ into the next.
 
 Observables are axial test functions, evaluated at (Re z, |Im z|). The
 separated-set count takes an array of quaternion orbits, which
-topological_entropy builds once for every n and eps.
+topological_entropy builds once for every n and eps. scipy is imported at
+the first call of `ks_distance` (`scipy.special.ndtr`) or `separated_count`
+(`scipy.spatial.cKDTree`), so `import qbrolin` loads no scipy module.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _special
-from scipy import stats as _sstats
-from scipy.spatial import cKDTree
 
 from .cdyn import is_exceptional
 from .errors import (ConfigError, DegenerateSample, ExceptionalTarget,
@@ -42,6 +41,7 @@ __all__ = [
     "fit_log_slope",
     "CltResult",
     "clt_harness",
+    "ks_distance",
     "calibrate_ks_null",
     "separated_count",
     "topological_entropy",
@@ -276,8 +276,18 @@ def clt_harness(p: ComplexPoly, phi, n_terms: int, n_samples: int,
     sigma = float(np.std(s, ddof=1))
     if sigma < 1e-6:
         return CltResult(float("nan"), sigma, True, n_samples)
-    ks = float(_sstats.kstest(s, "norm", args=(0.0, sigma)).statistic)
-    return CltResult(ks, sigma, False, n_samples)
+    return CltResult(float(ks_distance(s, sigma)), sigma, False, n_samples)
+
+
+def ks_distance(x, sigma):
+    """Two-sided KS distance of the samples along the last axis of x to
+    N(0, sigma^2), sigma a scalar or one value per row: scipy.stats.kstest's
+    statistic, bit for bit, without its p-value."""
+    from scipy.special import ndtr
+    n = np.shape(x)[-1]
+    cdf = ndtr(np.sort(x, axis=-1) / np.asarray(sigma)[..., None])
+    return np.maximum(np.max(np.arange(1.0, n + 1) / n - cdf, axis=-1),
+                      np.max(cdf - np.arange(0.0, n) / n, axis=-1))
 
 
 def calibrate_ks_null(n_samples: int, reps: int = 200,
@@ -285,23 +295,17 @@ def calibrate_ks_null(n_samples: int, reps: int = 200,
     """KS pass bar: the 0.95 quantile of the same-size Gaussian null,
     fitted the same way (sigma estimated from the data).
 
-    Replications are drawn in blocks of rows from one stream, so the result
-    does not depend on the block size; each row's statistic is kstest's
-    two-sided D against N(0, sigma^2).
+    Replications are drawn in row blocks from one stream, so the result does
+    not depend on the block size; each row's statistic is `ks_distance`.
     """
     rng = np.random.default_rng(seed)
     ks_vals = np.empty(reps)
     block = max(1, 2 ** 18 // n_samples)   # rows of about 2 MB of normals
-    up = np.arange(1.0, n_samples + 1) / n_samples
-    down = np.arange(0.0, n_samples) / n_samples
     for lo in range(0, reps, block):
         s = rng.normal(size=(min(block, reps - lo), n_samples))
-        sigma = np.std(s, axis=1, ddof=1, keepdims=True)
+        sigma = np.std(s, axis=1, ddof=1)
         s -= np.mean(s, axis=1, keepdims=True)
-        s.sort(axis=1)
-        cdf = _special.ndtr(s / sigma)
-        ks_vals[lo:lo + len(s)] = np.maximum(np.max(up - cdf, axis=1),
-                                             np.max(cdf - down, axis=1))
+        ks_vals[lo:lo + len(s)] = ks_distance(s, sigma)
     return float(np.quantile(ks_vals, 0.95))
 
 
@@ -357,6 +361,7 @@ def separated_count(orbits, eps: float) -> int:
     # dis_n >= distance of the last iterate, the most spread out one, so a
     # k-d tree on it gives every pair the exact float32 test below can
     # accept; the inflated radius covers float32 rounding
+    from scipy.spatial import cKDTree
     tree = cKDTree(last)
     radius = eps * (1.0 + 1e-4) + 1e-12
     alive = np.ones(orbits.shape[0], dtype=bool)

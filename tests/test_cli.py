@@ -292,15 +292,22 @@ def test_general_gap_refuses_a_non_finite_h_n(tmp_path, capsys):
     assert "non-finite" in err["message"]
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for
+    fresh interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    return env
+
+
 def test_general_gap_stderr_is_one_json_line(tmp_path):
     # h_10 of q^2 + j overflows inside hn_build, and so does h_1 of
     # 1e154 (q^2 + q j + j), whose coefficient-norm sum squared raised
     # OverflowError; a fresh interpreter (no pytest warning capture) must
     # print the error line and nothing else
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parents[1] / "src"),
-        env.get("PYTHONPATH")]))
+    env = _src_env()
     for k, (coeffs, n_list) in enumerate((
             ([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]], [9, 10]),
             ([[0, 0, 1e154, 0], [0, 0, 1e154, 0], [1e154, 0, 0, 0]], [1]))):
@@ -326,10 +333,7 @@ def test_one_slice_extreme_coefficient_stderr_is_one_json_line(tmp_path,
         "mode": "one-slice", "polynomial": {"coeffs": [
             [0, 0, 0, 0], [0, 0, 0, 0], [0, lead, 0, 0]]},
         "params": {"depth": 1}})
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parents[1] / "src"),
-        env.get("PYTHONPATH")]))
+    env = _src_env()
     r = subprocess.run([sys.executable, "-m", "qbrolin.cli", cfg,
                         "--out", str(tmp_path / "out")],
                        capture_output=True, text=True, env=env)
@@ -543,6 +547,28 @@ def _small_config(mode, **top):
     return dict({"mode": mode, "params": dict(_SMALL_PARAMS[mode]), "seed": 0,
                  "polynomial": {"coeffs": [[-1, 0, 0, 0], [0, 0, 0, 0],
                                            [1, 0, 0, 0]]}}, **top)
+
+
+def test_import_loads_no_scipy_module():
+    # scipy is imported by the KS statistic and the separated set at their
+    # first call; a fresh interpreter sees what the package itself loads
+    code = ("import sys, qbrolin, qbrolin.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=_src_env())
+    assert (r.returncode, r.stdout) == (0, "[]\n"), r.stderr
+
+
+@pytest.mark.parametrize("mode", ["clt", "entropy"])
+def test_scipy_modes_run_from_a_fresh_interpreter(tmp_path, mode):
+    # the two modes that reach the deferred scipy imports (ks_distance,
+    # separated_count), with no scipy module loaded beforehand
+    cfg = _write(tmp_path, "c.json", _small_config(mode))
+    r = subprocess.run([sys.executable, "-m", "qbrolin.cli", cfg,
+                        "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True, env=_src_env())
+    assert r.returncode == 0, r.stderr
+    assert json.loads((tmp_path / "out" / f"{mode}.json").read_text())
 
 
 @st.composite

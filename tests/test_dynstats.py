@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scipy import stats
 
 from qbrolin import dynstats
 from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
                               _orbit_matrix, calibrate_ks_null, clt_harness,
-                              fit_log_slope, interval_partition,
+                              fit_log_slope, interval_partition, ks_distance,
                               lyapunov_slice, lyapunov_sphere_direction,
                               mixing_correlation, partition_entropy, sample_mu,
                               separated_count, topological_entropy)
 from qbrolin.errors import (ConfigError, DegenerateSample, ExceptionalTarget,
                             InvariantViolation, SolverFailure)
-from qbrolin.measures import TestFunction
+from qbrolin.measures import TestFunction, standard_panel
 from qbrolin.policy import BURN_IN
 from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.roots import fiber_roots
@@ -177,6 +178,63 @@ def _former_calibrate_ks_null(n_samples, reps, seed, quantile=0.95):
 def test_calibrate_ks_null_equals_former_loop(n, reps, seed):
     assert calibrate_ks_null(n, reps, seed) == _former_calibrate_ks_null(
         n, reps, seed)
+
+
+def _kstest(x, sigma):
+    return stats.kstest(x, "norm", args=(0.0, sigma)).statistic
+
+
+@st.composite
+def _ks_samples(draw):
+    """Unsorted, uncentred samples: drawn floats at small n, else seeded
+    normals at any n up to 10,000, with ties and signed zeros."""
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=2,
+                                      max_size=40)))
+    n = draw(st.sampled_from([2, 3, 5, 99, 1001, 10_000])
+             | st.integers(2, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = draw(st.floats(-5.0, 5.0)) + draw(st.floats(0.01, 5.0)) \
+        * rng.standard_normal(n)
+    if draw(st.booleans()):
+        x = np.round(x, draw(st.integers(0, 2)))    # ties
+    k = draw(st.integers(0, n))
+    x[rng.permutation(n)[:k]] = rng.choice([0.0, -0.0], size=k)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_ks_samples(), sigma=st.floats(1e-3, 10.0))
+@example(x=np.array([0.0, -0.0]), sigma=1.0)
+@example(x=np.array([0.5, -0.5, 0.5, 0.5, -0.0]), sigma=1e-3)
+def test_ks_distance_is_kstest_bit_for_bit(x, sigma):
+    before = x.tobytes()
+    assert ks_distance(x, sigma) == _kstest(x, sigma)
+    assert x.tobytes() == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6),
+       n=st.integers(2, 300), ties=st.booleans())
+def test_ks_distance_reduces_each_row(seed, rows, n, ties):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), size=(rows, n))
+    if ties:
+        x = np.round(x, 1)
+    sigma = rng.uniform(1e-3, 10.0, size=rows)
+    d = ks_distance(x, sigma)
+    assert d.shape == (rows,)
+    assert all(d[r] == _kstest(x[r], sigma[r]) for r in range(rows))
+    d = ks_distance(x, sigma[0])
+    assert all(d[r] == _kstest(x[r], sigma[0]) for r in range(rows))
+
+
+def test_clt_harness_keeps_the_clt_chebyshev_ks():
+    # clt_chebyshev.json: q^2 - 2, phi = Re, 200 terms, 10,000 samples,
+    # seed 4; the value its clt.json held while the harness called kstest
+    res = clt_harness(CHEB, {f.name: f for f in standard_panel()}["re"],
+                      200, 10_000, seed=4)
+    assert res.ks_statistic == 0.013438101859022722
 
 
 def test_separated_count_monotone():
