@@ -17,13 +17,12 @@ from .poly import ComplexPoly, QPolynomial, evaluate
 from .grids import GridField, SliceGrid
 from .cdyn import (escape_radius, filled_julia_mask, green_field,
                    is_exceptional, preimage_tree, solve_fiber)
-from .measures import (EmpiricalMeasure, TestFunction, brolin_pullback,
+from .measures import (EmpiricalMeasure, brolin_pullback,
                        measure_from_complex_atoms, pair, pushforward,
                        standard_panel, weak_distance)
-from .laplacian import (fundamental_solution_check, log_distance_field,
+from .laplacian import (kernel_pairings, log_distance_field,
                         measure_from_green, raster_to_measure,
-                        refinement_order, slice_laplacian,
-                        sphere_kernel_check)
+                        refinement_order, slice_laplacian)
 from .dynstats import (AxialBox, CltResult, EstimateReport, calibrate_ks_null,
                        clt_harness, lyapunov_slice, lyapunov_sphere_direction,
                        mixing_correlation, partition_entropy, sample_mu,

@@ -33,10 +33,9 @@ from .dynstats import (AxialBox, calibrate_ks_null, clt_harness,
 from .errors import (CoefficientOffSlice, ConfigError, InvariantViolation,
                      QBrolinError)
 from .grids import SliceGrid
-from .laplacian import (fundamental_solution_check, kernel_pairings,
-                        measure_from_green, refinement_order)
-from .measures import (TestFunction, brolin_pullback, pair,
-                       pushforward, standard_panel, weak_distance)
+from .laplacian import kernel_pairings, refinement_order
+from .measures import (brolin_pullback, pushforward, standard_panel,
+                       weak_distance)
 from .poly import ComplexPoly, QPolynomial, evaluate
 from .quat import hamilton, inverse, norm_sq, sphere_quadrature
 from .slicecases import (annulus_probes, brolin3_gap, gn_pullback_measure,
@@ -48,8 +47,7 @@ _TOP_KEYS = {"mode", "polynomial", "grid", "seed", "out", "params"}
 _GRID_DEFAULTS = {"center": [0.0, 0.0], "half_width": 2.0, "h": 1.0 / 128.0}
 _GRID_MAX_SIDE = 8193
 # the Gaussian bump that delta-star and verify pair the Laplacian kernels with
-_BUMP = TestFunction(
-    "bump", lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2)))
+_BUMP = lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2))  # noqa: E731
 
 
 def write_csv(path: Path, header, rows):
@@ -185,9 +183,9 @@ def run_delta_star(cfg, out: Path):
     rows = []
     by_h_real, by_h_pair = {}, {}
     a, b = center[0], abs(center[1])
-    want_r, want_p = 0.5 * _BUMP.axial(a, 0.0), float(_BUMP.axial(a, b))
+    want_r, want_p = 0.5 * _BUMP(a, 0.0), float(_BUMP(a, b))
     for h in cfg["params"]["h_list"]:
-        # fundamental_solution_check's and sphere_kernel_check's kernels
+        # the real point's kernel and the sphere's conjugate pair
         got_r, got_p = kernel_pairings(
             SliceGrid.square(0j, 2.0, h), _BUMP,
             [[complex(a, 0.0)], [complex(a, b), complex(a, -b)]])
@@ -250,7 +248,7 @@ def run_entropy(cfg, out: Path):
 def run_mixing(cfg, out: Path):
     pc = _cpoly(cfg)
     params = cfg["params"]
-    panel = {f.name: f for f in standard_panel()}
+    panel = standard_panel()
     # observe |q|^2 at the base point, Re at the forward point: the swapped
     # pair vanishes identically for even maps by parity
     corr = mixing_correlation(pc, panel["abs2"], panel["re"], params["n_max"],
@@ -268,9 +266,8 @@ def run_mixing(cfg, out: Path):
 def run_clt(cfg, out: Path):
     pc = _cpoly(cfg)
     params = cfg["params"]
-    panel = {f.name: f for f in standard_panel()}
-    res = clt_harness(pc, panel["re"], params["n_terms"], params["n_samples"],
-                      cfg["seed"])
+    res = clt_harness(pc, standard_panel()["re"], params["n_terms"],
+                      params["n_samples"], cfg["seed"])
     bar = calibrate_ks_null(params["n_samples"], params["null_reps"],
                             cfg["seed"] + 1)
     report = {"ks": res.ks_statistic, "sigma": res.sigma_hat,
@@ -379,8 +376,8 @@ def run_verify(cfg, out: Path):
           and float(np.max(np.abs(s1.real))) <= 2.0 + 1e-9)
 
     grid = SliceGrid.square(0j, 2.0, 1.0 / 64)
-    got = fundamental_solution_check(0.3, _BUMP, grid)
-    want = 0.5 * _BUMP.axial(0.3, 0.0)
+    got = kernel_pairings(grid, _BUMP, [[0.3 + 0j]])[0]
+    want = 0.5 * _BUMP(0.3, 0.0)
     rel = abs(got / want - 1.0)
     check("fundamental solution (coarse)", rel < 0.05, f"rel err {rel:.2e}")
 

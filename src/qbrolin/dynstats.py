@@ -170,10 +170,11 @@ def lyapunov_sphere_direction(p: QPolynomial, alpha: float, beta: float,
     units[1] /= math.sqrt(1.0 + 1e-6 * 1e-6)
     q = units * beta
     q[:, 0] = alpha
-    for _ in range(n):
-        q = p.eval(q)
+    with np.errstate(over="ignore", invalid="ignore"):   # gap checked below
+        for _ in range(n):
+            q = p.eval(q)
+        gap = math.sqrt(norm_sq(q[1] - q[0]))
     du = math.sqrt(norm_sq(units[1] - units[0]))
-    gap = math.sqrt(norm_sq(q[1] - q[0]))
     if gap == 0.0 or not math.isfinite(gap):
         # both orbits collapsed to a fixed point (or escaped); the
         # splitting is only meaningful on the chaotic set
@@ -184,7 +185,7 @@ def lyapunov_sphere_direction(p: QPolynomial, alpha: float, beta: float,
 
 def _slice_values(f, z):
     """Values of an axial test function on the spheres of slice points z."""
-    return np.asarray(f.axial(z.real, np.abs(z.imag)), dtype=float)
+    return np.asarray(f(z.real, np.abs(z.imag)), dtype=float)
 
 
 def _level_phi_means(p: ComplexPoly, phi, z, n_max):
@@ -212,16 +213,18 @@ def mixing_correlation(p: ComplexPoly, phi, psi, n_max: int, samples: int,
     With z ~ mu and w a uniform fiber-tree leaf over p^n(w) = z, the pairing
     is E[psi(z) (L^n phi)(z)]; averaging phi over the whole fiber tree
     instead of one random leaf keeps the noise proportional to the decaying
-    signal, which a plain lagged-chain covariance cannot do.
+    signal, which a plain lagged-chain covariance cannot do. A non-finite
+    corr(n) is an InvariantViolation.
     """
     z = sample_mu(p, samples, seed)
-    psi_s = _slice_values(psi, z)
-    lphi = _level_phi_means(p, phi, z, n_max)
-    out = []
-    for n in range(n_max + 1):
-        corr = float(np.mean(psi_s * lphi[n])
-                     - np.mean(psi_s) * np.mean(lphi[n]))
-        out.append((n, corr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_s = _slice_values(psi, z)
+        lphi = _level_phi_means(p, phi, z, n_max)
+        out = [(n, float(np.mean(psi_s * ln) - np.mean(psi_s) * np.mean(ln)))
+               for n, ln in enumerate(lphi)]
+    bad = [n for n, corr in out if not math.isfinite(corr)]
+    if bad:
+        raise InvariantViolation(f"non-finite mixing correlation at n = {bad}")
     return out
 
 
@@ -319,9 +322,11 @@ def _orbit_matrix(pc: ComplexPoly, z0, units_xyz, n):
     N = len(z0)
     out = np.empty((N, n, 4))
     z = np.asarray(z0, dtype=complex)
-    for j in range(n):
-        out[:, j, 0], out[:, j, 1:] = z.real, z.imag[:, None] * units_xyz
-        z = pc(z)
+    # an escaping orbit overflows; separated_count refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            out[:, j, 0], out[:, j, 1:] = z.real, z.imag[:, None] * units_xyz
+            z = pc(z)
     return out
 
 
@@ -351,7 +356,8 @@ def separated_count(orbits, eps: float) -> int:
     across n, which is what the entropy slope needs.
     """
     n = orbits.shape[1]
-    orbits = np.asarray(orbits, dtype=np.float32)
+    with np.errstate(over="ignore"):   # checked on the last iterate below
+        orbits = np.asarray(orbits, dtype=np.float32)
     last = orbits[:, -1, :].astype(float)
     if not np.all(np.isfinite(last)):
         # rounding drift off the Julia set grows like d^n until the orbit

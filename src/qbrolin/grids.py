@@ -60,18 +60,14 @@ class SliceGrid:
 
 
 class GridField:
-    """Scalar field on a SliceGrid with an explicit mask of invalid nodes."""
+    """Scalar field on a SliceGrid: one value per node."""
 
-    def __init__(self, grid: SliceGrid, values, mask=None):
+    def __init__(self, grid: SliceGrid, values):
         self.grid = grid
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (grid.ny, grid.nx):
             raise ValueError("field shape does not match grid")
-        if mask is None:
-            mask = np.zeros_like(self.values, dtype=bool)
-        self.mask = np.asarray(mask, dtype=bool)
 
     def cell_sum(self):
-        """Sum of values * h^2 over unmasked nodes."""
-        h2 = self.grid.h ** 2
-        return float(np.sum(np.where(self.mask, 0.0, self.values)) * h2)
+        """Sum of values * h^2 over every node."""
+        return float(np.sum(self.values) * self.grid.h ** 2)

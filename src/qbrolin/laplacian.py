@@ -1,4 +1,4 @@
-"""Discrete slice Laplacian on rasters and its fundamental-solution checks.
+"""Discrete slice Laplacian on rasters and its pairings with test functions.
 
 The operator on each slice is (1/4)(d^2/dalpha^2 + d^2/dbeta^2), realized by
 a 5-point stencil scaled by 1/4. Distributional pairings are normalized by
@@ -7,8 +7,9 @@ a 5-point stencil scaled by 1/4. Distributional pairings are normalized by
   lap log|(q-a)^s|  = (1/2) delta_a + (1/2) delta_{a conj}   (non-real a)
 exactly in the limit h -> 0. (The raw 2-D distributional constant of the
 quarter-Laplacian is pi/2 per unit mass; the 1/pi factor is what makes the
-half-weight form hold.) Bumps are axial test functions, evaluated at
-(alpha, |beta|) on every raster node.
+half-weight form hold.) A bump is an axial test function f(alpha, rho),
+evaluated at (alpha, |beta|) on every raster node. The stencil writes +0.0
+on the boundary ring, so sums over the whole raster need no mask.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ import numpy as np
 from .cdyn import green_field
 from .errors import InvariantViolation
 from .grids import GridField, SliceGrid
-from .measures import EmpiricalMeasure, TestFunction, measure_from_complex_atoms
+from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .poly import QPolynomial
 
 __all__ = [
     "slice_laplacian",
     "log_distance_field",
     "kernel_pairings",
-    "fundamental_solution_check",
-    "sphere_kernel_check",
     "measure_from_green",
     "refinement_order",
     "raster_to_measure",
@@ -39,21 +38,14 @@ _CLAMP_LIMIT = 0.05
 
 
 def slice_laplacian(f: GridField) -> GridField:
-    """5-point stencil scaled by 1/4; the boundary ring is masked out, and
-    so is every output whose stencil touches a masked input node."""
+    """5-point stencil scaled by 1/4 on the interior nodes; +0.0 on the
+    boundary ring."""
     v = f.values
     h2 = f.grid.h ** 2
     out = np.zeros_like(v)
     out[1:-1, 1:-1] = (v[1:-1, 2:] + v[1:-1, :-2] + v[2:, 1:-1] + v[:-2, 1:-1]
                        - 4.0 * v[1:-1, 1:-1]) / (4.0 * h2)
-    mask = np.ones_like(v, dtype=bool)
-    mask[1:-1, 1:-1] = False
-    if np.any(f.mask):
-        m = f.mask
-        mask[1:-1, 1:-1] = (m[1:-1, 1:-1] | m[1:-1, 2:] | m[1:-1, :-2]
-                            | m[2:, 1:-1] | m[:-2, 1:-1])
-    out[mask] = 0.0
-    return GridField(f.grid, out, mask)
+    return GridField(f.grid, out)
 
 
 def log_distance_field(grid: SliceGrid, singularities, z=None) -> GridField:
@@ -75,39 +67,17 @@ def log_distance_field(grid: SliceGrid, singularities, z=None) -> GridField:
     return GridField(grid, values)
 
 
-def kernel_pairings(grid: SliceGrid, bump: TestFunction, kernels):
-    """(1/pi) sum lap * bump * h^2 over unmasked nodes, lap the slice
-    Laplacian of log_distance_field, for each singularity list in kernels;
-    one mesh and one bump evaluation serve them all."""
+def kernel_pairings(grid: SliceGrid, bump, kernels):
+    """(1/pi) sum lap * bump * h^2 over the raster, lap the slice Laplacian
+    of log_distance_field, for each singularity list in kernels; one mesh
+    and one bump evaluation serve them all. The limit is bump(a, 0)/2 for
+    [a], a real, and bump(alpha0, beta0) for [alpha0 +- i beta0], the
+    kernel log|(q-a)^s| of the sphere of alpha0 + I beta0, beta0 > 0."""
     z = grid.mesh()
-    bump_vals = bump.axial(z.real, np.abs(z.imag))
+    bump_vals = bump(z.real, np.abs(z.imag))
     laps = (slice_laplacian(log_distance_field(grid, s, z)) for s in kernels)
-    return [float(np.sum(np.where(lap.mask, 0.0, lap.values * bump_vals))
-                  * grid.h ** 2 / math.pi) for lap in laps]
-
-
-def fundamental_solution_check(a: float, bump: TestFunction,
-                               grid: SliceGrid) -> float:
-    """Pair lap log|z-a| against a bump; the limit value is bump(a)/2."""
-    return kernel_pairings(grid, bump, [[complex(a, 0.0)]])[0]
-
-
-def sphere_kernel_check(alpha0: float, beta0: float, bump: TestFunction,
-                        grid: SliceGrid):
-    """Pair lap log|(q-a)^s| against a bump for a = alpha0 + I beta0 with
-    beta0 > 0, on any unit I.
-
-    Returns (computed, expected) with expected the conjugate-pair half
-    weights (1/2) bump(alpha0 + I beta0) + (1/2) bump(alpha0 - I beta0),
-    both bump.axial(alpha0, beta0) for an axial bump.
-    The field depends on a only through (alpha0, beta0): (q-a)^s = (q-a')^s
-    for any a' on the sphere of a.
-    """
-    if beta0 <= 0:
-        raise ValueError("sphere_kernel_check needs a non-real center")
-    [computed] = kernel_pairings(
-        grid, bump, [[complex(alpha0, beta0), complex(alpha0, -beta0)]])
-    return computed, float(bump.axial(alpha0, beta0))
+    return [float(np.sum(lap.values * bump_vals) * grid.h ** 2 / math.pi)
+            for lap in laps]
 
 
 def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid):
@@ -131,7 +101,7 @@ def measure_from_green(p: QPolynomial, n: int, grid: SliceGrid):
         raise InvariantViolation(
             f"clamped negative mass {clamp_mass:.3g} exceeds "
             f"{_CLAMP_LIMIT:.0%} of total {total:.3g}")
-    return GridField(grid, density, lap.mask), clamp_mass
+    return GridField(grid, density), clamp_mass
 
 
 def raster_to_measure(density: GridField) -> EmpiricalMeasure:
@@ -143,7 +113,7 @@ def raster_to_measure(density: GridField) -> EmpiricalMeasure:
     """
     z = density.grid.mesh()
     h2 = density.grid.h ** 2
-    w = np.where(density.mask, 0.0, density.values) * h2
+    w = density.values * h2
     keep = w > 0.0
     m = measure_from_complex_atoms(z[keep].ravel(), w[keep].ravel(),
                                    meta={"source": "raster"})

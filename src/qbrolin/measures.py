@@ -5,23 +5,24 @@ fully described by three arrays: alpha, rho and weight. An atom with rho = 0
 is a real point; one with rho > 0 is the 2-sphere S_{alpha+I rho}.
 
 Every measure built from complex slice atoms goes through one fold and one
-merge. The fold sends z and its conjugate to the same (Re z, |Im z|), with
-rho snapped to 0 within REAL_AXIS_TOL of the real axis. The merge is
-`roots.merge_near`, run on real points and spheres apart; each cluster keeps
-its head atom with the summed weight. A depth-n pullback gives each complex
-fiber root mass 1/d^n, so a real root of multiplicity m becomes a real point
-of weight m/d^n, and a conjugate pair {z, z bar} one sphere of weight 2m/d^n.
-Every pullback is then a probability measure, whose sphere atoms split back
-into conjugate slice pairs at half weight each: mu_I exactly.
+merge, which refuse a non-finite point. The fold sends z and its conjugate
+to the same (Re z, |Im z|), with rho snapped to 0 within REAL_AXIS_TOL of
+the real axis. The merge is `roots.merge_near`, run on real points and
+spheres apart; each cluster keeps its head atom with the summed weight. A
+depth-n pullback gives each complex fiber root mass 1/d^n, so a real root
+of multiplicity m becomes a real point of weight m/d^n, and a conjugate
+pair {z, z bar} one sphere of weight 2m/d^n. Every pullback is then a
+probability measure, whose sphere atoms split back into conjugate slice
+pairs at half weight each: mu_I exactly.
 
-Test functions are axial, f(alpha, rho), constant on each sphere: a measure
-pairs against one with a single vectorized sum over its atoms.
+A test function is a plain vectorized f(alpha, rho), axial (constant on each
+sphere): a measure pairs against one with a single vectorized sum over its
+atoms. `standard_panel()` maps the twelve panel names to their functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import math
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .roots import merge_near
 
 __all__ = [
     "EmpiricalMeasure",
-    "TestFunction",
     "standard_panel",
     "brolin_pullback",
     "pair",
@@ -48,7 +48,7 @@ class EmpiricalMeasure:
 
     Atoms are sorted by (rho > 0, alpha, rho), stably, so folds over them
     are deterministic regardless of construction order. Every weight must be
-    positive and finite, every rho >= 0.
+    positive and finite, every alpha finite, every rho finite and >= 0.
     """
 
     def __init__(self, alpha, rho, weight, meta=None):
@@ -58,8 +58,8 @@ class EmpiricalMeasure:
             raise ValueError("alpha, rho and weight must have one length")
         if not np.all((weight > 0) & np.isfinite(weight)):
             raise ValueError("atom weight must be positive and finite")
-        if not np.all(rho >= 0):
-            raise ValueError("rho must be >= 0")
+        if not np.all(np.isfinite(alpha) & np.isfinite(rho) & (rho >= 0)):
+            raise ValueError("alpha and rho must be finite, rho >= 0")
         order = np.lexsort((rho, alpha, rho > 0))
         self.alpha, self.rho, self.weight = alpha[order], rho[order], weight[order]
         self.meta = dict(meta or {})
@@ -94,40 +94,26 @@ class EmpiricalMeasure:
                                 [d["weight"] for d in atoms], data.get("meta"))
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Named continuous test function H -> R for weak-convergence pairings.
-
-    Every test function is axial: `axial` is a vectorized f(alpha, rho), the
-    value on every point of the sphere S_{alpha+I rho}, so axially symmetric
-    measures pair against it without sphere quadrature.
-    """
-
-    __test__ = False   # a library type, not a pytest test class
-    name: str
-    axial: Callable
-
-
 def standard_panel():
-    """The fixed 12-function panel used by all acceptance numbers.
+    """The fixed 12-function panel used by all acceptance numbers, by name.
 
     Polynomials in (Re q, |Im q|) up to degree 3, two Gaussian bumps of width
     1 centered at 0 and 1, |q|^2, and cos(Re q).
     """
-    return [
-        TestFunction("re", lambda a, b: a),
-        TestFunction("im", lambda a, b: b),
-        TestFunction("re2", lambda a, b: a * a),
-        TestFunction("im2", lambda a, b: b * b),
-        TestFunction("re_im", lambda a, b: a * b),
-        TestFunction("re3", lambda a, b: a ** 3),
-        TestFunction("im3", lambda a, b: b ** 3),
-        TestFunction("re2_im", lambda a, b: a * a * b),
-        TestFunction("gauss0", lambda a, b: np.exp(-(a * a + b * b) / 2.0)),
-        TestFunction("gauss1", lambda a, b: np.exp(-((a - 1.0) ** 2 + b * b) / 2.0)),
-        TestFunction("abs2", lambda a, b: a * a + b * b),
-        TestFunction("cos_re", lambda a, b: np.cos(a)),
-    ]
+    return {
+        "re": lambda a, b: a,
+        "im": lambda a, b: b,
+        "re2": lambda a, b: a * a,
+        "im2": lambda a, b: b * b,
+        "re_im": lambda a, b: a * b,
+        "re3": lambda a, b: a ** 3,
+        "im3": lambda a, b: b ** 3,
+        "re2_im": lambda a, b: a * a * b,
+        "gauss0": lambda a, b: np.exp(-(a * a + b * b) / 2.0),
+        "gauss1": lambda a, b: np.exp(-((a - 1.0) ** 2 + b * b) / 2.0),
+        "abs2": lambda a, b: a * a + b * b,
+        "cos_re": lambda a, b: np.cos(a),
+    }
 
 
 def _fold_merge(z, weight, meta) -> EmpiricalMeasure:
@@ -135,8 +121,11 @@ def _fold_merge(z, weight, meta) -> EmpiricalMeasure:
     (Re z, rho = |Im z|), rho = 0 when |Im z| <= REAL_AXIS_TOL * (1 + |z|);
     then each kind (rho = 0, rho > 0) goes through merge_near on alpha + i
     rho at radius CLUSTER_TOL * (1 + |alpha| + rho), heads keeping the
-    weights summed in (alpha, rho) order."""
+    weights summed in (alpha, rho) order. Non-finite z: InvariantViolation."""
     z = np.asarray(z, dtype=complex).reshape(-1)
+    if not np.all(np.isfinite(z)):
+        raise InvariantViolation(f"{np.sum(~np.isfinite(z))} of {len(z)} "
+                                 "atom points are not finite")
     weight = np.asarray(weight, dtype=float).reshape(-1)
     rho = np.abs(z.imag)
     rho[rho <= REAL_AXIS_TOL * (1.0 + np.abs(z))] = 0.0
@@ -165,7 +154,8 @@ def brolin_pullback(p: QPolynomial, a: float, n: int) -> EmpiricalMeasure:
         raise ValueError("degree must be >= 2")
     if is_exceptional(pc, complex(a)):
         raise ExceptionalTarget(f"target {a} is exceptional for this polynomial")
-    points = preimage_tree(pc, complex(a), n)
+    with np.errstate(over="ignore", invalid="ignore"):   # _fold_merge checks
+        points = preimage_tree(pc, complex(a), n)
     meta = {"polynomial": p.to_json(), "target": a, "depth": n}
     m = _fold_merge(points, np.full(len(points), 1.0 / float(d) ** n), meta)
     if abs(m.total_mass() - 1.0) > 1e-9:
@@ -173,18 +163,22 @@ def brolin_pullback(p: QPolynomial, a: float, n: int) -> EmpiricalMeasure:
     return m
 
 
-def pair(m: EmpiricalMeasure, f: TestFunction) -> float:
+def pair(m: EmpiricalMeasure, f) -> float:
     """<m, f> = sum of w * f(alpha, rho) over the atoms: the sphere average
     of an axial function is its value at (alpha, rho), exactly."""
-    return float(np.sum(m.weight * f.axial(m.alpha, m.rho)))
+    return float(np.sum(m.weight * f(m.alpha, m.rho)))
 
 
-def weak_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure,
-                  panel=None) -> float:
-    """max over the panel of |<m1,f> - <m2,f>|."""
-    if panel is None:
-        panel = standard_panel()
-    return max(abs(pair(m1, f) - pair(m2, f)) for f in panel)
+def weak_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
+    """max over the standard panel of |<m1,f> - <m2,f>|; a non-finite
+    difference is an InvariantViolation naming its panel functions."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = {name: abs(pair(m1, f) - pair(m2, f))
+                 for name, f in standard_panel().items()}
+    bad = [name for name, d in diffs.items() if not math.isfinite(d)]
+    if bad:
+        raise InvariantViolation(f"non-finite pairing differences: {bad}")
+    return max(diffs.values())
 
 
 def pushforward(p: QPolynomial, m: EmpiricalMeasure) -> EmpiricalMeasure:

@@ -152,7 +152,8 @@ class QPolynomial:
 
     def max_imag_coeff(self):
         _, x, y, z = self.coeffs.T
-        return float(np.max(np.sqrt(x * x + y * y + z * z), initial=0.0))
+        with np.errstate(over="ignore"):   # inf is not real: callers compare
+            return float(np.max(np.sqrt(x * x + y * y + z * z), initial=0.0))
 
     def restrict_to_slice(self) -> "ComplexPoly":
         """The complex polynomial w + x i of the reference slice C_i.

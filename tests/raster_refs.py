@@ -5,10 +5,13 @@ verbatim as test references (this module holds no tests).
   per Horner step (`acc = acc * z + c` from acc = 0).
 - `ref_mesh`: the former `SliceGrid.mesh`, through `np.meshgrid`.
 - `ref_fundamental_solution_check` and `ref_sphere_kernel_check`: the former
-  `laplacian` checks, each building its own log-distance field and pairing
-  (with the former `log_distance_field` and `_pairing`), each on its own
-  mesh, here `ref_mesh`. `slice_laplacian` is the live one: it did not
-  change.
+  `laplacian` checks of a real point's and of a sphere's kernel, each
+  building its own log-distance field and pairing (with the former
+  `log_distance_field` and `_pairing`), each on its own mesh, here
+  `ref_mesh`. `slice_laplacian` is the live one: its values did not change.
+  Two edits since: a bump is called as `bump(alpha, rho)`, and the pairing
+  sums over the whole raster, without the former mask select, which only
+  zeroed the boundary ring the stencil leaves at +0.0.
 """
 
 import math
@@ -44,9 +47,9 @@ def ref_log_distance_field(grid, singularities):
 
 def ref_pairing(lap, bump):
     z = ref_mesh(lap.grid)
-    bump_vals = bump.axial(z.real, np.abs(z.imag))
+    bump_vals = bump(z.real, np.abs(z.imag))
     h2 = lap.grid.h ** 2
-    total = np.sum(np.where(lap.mask, 0.0, lap.values * bump_vals)) * h2
+    total = np.sum(lap.values * bump_vals) * h2
     return float(total / math.pi)
 
 
@@ -62,4 +65,4 @@ def ref_sphere_kernel_check(alpha0, beta0, bump, grid):
     field = ref_log_distance_field(grid, [s1, s2])
     lap = slice_laplacian(field)
     computed = ref_pairing(lap, bump)
-    return computed, float(bump.axial(alpha0, beta0))
+    return computed, float(bump(alpha0, beta0))

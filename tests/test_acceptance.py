@@ -22,12 +22,10 @@ from qbrolin.dynstats import (AxialBox, clt_harness, fit_log_slope,
                               partition_entropy, topological_entropy)
 from qbrolin.errors import ZeroDivisor
 from qbrolin.grids import SliceGrid
-from qbrolin.laplacian import (fundamental_solution_check, measure_from_green,
-                               raster_to_measure, refinement_order,
-                               sphere_kernel_check)
-from qbrolin.measures import (TestFunction, brolin_pullback,
-                              measure_from_complex_atoms, pushforward,
-                              weak_distance)
+from qbrolin.laplacian import (kernel_pairings, measure_from_green,
+                               raster_to_measure, refinement_order)
+from qbrolin.measures import (brolin_pullback, measure_from_complex_atoms,
+                              pushforward, standard_panel, weak_distance)
 from qbrolin.poly import QPolynomial
 from qbrolin.quat import hamilton, norm_sq
 from qbrolin.slicecases import brolin3_gap, gn_pullback_measure, \
@@ -97,18 +95,20 @@ def test_criterion_01_algebra():
 
 
 def test_criterion_02_fundamental_solutions():
-    bump = TestFunction(
-        "bump", lambda a, b: np.exp(-((a - 0.1) ** 2 + b ** 2)))
-    # singularities on grid nodes keep the sub-cell offset fixed across h
+    def bump(a, b):
+        return np.exp(-((a - 0.1) ** 2 + b ** 2))
+    # singularities on grid nodes keep the sub-cell offset fixed across h;
+    # the sphere of 0.25 + 0.5 j is the kernel of the pair 0.25 +- 0.5 i
     a_real = 0.25
-    a_sphere = (0.25, 0.5)      # the sphere of 0.25 + 0.5 j
+    a_sphere = [0.25 + 0.5j, 0.25 - 0.5j]
     hs = [1.0 / 32, 1.0 / 64, 1.0 / 128, 1.0 / 256]
     vals_r, vals_s = {}, {}
     for h in hs:
         grid = SliceGrid.square(0j, 2.0, h)
-        vals_r[h] = fundamental_solution_check(a_real, bump, grid)
-        vals_s[h], want_s = sphere_kernel_check(*a_sphere, bump, grid)
-    want_r = 0.5 * bump.axial(a_real, 0.0)
+        vals_r[h], vals_s[h] = kernel_pairings(
+            grid, bump, [[complex(a_real, 0.0)], a_sphere])
+    want_r = 0.5 * bump(a_real, 0.0)
+    want_s = float(bump(0.25, 0.5))
     rel_r = abs(vals_r[hs[-1]] / want_r - 1.0)
     rel_s = abs(vals_s[hs[-1]] / want_s - 1.0)
     order_r = refinement_order(vals_r, want_r)
@@ -162,8 +162,7 @@ def test_criterion_05_invariance():
 def test_criterion_06_mixing():
     # phi = |q|^2 at the base point, psi = Re at the forward point; the
     # swapped pair vanishes identically for the even map q^2 - 1
-    phi = TestFunction("abs2", lambda a, b: a * a + b * b)
-    psi = TestFunction("re", lambda a, b: a)
+    phi, psi = standard_panel()["abs2"], standard_panel()["re"]
     pc = BASILICA.restrict_to_slice()
     corr = mixing_correlation(pc, phi, psi, 12, 100000, seed=7)
     slope = fit_log_slope(corr, n_min=2)
@@ -173,7 +172,7 @@ def test_criterion_06_mixing():
 
 
 def test_criterion_07_clt():
-    phi = TestFunction("re", lambda a, b: a)
+    phi = standard_panel()["re"]
     res = clt_harness(CHEB.restrict_to_slice(), phi, 200, 10000, seed=4)
     ok = (not res.degenerate) and res.ks_statistic <= KS_NULL_BAR_N200_S10000
     _report(7, "central limit theorem", ok,

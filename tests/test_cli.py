@@ -343,10 +343,48 @@ def test_one_slice_extreme_coefficient_stderr_is_one_json_line(tmp_path,
     assert json.loads(lines[0])["error"] == "InvariantViolation"
 
 
+# configs whose overflows once printed RuntimeWarning lines before the
+# error line, or ended in a NaN result (mixing, exit 0) or a traceback
+# (equilibrium, exit 1): (config, exit code, error)
+_OVERFLOW_EXITS = {
+    "mixing_huge_imaginary": ({"mode": "mixing", "polynomial": {"coeffs": [
+        [0, 1e300, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"n_max": 3, "samples": 50}}, 3, "InvariantViolation"),
+    "mixing_tiny_lead": ({"mode": "mixing", "polynomial": {"coeffs": [
+        [-2, 0, 0, 0], [0, 0, 0, 0], [1e-300, 0, 0, 0]]},
+        "params": {"n_max": 3, "samples": 50}}, 3, "InvariantViolation"),
+    "equilibrium_subnormal_lead": ({"mode": "equilibrium", "polynomial": {
+        "coeffs": [[-2, 0, 0, 0], [0, 0, 0, 0], [5e-324, 0, 0, 0]]},
+        "params": {"depth": 4, "target": 0.5}}, 3, "InvariantViolation"),
+    "lyapunov_sphere_escape": ({"mode": "lyapunov", "polynomial": {"coeffs": [
+        [1e300, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"sphere_beta": 0.5}}, 3, "DegenerateSample"),
+    "entropy_huge_lead": ({"mode": "entropy", "polynomial": {"coeffs": [
+        [-2, 0, 0, 0], [0, 0, 0, 0], [1e300, 0, 0, 0]]}}, 3, "SolverFailure"),
+    "equilibrium_huge_imaginary": ({"mode": "equilibrium", "polynomial": {
+        "coeffs": [[0, 1e300, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}},
+        2, "ConfigError"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOW_EXITS))
+def test_overflowing_runs_print_one_json_line(tmp_path, name):
+    # a fresh interpreter (no pytest warning capture); no file is written
+    cfg, code, error = _OVERFLOW_EXITS[name]
+    out = tmp_path / "out"
+    r = subprocess.run([sys.executable, "-m", "qbrolin.cli",
+                        _write(tmp_path, "c.json", cfg), "--out", str(out)],
+                       capture_output=True, text=True, env=_src_env())
+    assert r.returncode == code
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert json.loads(lines[0])["error"] == error
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_failed_verify_check_exits_3(tmp_path, capsys, monkeypatch):
     # the files and the summary are written first; then the error line
-    monkeypatch.setattr(cli, "fundamental_solution_check",
-                        lambda *args: 0.0)
+    monkeypatch.setattr(cli, "kernel_pairings", lambda *args: [0.0])
     out = tmp_path / "out"
     path = _write(tmp_path, "c.json", {"mode": "verify", "out": str(out)})
     assert main([path]) == 3

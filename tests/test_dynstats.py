@@ -15,15 +15,14 @@ from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
                               separated_count, topological_entropy)
 from qbrolin.errors import (ConfigError, DegenerateSample, ExceptionalTarget,
                             InvariantViolation, SolverFailure)
-from qbrolin.measures import TestFunction, standard_panel
+from qbrolin.measures import standard_panel
 from qbrolin.policy import BURN_IN
 from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.roots import fiber_roots
 
 CHEB = ComplexPoly([-2.0, 0.0, 1.0])
 BASILICA = ComplexPoly([-1.0, 0.0, 1.0])
-RE = TestFunction("re", lambda a, b: a)
-ABS2 = TestFunction("abs2", lambda a, b: a * a + b * b)
+RE, ABS2 = standard_panel()["re"], standard_panel()["abs2"]
 
 
 def test_sampler_deterministic():
@@ -232,8 +231,7 @@ def test_ks_distance_reduces_each_row(seed, rows, n, ties):
 def test_clt_harness_keeps_the_clt_chebyshev_ks():
     # clt_chebyshev.json: q^2 - 2, phi = Re, 200 terms, 10,000 samples,
     # seed 4; the value its clt.json held while the harness called kstest
-    res = clt_harness(CHEB, {f.name: f for f in standard_panel()}["re"],
-                      200, 10_000, seed=4)
+    res = clt_harness(CHEB, RE, 200, 10_000, seed=4)
     assert res.ks_statistic == 0.013438101859022722
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbrolin.errors import ExceptionalTarget
-from qbrolin.measures import (EmpiricalMeasure, TestFunction,
-                              brolin_pullback, measure_from_complex_atoms, pair,
-                              pushforward, standard_panel, weak_distance)
+from qbrolin.errors import ExceptionalTarget, InvariantViolation
+from qbrolin.measures import (EmpiricalMeasure, brolin_pullback,
+                              measure_from_complex_atoms, pair, pushforward,
+                              standard_panel, weak_distance)
 from qbrolin.policy import CLUSTER_TOL, REAL_AXIS_TOL
 from qbrolin.poly import QPolynomial
 from qbrolin.quat import sphere_quadrature
@@ -26,6 +26,17 @@ def test_atom_validation():
             EmpiricalMeasure([0.0], [0.0], [weight])
     with pytest.raises(ValueError):
         EmpiricalMeasure([0.0], [-1.0], [1.0])
+    for alpha, rho in ((np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan),
+                       (0.0, np.inf)):
+        with pytest.raises(ValueError):
+            EmpiricalMeasure([alpha], [rho], [1.0])
+
+
+def test_non_finite_complex_atoms_are_refused():
+    # the one fold every measure built from complex atoms goes through
+    for z in (np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)):
+        with pytest.raises(InvariantViolation):
+            measure_from_complex_atoms([0.5, z], [0.5, 0.5])
 
 
 def test_measure_sorted_and_json():
@@ -145,12 +156,14 @@ def test_axial_pair_matches_quadrature():
     # f(alpha, rho), so pair needs no quadrature
     m = brolin_pullback(CHEB, 1.0, 5)
     units, weights = sphere_quadrature(3)
-    f = TestFunction("probe", lambda a, b: a * a + 0.3 * b)
+
+    def f(a, b):
+        return a * a + 0.3 * b
 
     def sphere_average(a, r):
         # f at the quaternions a + r u over the nodes u of S
         q = np.column_stack([np.full(len(units), a), r * units])
-        vals = f.axial(q[:, 0], np.linalg.norm(q[:, 1:], axis=1))
+        vals = f(q[:, 0], np.linalg.norm(q[:, 1:], axis=1))
         return np.sum(weights * vals) / (4.0 * np.pi)
 
     slow = sum(w * sphere_average(a, r) for _, a, r, w in m.rows())
@@ -160,6 +173,15 @@ def test_axial_pair_matches_quadrature():
 def test_weak_distance_zero_on_self():
     m = brolin_pullback(CHEB, 0.0, 6)
     assert weak_distance(m, m) == 0.0
+
+
+def test_weak_distance_refuses_a_non_finite_pairing():
+    # re3 overflows on both measures; inf - inf once fell out of the max,
+    # leaving the re2 difference 3e220
+    m1 = EmpiricalMeasure([1e110], [0.0], [1.0])
+    m2 = EmpiricalMeasure([2e110], [0.0], [1.0])
+    with pytest.raises(InvariantViolation, match="re3"):
+        weak_distance(m1, m2)
 
 
 def test_pushforward_tower_identity():
@@ -181,9 +203,9 @@ def test_measure_from_complex_atoms_folds_conjugates():
 def test_standard_panel_shape():
     panel = standard_panel()
     assert len(panel) == 12
-    assert len({f.name for f in panel}) == 12
-    for f in panel:
-        assert f.axial is not None
+    for f in panel.values():
+        # vectorized over (alpha, rho)
+        assert np.shape(f(np.zeros(3), np.ones(3))) == (3,)
 
 
 def test_chebyshev_moments():
