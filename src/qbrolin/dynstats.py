@@ -214,7 +214,7 @@ def mixing_correlation(p: ComplexPoly, phi, psi, n_max: int, samples: int,
     is E[psi(z) (L^n phi)(z)]; averaging phi over the whole fiber tree
     instead of one random leaf keeps the noise proportional to the decaying
     signal, which a plain lagged-chain covariance cannot do. A non-finite
-    corr(n) is an InvariantViolation.
+    corr(n), or a table of rounding residue alone, is an InvariantViolation.
     """
     z = sample_mu(p, samples, seed)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -222,9 +222,14 @@ def mixing_correlation(p: ComplexPoly, phi, psi, n_max: int, samples: int,
         lphi = _level_phi_means(p, phi, z, n_max)
         out = [(n, float(np.mean(psi_s * ln) - np.mean(psi_s) * np.mean(ln)))
                for n, ln in enumerate(lphi)]
+        size = (np.mean(np.abs(psi_s * lphi), axis=1)
+                + np.abs(np.mean(psi_s) * np.mean(lphi, axis=1)))
     bad = [n for n, corr in out if not math.isfinite(corr)]
     if bad:
         raise InvariantViolation(f"non-finite mixing correlation at n = {bad}")
+    # 2^-42 = 1024 eps: a mean of N terms rounds off by ~log2(N) eps of them
+    if all(abs(corr) <= 2.0 ** -42 * s for (_, corr), s in zip(out, size)):
+        raise InvariantViolation("every corr(n) is rounding residue")
     return out
 
 

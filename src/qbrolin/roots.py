@@ -3,15 +3,16 @@
 One Aberth-Ehrlich loop (`_aberth`) with a capped 3-step Newton polish runs
 on rows of start points and a callable giving the Newton pair (f, f') at
 them; it reads no coefficients. `fiber_roots` solves p(z) = t for many
-targets t at once (every p - t shares all but the constant term) from a
-Fujiwara circle with Horner pairs, certified by backward error; `all_roots`
-is its one-row case. `newton_roots` solves a function known only by its
-Newton pairs (the one-slice g_n, evaluated by composition) from given start
-points, crowded ones spread apart first, certified by Newton distance. Both
-return rows as `fiber_row` does: sorted, multiplicities detected by
-clustering. Degrees 1 and 2 use closed forms (they dominate the preimage
-workloads). `merge_near` is the library's one rule for which points
-coincide: fiber clusters keep their mean, measures their head atom.
+targets t at once (every p - t shares all but the constant term), certified
+by backward error; `all_roots` is its one-row case. Degrees 1 and 2 use
+closed forms, uncertified, degree 3 Cardano's formula (they dominate the
+preimage workloads), higher degrees Aberth from a Fujiwara circle with
+Horner pairs. `newton_roots` solves a function known only by its Newton
+pairs (the one-slice g_n, evaluated by composition) from given start points,
+crowded ones spread apart first, certified by Newton distance. Both return
+rows as `fiber_row` does: sorted, multiplicities detected by clustering.
+`merge_near` is the library's one rule for which points coincide: fiber
+clusters keep their mean, measures their head atom.
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ _BLOCK = 1 << 18
 # radius, relative to 1 + |z|, of the circle that crowded start points of
 # newton_roots are spread on
 _SPREAD = 1e-3
+# cube roots of unity, w and conj(w) exact: conjugate targets, conjugate rows
+_UNITY = np.array([1.0, -0.5 + 0.75 ** 0.5 * 1j, -0.5 - 0.75 ** 0.5 * 1j])
 
 
 def all_roots(coeffs):
     """Roots (with repetitions) of sum coeffs[k] z^k, ascending coefficients.
 
     Returns an ndarray of length deg, sorted by (real, imag). Raises
-    SolverFailure when the post-polish residual check fails.
+    SolverFailure when the residual check fails.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
+    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
     if len(coeffs) < 2:
         return np.array([], dtype=complex)
     return _certified_rows(coeffs, coeffs[:1])[0]
@@ -55,10 +56,10 @@ def fiber_roots(coeffs, targets):
     each target t: an (N, d) array, one row per target.
 
     Degrees 1 and 2 give the closed forms in `quadratic_roots_many` order,
-    uncertified. Higher degrees run the certified Aberth solve on all rows at
-    once (SolverFailure carries the worst residual of any row); a row is then
-    bit for bit a one-row solve, sorted, each `cluster_roots` center repeated
-    by its multiplicity.
+    uncertified. Higher degrees are solved on all rows at once, degree 3 by
+    Cardano's formula, certified (SolverFailure carries the worst residual
+    of any row); a row is then bit for bit a one-row solve, sorted, each
+    `cluster_roots` center repeated by its multiplicity.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     c0s = coeffs[0] - np.asarray(targets, dtype=complex).reshape(-1)
@@ -141,30 +142,63 @@ def _closed_form(coeffs, c0s):
         return np.empty((len(c0s), 0), dtype=complex)
     if deg == 1:
         return (-c0s / coeffs[1])[:, None]
+    if deg == 3:
+        return _cubic_rows(coeffs, c0s)
     return quadratic_roots_many(c0s, coeffs[1], coeffs[2])
 
 
 def _certified_rows(coeffs, c0s):
     """Roots of the polynomials coeffs with constant terms c0s, one row each:
-    polished, residual-certified and sorted by (real, imag) within rows."""
-    col = c0s[:, None]
-    if len(coeffs) <= 3:
-        z = _closed_form(coeffs, c0s)
-    else:
-        hi = list(coeffs[1:])
-        dco = list(coeffs[1:] * np.arange(1, len(coeffs)))
-        z = _aberth(_fujiwara_circle(coeffs, c0s), lambda z, c: (
-            horner([c, *hi], z), horner(dco, z)), col)
-    # backward-error residual: |p(z)| against sum |c_k| max(1,|z|)^k
-    # (the max keeps clustered roots near the origin certifiable)
-    bound = horner([np.abs(col), *np.abs(coeffs[1:])],
-                   np.maximum(np.abs(z), 1.0))
-    resid = np.abs(horner([col, *coeffs[1:]], z)) / np.maximum(bound, 1e-300)
-    worst = np.max(resid, axis=1)
+    certified, sorted by (real, imag). A cubic row the formula does not
+    certify (past roots of 1e100 it overflows) is solved again by Aberth."""
+    col, hi = c0s[:, None], list(coeffs[1:])
+    dco = list(coeffs[1:] * np.arange(1, len(coeffs)))
+
+    def aberth(rows):
+        return _aberth(_fujiwara_circle(coeffs, c0s[rows]), lambda z, c: (
+            horner([c, *hi], z), horner(dco, z)), col[rows])
+    z = _closed_form(coeffs, c0s) if len(coeffs) <= 4 else aberth(slice(None))
+    worst = _backward_error(coeffs, col, z)
+    redo = np.flatnonzero(~(worst <= FIBER_RESIDUAL_TOL))
+    if len(coeffs) == 4 and len(redo):
+        z[redo] = aberth(redo)
+        worst[redo] = _backward_error(coeffs, col[redo], z[redo])
     if not np.all(worst <= FIBER_RESIDUAL_TOL):
         raise SolverFailure(float(np.max(worst)))
     order = np.lexsort((z.imag, z.real), axis=-1)
     return np.take_along_axis(z, order, axis=1)
+
+
+def _backward_error(coeffs, col, z):
+    # each row's worst |p(z)| against sum |c_k| max(1,|z|)^k (the max keeps
+    # clustered roots near the origin certifiable)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = horner([np.abs(col), *np.abs(coeffs[1:])],
+                       np.maximum(np.abs(z), 1.0))
+        return np.max(np.abs(horner([col, *coeffs[1:]], z))
+                      / np.maximum(bound, 1e-300), axis=1)
+
+
+def _cubic_rows(coeffs, c0s):
+    """Roots of c3 z^3 + c2 z^2 + c1 z + c0, c0 in c0s, as (N, 3) rows, by
+    Cardano (Blinn; Kahan) on y^3 + p y + q, y = z + a/3 (a = c2/c3). u^3 is
+    the larger root of x^2 + q x - p^3/27; of u w + v/w (w^3 = 1, v = -p/3u)
+    the largest, z1, is kept; Vieta's z^2 - s z - c/z1 (c = c0/c3) gives the
+    others, s = z2 + z3 taken the way that rounds less. u = 0: all are -a/3."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b, c = coeffs[2] / coeffs[3], coeffs[1] / coeffs[3], c0s / coeffs[3]
+        p = b - a * a / 3.0
+        h = (a * (2.0 * a * a - 9.0 * b) / 27.0 + c) / 2.0   # q / 2
+        d = np.sqrt(h * h + p ** 3 / 27.0)
+        u = (-h - np.where((np.conj(h) * d).real < 0, -d, d)) ** (1 / 3)
+        v = np.divide(-p / 3.0, u, out=np.zeros_like(u), where=u != 0)
+        z = u[:, None] * _UNITY + v[:, None] * _UNITY.conj() - a / 3.0
+        z1 = z[np.arange(len(z)), np.argmax(np.abs(z), axis=1)]
+        prod = np.divide(-c, z1, out=np.zeros_like(z1), where=z1 != 0)
+        # rounding bounds of the two sums (z1 = 0 only when every root is)
+        use_b = (abs(b) + np.abs(prod)) / np.abs(z1) < abs(a) + np.abs(z1)
+        s = np.where(use_b, (b - prod) / z1, -a - z1)
+        return np.column_stack([z1, quadratic_roots_many(prod, -s, 1.0)])
 
 
 def quadratic_roots_many(c0s, c1, c2):
@@ -194,7 +228,8 @@ def _aberth(z, newton, col):
     newton(z, c) gives (f, f') at the points z of some rows, c being those
     rows of col, the callers' per-row data (such as a constant term). A
     row leaves the active set when its own step test passes, so it does
-    exactly the arithmetic of a one-row solve.
+    exactly the arithmetic of a one-row solve. Cardano's cubic rows skip it
+    and its polish, whose steps can split a multiple root found exactly.
     """
     z = z.copy()
     active, za, ca = np.arange(len(z)), z.copy(), col

@@ -93,6 +93,19 @@ def test_julia_non_monic_escape_radius(tmp_path):
     assert man["escape_radius"] >= 10.0 and man["inside_fraction"] == 1.0
 
 
+def test_equilibrium_on_a_cubic_with_a_tiny_leading_coefficient(tmp_path):
+    # a cubic whose roots span 1e-3 .. 3.5e7: every tree level certifies
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "equilibrium", "polynomial": {"coeffs": [
+            [-5.82, 0, 0, 0], [-2098.7, 0, 0, 0], [4301.6, 0, 0, 0],
+            [-1.23e-4, 0, 0, 0]]},
+        "params": {"depth": 3, "target": 0.0}, "out": str(tmp_path / "out")})
+    assert main([cfg]) == 0
+    rows = (tmp_path / "out" / "measure.csv").read_text().split()[1:]
+    assert len(rows) == 4
+    assert math.isclose(sum(float(r.split(",")[3]) for r in rows), 1.0)
+
+
 def test_green_depth_0_is_log_plus(tmp_path):
     # G_0 = log+|q|: the raster maximum is at the corners, |q| = 2 sqrt 2
     cfg = _write(tmp_path, "c.json", {
@@ -344,9 +357,13 @@ def test_one_slice_extreme_coefficient_stderr_is_one_json_line(tmp_path,
 
 
 # configs whose overflows once printed RuntimeWarning lines before the
-# error line, or ended in a NaN result (mixing, exit 0) or a traceback
-# (equilibrium, exit 1): (config, exit code, error)
+# error line, or ended in a NaN result or a table of rounding residue
+# (mixing, exit 0) or a traceback (equilibrium, exit 1): (config, exit code,
+# error)
 _OVERFLOW_EXITS = {
+    "mixing_huge_real": ({"mode": "mixing", "polynomial": {"coeffs": [
+        [1e300, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"n_max": 3, "samples": 50}}, 3, "InvariantViolation"),
     "mixing_huge_imaginary": ({"mode": "mixing", "polynomial": {"coeffs": [
         [0, 1e300, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
         "params": {"n_max": 3, "samples": 50}}, 3, "InvariantViolation"),

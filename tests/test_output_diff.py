@@ -1,0 +1,37 @@
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_diff.py"
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_output_diff_reports_each_changed_file(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _tree(a, {"run/m.json": '{"v": [1.0, 2.0], "name": "x"}\n',
+              "run/m.csv": "n,c\n0,0.5\n1,2\n",
+              "run/same.csv": "n\n1\n",
+              "run/keys.json": '{"a": 1}\n',
+              "run/text.csv": "check,pass\nk,True\n",
+              "run/img.pgm": "P5\n",
+              "run/only_a.json": "{}\n"})
+    _tree(b, {"run/m.json": '{"v": [1.0, 2.0000000000000004], "name": "x"}\n',
+              "run/m.csv": "n,c\n0,0.5\n1,2.5\n",
+              "run/same.csv": "n\n1\n",
+              "run/keys.json": '{"b": 1}\n',
+              "run/text.csv": "check,pass\nk,False\n",
+              "run/img.pgm": "P6\n"})
+    r = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
+                       capture_output=True, text=True, check=True)
+    assert r.stdout.splitlines() == [
+        "run/img.pgm: structure differs",
+        "run/keys.json: structure differs",
+        "run/m.csv: max relative difference 0.2",
+        "run/m.json: max relative difference 2.22e-16",
+        "run/text.csv: structure differs"]

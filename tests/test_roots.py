@@ -160,11 +160,18 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _one_target_rows(p, targets):
+    """fiber_roots over each target alone, stacked."""
+    return np.array([fiber_roots(p.coeffs, [t])[0] for t in targets])
+
+
 @pytest.mark.parametrize("coeffs", [
     [0.2, 0.0, 0.0, 1.0],                        # z^3 + 0.2
     [0.0, -1.0, 0.0, 1.0],                       # z^3 - z
     [0.3, -0.5, 0.1, 0.2, 1.0],                  # a quartic
     [0.1 + 0.2j, 0.3, -0.2, 0.1j, 0.5, 1.0],     # a complex quintic
+    [0.2, 0.0, 0.0, 0.0, 1.0],                   # z^4 + 0.2
+    [0.0, -1.0, 0.0, 0.0, 1.0],                  # z^4 - z
 ])
 def test_fiber_roots_rows_match_one_target_solves(coeffs):
     p = ComplexPoly(coeffs)
@@ -172,28 +179,122 @@ def test_fiber_roots_rows_match_one_target_solves(coeffs):
     targets = rng.normal(size=120) + 1j * rng.normal(size=120)
     rows = fiber_roots(p.coeffs, targets)
     assert rows.shape == (120, p.degree)
+    assert _same_bits(rows, _one_target_rows(p, targets))
     for t, row in zip(targets, rows):
-        assert _same_bits(row, _ref_fiber_row(p, t))
+        if p.degree == 3:
+            # cubic rows are Cardano's closed form, not the scalar Aberth
+            ref = np.roots(p.shifted(t).coeffs[::-1])
+            assert np.allclose(row, ref[np.lexsort((ref.imag, ref.real))],
+                               rtol=1e-12, atol=1e-12)
+        else:
+            assert _same_bits(row, _ref_fiber_row(p, t))
         expanded = [r for r, m in solve_fiber(p, t) for _ in range(m)]
         assert _same_bits(row, np.array(expanded))
 
 
 def test_fiber_roots_critical_values_take_the_cluster_path():
     # z^3 + 0.2 has a triple root over t = 0.2; z^3 - z double roots over
-    # its critical values +-2/(3 sqrt 3)
+    # its critical values +-2/(3 sqrt 3). Their quartic analogues z^4 + 0.2
+    # (a quadruple root) and z^4 - z (three critical values) keep batched
+    # Aberth rows against the scalar reference
     cube = ComplexPoly([0.2, 0.0, 0.0, 1.0])
     rows = fiber_roots(cube.coeffs, [0.2, 1.0, 0.2])
     assert rows[0][0] == rows[0][1] == rows[0][2]
     assert abs(rows[0][0]) < 1e-5
     assert len(set(rows[1])) == 3
     assert _same_bits(rows[0], rows[2])
-    assert _same_bits(rows[0], _ref_fiber_row(cube, 0.2))
+    assert _same_bits(rows, _one_target_rows(cube, [0.2, 1.0, 0.2]))
     odd = ComplexPoly([0.0, -1.0, 0.0, 1.0])
     cv = 2.0 / (3.0 * np.sqrt(3.0))
     rows = fiber_roots(odd.coeffs, [cv, -cv, 0.5])
-    for t, row in zip([cv, -cv, 0.5], rows):
-        assert _same_bits(row, _ref_fiber_row(odd, t))
+    assert _same_bits(rows, _one_target_rows(odd, [cv, -cv, 0.5]))
     assert [len(set(r)) for r in rows] == [2, 2, 3]
+    quartic = ComplexPoly([0.2, 0.0, 0.0, 0.0, 1.0])
+    rows = fiber_roots(quartic.coeffs, [0.2, 1.0, 0.2])
+    assert len(set(rows[0])) == 1 and abs(rows[0][0]) < 1e-5
+    assert len(set(rows[1])) == 4
+    assert _same_bits(rows[0], rows[2])
+    assert _same_bits(rows[0], _ref_fiber_row(quartic, 0.2))
+    odd = ComplexPoly([0.0, -1.0, 0.0, 0.0, 1.0])
+    crit = 4.0 ** (-1.0 / 3.0) * np.exp(2j * np.pi * np.arange(3) / 3)
+    targets = [*(crit ** 4 - crit), 0.5]
+    rows = fiber_roots(odd.coeffs, targets)
+    for t, row in zip(targets, rows):
+        assert _same_bits(row, _ref_fiber_row(odd, t))
+    assert [len(set(r)) for r in rows] == [3, 3, 3, 4]
+
+
+# -- cubic rows in closed form against two oracles ----------------------------
+
+@st.composite
+def _cubic(draw):
+    """c3 (z - r1)(z - r2)(z - r3) with roots of modulus 1e-2 .. 1e4 (the
+    leading coefficient down to 1e-4 of the others), a repeated root at
+    times, and c3 of modulus 1e-2 .. 1e2: (coefficients, drawn roots)."""
+    def point(exp_lo, exp_hi):
+        mod = 10.0 ** draw(st.floats(exp_lo, exp_hi))
+        return mod * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    roots = [point(-2, 4) for _ in range(3)]
+    roots[1] = draw(st.sampled_from([roots[1], roots[0]]))
+    return _poly_from_roots(roots) * point(-2, 2), np.array(roots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cubic())
+def test_cubic_rows_certify_and_match_two_oracles(cubic):
+    coeffs, drawn = cubic
+    z = roots_module._certified_rows(coeffs, coeffs[:1])[0]
+    assert _same_bits(fiber_roots(coeffs, [0.0])[0],
+                      roots_module._clustered(z[None])[0])
+    scale = 1.0 + np.abs(drawn)
+    gaps = np.abs(drawn[:, None] - drawn[None, :]) + np.diag([np.inf] * 3)
+    if np.min(gaps / scale) < 1e-3:
+        return   # a repeated or close pair: no root-by-root match
+    oracle = np.roots(coeffs[::-1])
+    for ref in (drawn, oracle):
+        near = np.min(np.abs(z[:, None] - ref[None, :]), axis=1)
+        assert np.all(near <= 1e-10 * (1.0 + np.abs(z)))
+
+
+def test_cubic_with_a_tiny_leading_coefficient():
+    # roots 1e-3 .. 3.5e7: Cardano's three roots put the two small ones
+    # 0.06 off; taken from Vieta's relations with the large root they match
+    coeffs = np.array([-5.82, -2098.7, 4301.6, -1.23e-4], dtype=complex)
+    z = all_roots(coeffs)
+    oracle = np.sort_complex(np.roots(coeffs[::-1]))
+    assert np.all(np.abs(z - oracle) <= 1e-10 * (1.0 + np.abs(z)))
+    # the two small roots lie within the cluster radius of a 3.5e7 row
+    assert solve_fiber(ComplexPoly(coeffs), 0.0) == [(np.mean(z[:2]), 2),
+                                                     (z[2] + 0.0, 1)]
+
+
+def test_cubic_clusters_at_critical_values():
+    # z^3 + 0.2 over 0.2 is z^3: u = 0, the row is exactly 0
+    row = fiber_roots(np.array([0.2, 0.0, 0.0, 1.0], dtype=complex), [0.2])
+    assert row.tolist() == [[0j, 0j, 0j]]
+    assert not np.signbit(row.view(float)).any()
+    odd = ComplexPoly([0.0, -1.0, 0.0, 1.0])
+    cv = 2.0 / (3.0 * np.sqrt(3.0))
+    fibers = [solve_fiber(odd, t) for t in (cv, -cv, 0.5)]
+    assert [len(f) for f in fibers] == [2, 2, 3]
+    assert [sorted(m for _, m in f) for f in fibers] == [[1, 2], [1, 2],
+                                                         [1, 1, 1]]
+    for t, f in zip((cv, -cv), fibers):
+        double = [r for r, m in f if m == 2][0]
+        assert abs(double + np.sign(t) / np.sqrt(3.0)) < 1e-7
+
+
+def test_cubic_rows_past_the_formula_take_the_aberth_solve():
+    # z^3 = 1e300: h^2 overflows in Cardano's formula, so that row alone is
+    # solved by Aberth, bit for bit the scalar reference; the row beside it
+    # is the closed form
+    cube = ComplexPoly([0.0, 0.0, 0.0, 1.0])
+    rows = fiber_roots(cube.coeffs, [1e300, 8.0])
+    assert _same_bits(rows[0], _ref_fiber_row(cube, 1e300))
+    assert np.allclose(np.abs(rows[0]), 1e100, rtol=1e-12)
+    assert np.allclose(rows[1] ** 3, 8.0, rtol=1e-14)
+    assert len(set(rows[1])) == 3
+    assert not _same_bits(rows[1], _ref_fiber_row(cube, 8.0))
 
 
 def test_fiber_roots_empty_targets():
