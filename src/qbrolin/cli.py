@@ -283,7 +283,7 @@ def run_one_slice(cfg, out: Path):
     pc = _cpoly(cfg)
     params = cfg["params"]
     depth, target = params["depth"], params["target"]
-    mp = mu_prime_estimate(pc, depth, target, params["bin_width"])
+    mp = mu_prime_estimate(pc, depth, target)
     mg = gn_pullback_measure(pc, target, depth)
     dist = weak_distance(mg, mp)
     write_json(out / "mu_prime.json", mp.to_json())
@@ -409,8 +409,9 @@ def _count(default, low):
                   f"an integer >= {low}")
 
 
-def _real(default, ok=lambda v: True, what="a finite number"):
-    return _Param(default, lambda v, _: _is_number(v) and ok(v), what, float)
+def _real(default):
+    return _Param(default, lambda v, _: _is_number(v), "a finite number",
+                  float)
 
 
 # a topological box bounds (alpha, beta), a partition box alpha alone
@@ -463,9 +464,8 @@ _MODES = {
                             "samples": _count(100000, 1)}),
     "clt": (run_clt, {"n_terms": _count(200, 1), "n_samples": _count(10000, 2),
                       "null_reps": _count(200, 1)}),
-    "one-slice": (run_one_slice, {
-        "depth": _count(6, 1), "target": _real(0.0), "bin_width": _real(
-            1.0 / 128.0, lambda v: v > 0, "a positive number")}),
+    "one-slice": (run_one_slice, {"depth": _count(6, 1),
+                                  "target": _real(0.0)}),
     "general-gap": (run_general_gap, {
         "a": _real(0.0), "b": _real(1.0),
         "n_list": _Param(list(range(1, 9)), lambda v, _: _numbers(v) and all(

@@ -208,19 +208,21 @@ class ComplexPoly:
         return f"ComplexPoly(deg={self.degree})"
 
     def __call__(self, z):
-        """p(z); at an array z (degree >= 1) `horner`, bit for bit the
-        former loop acc = acc * z + c from acc = 0 at finite z, but for the
-        sign of a zero part of p(z) where c_d has a -0.0 part. The
-        coefficient is the left factor: numpy's array complex product is
-        not operand-symmetric. Scalars and constants take that loop: a
-        scalar stays a scalar in numpy's scalar arithmetic, which rounds
-        unlike its array loops (so slicecases.brolin3_gap goes per point)."""
-        if np.ndim(z) and len(self.coeffs) > 1:
-            return horner(self.coeffs, z)
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return complex(acc) if np.ndim(z) == 0 else acc
+        """p(z) by `horner` (degree >= 1), bit for bit the loop
+        acc = acc * z + c from acc = 0 at a finite array z, but for the sign
+        of a zero part of p(z) where c_d has a -0.0 part. The coefficient is
+        the left factor: numpy's array complex product is not
+        operand-symmetric. A 0-d z is evaluated as a one-element array and
+        returns a Python complex. A constant is that loop: 0 * z + c_0 (NaN
+        at a non-finite z), and 0 for the zero polynomial."""
+        c = self.coeffs
+        if len(c) < 2:
+            acc = np.zeros_like(np.asarray(z, dtype=complex))
+            acc = acc * z + c[0] if len(c) else acc
+            return complex(acc) if np.ndim(z) == 0 else acc
+        if np.ndim(z) == 0:
+            return complex(horner(c, np.reshape(z, 1))[0])
+        return horner(c, z)
 
     def derivative(self) -> "ComplexPoly":
         if self.degree < 1:

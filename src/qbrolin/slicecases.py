@@ -9,15 +9,19 @@ coefficients, and the candidate limit measure is
 where P(., J) rewrites each coefficient x + I y as x + J y. Over every J
 that is the same complex data, so the one-slice functions (mu_prime_estimate,
 gn_pullback_measure) take P as one ComplexPoly with coefficients x + i y: P
-restricted to its slice, written over C_i. On C_I, g_n = P^n (P^c)^n, so
-its fiber of 0 is the depth-n preimage trees of 0 under P and P^c, and the
-fiber of another target is solved by composition from those trees; g_n's
-2 d^n coefficients are never built. Targets are screened on g_1 = P^c P.
+restricted to its slice, written over C_i. For a real target the tree
+under P^c is the conjugate of the tree under P, so in axial coordinates
+(Re q, |Im q|) mu' is the fold of one depth-n tree. On C_I,
+g_n = P^n (P^c)^n, so its fiber of 0 is the depth-n preimage trees of 0
+under P and P^c, and the fiber of another target is solved by composition
+from those trees; g_n's 2 d^n coefficients are never built. Targets are
+screened on g_1 = P^c P.
 
 General case: arbitrary quaternionic coefficients. The bullet iterate
 p^{bullet n} symmetrizes to a real-coefficient h_n of degree 2 d^n, and the
 testable statement is the vanishing gap
-d^{-n} (log|h_n(q) - a| - log|h_n(q) - b|) -> 0; no limit measure is claimed.
+d^{-n} (log|h_n(q) - a| - log|h_n(q) - b|) -> 0, read off one evaluation of
+h_n on the whole probe array; no limit measure is claimed.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import math
 import numpy as np
 
 from .cdyn import is_exceptional, preimage_tree
-from .errors import (BudgetExceeded, ConfigError, ExceptionalTarget,
-                     InvariantViolation, ProbeOnFiber)
+from .errors import (BudgetExceeded, ExceptionalTarget, InvariantViolation,
+                     ProbeOnFiber)
 from .measures import EmpiricalMeasure, measure_from_complex_atoms
 from .policy import DEGREE_BUDGET, FIBER_RESIDUAL_TOL
 from .poly import ComplexPoly, QPolynomial
@@ -84,27 +88,6 @@ def _screen_gn_target(pc: ComplexPoly, a: float):
         raise ExceptionalTarget(f"target {a} is exceptional for g_n")
 
 
-def _binned(points, weights, bin_width, meta):
-    """Aggregate slice atoms into (alpha, rho) bins of the given width.
-
-    Bin mass sits at the weighted mean of its members, which keeps first
-    moments exact; rho snaps to 0 when the whole bin hugs the real axis.
-    """
-    points = np.asarray(points, dtype=complex)
-    weights = np.asarray(weights, dtype=float)
-    alpha, rho = points.real, np.abs(points.imag)
-    keys = np.floor(np.stack([alpha, rho], axis=1) / bin_width)
-    if not np.all(np.abs(keys) < 2.0 ** 53):   # int64 keys exact below 2^53
-        raise ConfigError(f"bin_width {bin_width!r} is too small for atoms")
-    keys = keys.astype(np.int64)
-    _, bin_of = np.unique(keys, axis=0, return_inverse=True)
-    bin_of = bin_of.reshape(-1)
-    w = np.bincount(bin_of, weights)
-    means = (np.bincount(bin_of, weights * alpha)
-             + 1j * np.bincount(bin_of, weights * rho)) / w
-    return measure_from_complex_atoms(means, w, meta=meta)
-
-
 def _trees(halves, n: int) -> np.ndarray:
     """The depth-n preimage trees of t under Q, d^n within DEGREE_BUDGET,
     for each (Q, t) of halves."""
@@ -112,26 +95,26 @@ def _trees(halves, n: int) -> np.ndarray:
                            for q, t in halves])
 
 
-def mu_prime_estimate(pc: ComplexPoly, n: int, a: float = 0.0,
-                      bin_width: float = 1.0 / 128.0) -> EmpiricalMeasure:
-    """Estimator of mu' from depth-n Brolin pullbacks of the real target a.
+def mu_prime_estimate(pc: ComplexPoly, n: int,
+                      a: float = 0.0) -> EmpiricalMeasure:
+    """Estimator of mu' from the depth-n Brolin pullback of the real target a.
 
     P(., J) has the same complex coefficients pc for every unit J, so in
     axial coordinates (1/8 pi) int_S mu_{P(., J)} dJ is half of mu_{P(., I)},
-    and likewise for P^c (coefficients conjugated): the two pullback clouds
-    are binned once, each of their 2 d^n points at weight d^-n / 2. With
-    real coefficients both halves coincide (the slice-preserving corollary).
+    and likewise for P^c (coefficients conjugated). For real a the tree of a
+    under P^c is the conjugate of the tree under P, and both fold onto the
+    same (Re z, |Im z|) atoms: mu' is the fold of the one tree under P, each
+    of its d^n points at weight d^-n. With real coefficients that is nu_n
+    (the slice-preserving corollary).
     """
     d = pc.degree
     if d < 2:
         raise ValueError("degree must be >= 2")
     _screen_gn_target(pc, a)
-    points = _trees(((pc, complex(a)), (pc.conj_coeffs(), complex(a))), n)
-    meta = {"estimator": "mu_prime", "depth": n, "target": a,
-            "bin_width": bin_width,
-            "binning": {"width": bin_width, "rule": "weighted-mean"}}
-    m = _binned(points, np.full(len(points), 1.0 / float(d) ** n / 2.0),
-                bin_width, meta)
+    points = preimage_tree(pc, complex(a), n, DEGREE_BUDGET)
+    meta = {"estimator": "mu_prime", "depth": n, "target": a}
+    m = measure_from_complex_atoms(
+        points, np.full(len(points), 1.0 / float(d) ** n), meta=meta)
     if abs(m.total_mass() - 1.0) > 1e-9:
         raise InvariantViolation(f"mu' mass {m.total_mass()} != 1")
     return m
@@ -253,19 +236,18 @@ def brolin3_gap(p: QPolynomial, a: float, b: float, n: int,
     if a == b:
         return 0.0
     hc = hn_build(p, n).restrict_to_slice()
-    d = p.degree
-    gap = 0.0
-    survivors = 0
-    # one probe at a time: an array call of hc rounds differently
-    for z in (probe_points if probe_points is not None else annulus_probes()):
+    z = np.asarray(annulus_probes() if probe_points is None else probe_points,
+                   dtype=complex).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
         v = hc(z)
-        da, db = abs(v - a), abs(v - b)
-        if not (math.isfinite(da) and math.isfinite(db)):
-            raise InvariantViolation(f"h_{n} is not finite at probe {z}")
-        if min(da, db) < FIBER_RESIDUAL_TOL * (1.0 + abs(v)):
-            continue  # on (or hugging) a fiber; skip this probe
-        survivors += 1
-        gap = max(gap, abs(math.log(da) - math.log(db)) / float(d) ** n)
-    if survivors == 0:
+        da, db = np.abs(v - a), np.abs(v - b)
+    bad = ~(np.isfinite(da) & np.isfinite(db))
+    if bad.any():
+        raise InvariantViolation(
+            f"h_{n} is not finite at probe {complex(z[bad][0])}")
+    # a probe on (or hugging) a fiber is skipped
+    keep = np.minimum(da, db) >= FIBER_RESIDUAL_TOL * (1.0 + np.abs(v))
+    if not keep.any():
         raise ProbeOnFiber("every probe point sits on a fiber of a or b")
-    return gap
+    return float(np.max(np.abs(np.log(da[keep]) - np.log(db[keep])))
+                 / float(p.degree) ** n)

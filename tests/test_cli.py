@@ -454,7 +454,6 @@ def test_bad_list_params_and_coefficients_are_config_errors(tmp_path, capsys):
             (_q2_minus_1("delta-star", {"center": [0.3, 0.0]}),
              "params.center"),
             (_q2_minus_1("delta-star", {"h_list": [0.5]}), "params.h_list"),
-            (_q2_minus_1("one-slice", {"bin_width": 0}), "params.bin_width"),
             ({"mode": "lyapunov", "polynomial": nan_poly,
               "params": {"n_samples": 10}}, "finite"),
             ({"mode": "lyapunov", "polynomial": {"coeffs": [[10 ** 400] * 4]},
@@ -562,7 +561,7 @@ _SMALL_PARAMS = {
                 "grid_density": 20},
     "mixing": {"n_max": 3, "samples": 5},
     "clt": {"n_terms": 3, "n_samples": 5, "null_reps": 2},
-    "one-slice": {"depth": 2, "target": 0.0, "bin_width": 0.1},
+    "one-slice": {"depth": 2, "target": 0.0},
     "general-gap": {"a": 0.0, "b": 1.0, "n_list": [1, 2], "probe_count": 4},
     "verify": {},
 }
@@ -668,14 +667,14 @@ Q2_PLUS_03I = {"coeffs": [[0, 0.3, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
 Q2_PLUS_I = {"coeffs": [[0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
 
 
-def test_one_slice_bin_width_past_exact_bin_keys(tmp_path, capsys):
-    # floor(alpha / 1e-300) is past 2^53 (or inf): bin keys would collide
-    # and mu' collapse to one atom
+def test_one_slice_refuses_the_removed_bin_width(tmp_path, capsys):
+    # mu' is the fold of one unbinned tree: the bin width is no param now
     code, err = _config_error(tmp_path, capsys, {
         "mode": "one-slice", "polynomial": Q2_PLUS_03I,
-        "params": {"depth": 4, "bin_width": 1e-300}})
+        "params": {"depth": 4, "bin_width": 1.0 / 128.0}})
     assert code == 2 and err["error"] == "ConfigError"
-    assert "bin_width" in err["message"]
+    assert err["message"] == \
+        "unknown params for mode one-slice: ['bin_width']"
 
 
 def test_one_slice_runs_past_the_expanded_solve(tmp_path):

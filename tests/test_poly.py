@@ -258,7 +258,16 @@ def test_complexpoly_call_matches_the_former_loop_bit_for_bit(coeffs, z):
     # degrees 0-30 (and the zero polynomial), non-monic complex coefficients
     p = ComplexPoly(coeffs)
     got, want = p(z), ref_complex_poly_call(p.coeffs, z)
-    if np.ndim(z) and p.degree >= 1 and _has_negative_zero_part(p.coeffs[-1]):
+    if not np.ndim(z):
+        # a scalar is a one-element array call. The former loop ran in
+        # numpy's scalar arithmetic, which rounds unlike its array loops:
+        # the value moves by zero signs or by rounding, within Horner's
+        # bound 2 (d + 1) gamma_4 sum |c_k| |z|^k (gamma_4 < 5 eps)
+        assert _exact(got) == _exact(complex(p(np.reshape(z, 1))[0]))
+        size = float(np.sum(np.abs(p.coeffs) * abs(z) ** np.arange(
+            len(p.coeffs))))
+        assert abs(got - want) <= 10 * len(p.coeffs) * 2.0 ** -52 * size
+    elif p.degree >= 1 and _has_negative_zero_part(p.coeffs[-1]):
         # the documented exception: c_d * z keeps a -0.0 part of c_d where
         # the loop's 0 * z + c_d may give +0.0; only zero signs differ
         assert _exact(got)[:3] == _exact(want)[:3]

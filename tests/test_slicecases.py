@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +20,7 @@ from qbrolin.slicecases import (_g1, _gn_newton, _gn_start, _realify,
                                 annulus_probes, brolin3_gap,
                                 gn_pullback_measure, hn_build,
                                 mu_prime_estimate)
-from quat_refs import ref_lift
+from quat_refs import Quaternion, ref_lift
 
 P_I = ComplexPoly([1j, 0.0, 1.0])                                # q^2 + i
 P_J = QPolynomial(np.array([[0.0, 0, 1, 0], [0, 0, 0, 0],
@@ -176,6 +179,49 @@ def test_brolin3_gap_basics():
     assert 0.0 <= g5 < g3
 
 
+def _exact_gap_qj(n, probes):
+    """The gap of brolin3_gap(q^2 + j, 0, 1, n) in exact arithmetic: h_n
+    from integer quaternion star products (F <- F * F + j from F = q, then
+    F^c * F), evaluated at each dyadic probe z = w / 2^k as the Gaussian
+    integer 2^(k D) h_n(z) by Horner; the log ratio of two exact integers
+    is rounded once."""
+    def star(f, g):
+        out = [Quaternion(0, 0, 0, 0)] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for k, y in enumerate(g):
+                out[i + k] = out[i + k] + x * y
+        return out
+    f = [Quaternion(0, 0, 0, 0), Quaternion(1, 0, 0, 0)]
+    for _ in range(n):
+        f = star(f, f)
+        f[0] = f[0] + Quaternion(0, 0, 1, 0)
+    h = star([x.conj() for x in f], f)
+    assert all(x.x == x.y == x.z == 0 for x in h)
+    gap = 0.0
+    for z in probes:
+        (xr, dr), (xi, di) = (float(z.real).as_integer_ratio(),
+                              float(z.imag).as_integer_ratio())
+        den = max(dr, di)
+        x, y = xr * (den // dr), xi * (den // di)
+        re, im = h[-1].w, 0
+        for m in range(len(h) - 2, -1, -1):
+            re, im = (re * x - im * y + h[m].w * den ** (len(h) - 1 - m),
+                      re * y + im * x)
+        scale = den ** (len(h) - 1)             # h_n(z) = (re + i im) / scale
+        na, nb = re * re + im * im, (re - scale) ** 2 + im * im
+        gap = max(gap, abs(math.log1p(Fraction(na - nb, nb))) / 2 / 2 ** n)
+    return gap
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_brolin3_gap_matches_exact_arithmetic(n):
+    # q^2 + j has integer coefficients: the float h_n is held to the exact
+    # gap, window fixed before running (criterion 11's n <= 5 readings)
+    probes = annulus_probes()
+    assert brolin3_gap(P_J, 0.0, 1.0, n) == pytest.approx(
+        _exact_gap_qj(n, probes), rel=1e-9, abs=0)
+
+
 def test_brolin3_gap_probe_on_fiber():
     # h_1 = q^4 + 1 sends q = 1 to 2; with a = 2 the only probe is on a fiber
     with pytest.raises(ProbeOnFiber):
@@ -217,11 +263,9 @@ def test_mu_prime_collapses_for_real_coeffs():
     assert weak_distance(m, nu) < 0.02
 
 
-def _former_mu_prime(P, quad_weights, n, bin_width=1.0 / 128.0):
-    """The former estimator: both clouds once per quadrature unit J, at
-    weight w_J / (2 sum w)."""
-    from qbrolin.cdyn import preimage_tree
-    from qbrolin.slicecases import _binned
+def _former_mu_prime(P, quad_weights, n):
+    """The former estimator, unbinned: the trees of 0 under P and P^c once
+    per quadrature unit J, at weight w_J / (2 d^n sum w), folded."""
     points, weights = [], []
     for wj in quad_weights:
         for half in (P, P.conj_coeffs()):
@@ -229,7 +273,7 @@ def _former_mu_prime(P, quad_weights, n, bin_width=1.0 / 128.0):
             points.extend(tree)
             weights.extend([wj / 2.0 ** n / (2.0 * sum(quad_weights))]
                            * len(tree))
-    return _binned(points, weights, bin_width, {})
+    return measure_from_complex_atoms(points, weights)
 
 
 @pytest.mark.parametrize("c", [1j, 0.3 + 0.5j, -0.8 + 0.2j])
@@ -242,6 +286,55 @@ def test_mu_prime_matches_the_per_unit_loop(c):
     assert np.allclose(got.rho, want.rho, rtol=0, atol=1e-14)
     assert np.allclose(got.weight, want.weight, rtol=0, atol=1e-16)
 
+
+
+def _generic_poly(seed, d):
+    """P of degree d with full-mantissa coefficients, |Re|, |Im| <= 2."""
+    rng = np.random.default_rng(seed)
+    return ComplexPoly(rng.uniform(-2, 2, d + 1)
+                       + 1j * rng.uniform(-2, 2, d + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.builds(lambda c: ComplexPoly([c, 0.0, 1.0]),
+              st.complex_numbers(max_magnitude=2.0)),
+    st.builds(_generic_poly, st.integers(0, 2 ** 32 - 1),
+              st.sampled_from([2, 3]))),
+    st.floats(-2, 2), st.integers(1, 4))
+def test_the_conjugate_map_has_the_conjugate_tree(pc, a, n):
+    # mu' folds one tree: for real a the tree under P^c is conj of the tree
+    # under P, bit for bit but for the sign of a zero imaginary part (the
+    # closed-form quadratic rows for q^2 + c, Cardano rows for generic
+    # cubics; the test below has the cubics where it fails)
+    want = np.conj(preimage_tree(pc, a, n))
+    got = preimage_tree(pc.conj_coeffs(), a, n)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("coeffs, a", [
+    ([0.3 + 0.5j, 0.0, 0.0, 1.0], 0.2),
+    ([-0.1 + 1e-200j, -1.0, 0.0, 1.0], 0.3)])
+def test_cardano_ties_give_conjugate_trees_only_to_rounding(coeffs, a):
+    # Cardano's z1 is the largest of three candidates, which for z^3 + c
+    # have one modulus (and for a real-up-to-1e-200 cubic come as a pair of
+    # one modulus): rounding picks it, and conjugation swaps the columns
+    # it picks from. Here the P^c tree is conj of the P tree only as a
+    # multiset, to rounding; mu' takes the P tree alone
+    P = ComplexPoly(coeffs)
+    got = preimage_tree(P.conj_coeffs(), a, 5)
+    want = np.conj(preimage_tree(P, a, 5))
+    assert _match_distance(got, want) <= 1e-14
+
+
+def test_depth_8_mu_prime_is_the_g8_fiber_of_0():
+    # unbinned: 256 sphere atoms (the former 1/128 grid merged them into
+    # 230), and at a = 0 the g_8 fiber (both trees, half weight) atom for atom
+    m = mu_prime_estimate(P_I, 8)
+    assert len(m) == 256 and np.all(m.rho > 0)
+    g = gn_pullback_measure(P_I, 0.0, 8)
+    for x in ("alpha", "rho", "weight"):
+        assert np.array_equal(getattr(m, x), getattr(g, x))
 
 
 # -- the g_n fiber by composition ---------------------------------------------
