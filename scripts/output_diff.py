@@ -4,10 +4,12 @@ For each file present under both ROOT_A and ROOT_B (matched by relative path)
 whose bytes differ, prints one line: the largest relative difference
 |a - b| / max(|a|, |b|) between corresponding numbers, the leaves of a JSON
 file or the cells of a CSV file, or ``structure differs`` when the two files
-do not pair up number for number (another shape, another key, other text, or
-neither JSON nor CSV). Run it on the ``--out-root`` directories that
-``scripts/output_digest.py`` wrote for two checkouts: a rounding-level change
-reads about 1e-16.
+do not pair up number for number (another shape, other text, or neither JSON
+nor CSV). A JSON file whose dict keys changed is compared over the leaves
+both files share; its line adds their count and names the removed and added
+keys by dotted path (``meta.bin_width``, ``atoms.3.kind``). Run it on the
+``--out-root`` directories that ``scripts/output_digest.py`` wrote for two
+checkouts: a rounding-level change reads about 1e-16.
 
 Usage: python scripts/output_diff.py ROOT_A ROOT_B
 """
@@ -41,23 +43,31 @@ def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _max_rel(a, b):
-    """Largest relative difference between the numbers of two trees of
-    lists and dicts; _Mismatch where they do not pair up."""
+def _leaf_diffs(a, b, path, removed, added):
+    """The relative difference of each pair of leaves that two trees of
+    lists and dicts share. A dict key in one tree only is appended to removed
+    (in a) or added (in b) by its dotted path, and its subtree skipped;
+    _Mismatch where the trees do not pair up otherwise."""
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            raise _Mismatch
-        return max((_max_rel(a[k], b[k]) for k in a), default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
+        removed += [f"{path}{k}" for k in a if k not in b]
+        added += [f"{path}{k}" for k in b if k not in a]
+        for k in a:   # in a's order, so nested key lists are deterministic
+            if k in b:
+                yield from _leaf_diffs(a[k], b[k], f"{path}{k}.", removed,
+                                       added)
+    elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise _Mismatch
-        return max((_max_rel(x, y) for x, y in zip(a, b)), default=0.0)
-    x, y = _number(a), _number(b)
-    if x is not None and y is not None:
-        return _rel(x, y)
-    if a != b:
-        raise _Mismatch
-    return 0.0
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _leaf_diffs(x, y, f"{path}{i}.", removed, added)
+    else:
+        x, y = _number(a), _number(b)
+        if x is not None and y is not None:
+            yield _rel(x, y)
+        elif a != b:
+            raise _Mismatch
+        else:
+            yield 0.0
 
 
 def _parse(path: Path):
@@ -78,9 +88,14 @@ def compare(root_a: Path, root_b: Path):
         b = root_b / rel
         if not b.is_file() or a.read_bytes() == b.read_bytes():
             continue
+        removed, added = [], []
         try:
-            rel_diff = _max_rel(_parse(a), _parse(b))
-            line = f"max relative difference {rel_diff:.3g}"
+            rels = list(_leaf_diffs(_parse(a), _parse(b), "", removed, added))
+            line = f"max relative difference {max(rels, default=0.0):.3g}"
+            if removed or added:
+                line += f" over {len(rels)} shared leaves" + "".join(
+                    f"; {name} {', '.join(keys)}" for name, keys
+                    in (("removed", removed), ("added", added)) if keys)
         except (_Mismatch, UnicodeDecodeError, json.JSONDecodeError):
             line = "structure differs"
         out.append((rel, line))

@@ -34,8 +34,8 @@ from .errors import (CoefficientOffSlice, ConfigError, InvariantViolation,
                      QBrolinError)
 from .grids import SliceGrid
 from .laplacian import kernel_pairings, refinement_order
-from .measures import (brolin_pullback, pushforward, standard_panel,
-                       weak_distance)
+from .measures import (EmpiricalMeasure, brolin_pullback, pushforward,
+                       standard_panel, weak_distance)
 from .poly import ComplexPoly, QPolynomial, evaluate
 from .quat import hamilton, inverse, norm_sq, sphere_quadrature
 from .slicecases import (annulus_probes, brolin3_gap, gn_pullback_measure,
@@ -50,20 +50,52 @@ _GRID_MAX_SIDE = 8193
 _BUMP = lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2))  # noqa: E731
 
 
+def _atom_columns(m: EmpiricalMeasure, fmt):
+    """Text columns kind, alpha, rho, weight of a measure's atoms, kind
+    "point" where rho == 0. fmt runs on each alpha, and once per distinct
+    bit pattern of rho and of weight: these repeat (-0.0 keeps its sign)."""
+    kind = list(map(("sphere", "point").__getitem__, (m.rho == 0.0).tolist()))
+    columns = [kind, list(map(fmt, m.alpha.tolist()))]
+    for x in (m.rho, m.weight):
+        bits = x.view(np.int64).tolist()
+        memo = {b: fmt(v) for b, v in dict(zip(bits, x.tolist())).items()}
+        columns.append(list(map(memo.__getitem__, bits)))
+    return columns
+
+
+_ATOM_JSON = '{"alpha": %s, "kind": "%s", "rho": %s, "weight": %s}'
+
+
 def write_csv(path: Path, header, rows):
-    """%.17g for numbers (bools too), else str: one % format per row type."""
+    """%.17g for numbers (bools too), else str: one % format per row type.
+    An EmpiricalMeasure as rows writes one (kind, alpha, rho, weight) row per
+    atom, encoded from its arrays."""
     lines, formats = [",".join(header)], {}
-    for row in map(tuple, rows):
-        sig = tuple(map(type, row))
-        if sig not in formats:
-            formats[sig] = ",".join("%.17g" if issubclass(t, (int, float))
-                                    else "%s" for t in sig)
-        lines.append(formats[sig] % row)
+    if isinstance(rows, EmpiricalMeasure):
+        lines += map(",".join, zip(*_atom_columns(rows, "%.17g".__mod__)))
+    else:
+        for row in map(tuple, rows):
+            sig = tuple(map(type, row))
+            if sig not in formats:
+                formats[sig] = ",".join("%.17g" if issubclass(t, (int, float))
+                                        else "%s" for t in sig)
+            lines.append(formats[sig] % row)
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, sort_keys=True) + "\n")  # C encoder: no indent
+    """One line with sorted keys, as json.dumps writes it. An EmpiricalMeasure
+    is {"atoms": [{"alpha", "kind", "rho", "weight"}, ...], "meta": ...},
+    encoded from its arrays: a finite float's json text is its repr."""
+    if isinstance(obj, EmpiricalMeasure):
+        kind, alpha, rho, weight = _atom_columns(obj, float.__repr__)
+        atoms = ", ".join(map(_ATOM_JSON.__mod__,
+                              zip(alpha, kind, rho, weight)))
+        text = '{"atoms": [%s], "meta": %s}' % (
+            atoms, json.dumps(obj.meta, sort_keys=True))
+    else:
+        text = json.dumps(obj, sort_keys=True)  # C encoder: no indent
+    path.write_text(text + "\n")
 
 
 def write_pgm(path: Path, image: np.ndarray):
@@ -153,9 +185,8 @@ def run_equilibrium(cfg, out: Path):
         raise ConfigError("equilibrium mode needs real coefficients")
     params = cfg["params"]
     m = brolin_pullback(p, params["target"], params["depth"])
-    write_json(out / "measure.json", m.to_json())
-    write_csv(out / "measure.csv", ["kind", "alpha", "rho", "weight"],
-              m.rows())
+    write_json(out / "measure.json", m)
+    write_csv(out / "measure.csv", ["kind", "alpha", "rho", "weight"], m)
     _manifest(out, "measure", cfg, {"atoms": len(m)})
     print(f"equilibrium: {len(m)} atoms, mass {m.total_mass():.6f}")
     return 0
@@ -286,8 +317,8 @@ def run_one_slice(cfg, out: Path):
     mp = mu_prime_estimate(pc, depth, target)
     mg = gn_pullback_measure(pc, target, depth)
     dist = weak_distance(mg, mp)
-    write_json(out / "mu_prime.json", mp.to_json())
-    write_json(out / "gn_pullback.json", mg.to_json())
+    write_json(out / "mu_prime.json", mp)
+    write_json(out / "gn_pullback.json", mg)
     write_json(out / "one_slice.json",
                {"weak_distance": dist, "depth": depth, "target": target,
                 "real_mass": sum(mp.weight[mp.rho == 0.0].tolist())})

@@ -75,24 +75,6 @@ class EmpiricalMeasure:
     def __len__(self):
         return len(self.weight)
 
-    def rows(self):
-        """(kind, alpha, rho, weight) per atom; kind is "point" or "sphere"."""
-        return [("point" if r == 0.0 else "sphere", a, r, w) for a, r, w
-                in zip(self.alpha.tolist(), self.rho.tolist(),
-                       self.weight.tolist())]
-
-    def to_json(self):
-        return {"atoms": [{"kind": k, "alpha": a, "rho": r, "weight": w}
-                          for k, a, r, w in self.rows()],
-                "meta": self.meta}
-
-    @staticmethod
-    def from_json(data):
-        atoms = data["atoms"]
-        return EmpiricalMeasure([d["alpha"] for d in atoms],
-                                [d["rho"] for d in atoms],
-                                [d["weight"] for d in atoms], data.get("meta"))
-
 
 def standard_panel():
     """The fixed 12-function panel used by all acceptance numbers, by name.

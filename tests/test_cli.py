@@ -14,7 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from qbrolin import cli
 from qbrolin.cli import load_config, main
-from writer_refs import ref_write_csv, ref_write_json
+from qbrolin.measures import EmpiricalMeasure
+from writer_refs import (ref_measure_rows, ref_write_csv, ref_write_json,
+                         ref_write_measure_json)
 
 SQ_MINUS_2 = {"coeffs": [[-2, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}
 
@@ -762,3 +764,31 @@ def test_write_json_parses_back_equal_to_the_former_writer(obj):
     got = json.loads(text, object_pairs_hook=_sorted_pairs)
     # repr compares NaN, -0.0 and int against float exactly
     assert repr(got) == repr(json.loads(_written(ref_write_json, obj)))
+
+
+_alpha = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 0.5]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_rho = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308, 0.5]),
+                 st.floats(min_value=0.0, allow_infinity=False))
+_weight = st.one_of(st.sampled_from([5e-324, 1e308, 2.0 ** -14, 2.0 ** -13]),
+                    st.floats(min_value=0.0, exclude_min=True,
+                              allow_infinity=False))
+_MEASURE_HEADER = ["kind", "alpha", "rho", "weight"]
+
+
+# 0.0 before -0.0 in a column: a memo keyed by value (0.0 == -0.0) would
+# write the second as the first
+@example([(0.0, 0.0, 0.5), (-0.0, -0.0, 0.5)], {})
+@example([(-0.0, 0.0, 0.25), (0.0, -0.0, 0.25), (0.0, 0.0, 0.25),
+          (-0.0, -0.0, 0.25)], {})
+@example([(1.0, 0.5, 0.25), (-1.0, 0.5, 0.25), (1.0, 0.0, 0.5)],
+         {"m": {"n": [float("nan"), -0.0]}, "\u00e9": "\u2203x \U0001f600"})
+@example([], {})
+@given(st.lists(st.tuples(_alpha, _rho, _weight), max_size=12),
+       st.dictionaries(st.text(max_size=3), _json_obj, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_measure_files_equal_the_former_encoders(atoms, meta):
+    m = EmpiricalMeasure(*np.array(atoms, dtype=float).reshape(-1, 3).T, meta)
+    assert _written(cli.write_json, m) == _written(ref_write_measure_json, m)
+    assert (_written(cli.write_csv, _MEASURE_HEADER, m)
+            == _written(ref_write_csv, _MEASURE_HEADER, ref_measure_rows(m)))

@@ -1,9 +1,11 @@
+import json
 from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qbrolin import cli
 from qbrolin.errors import ExceptionalTarget, InvariantViolation
 from qbrolin.measures import (EmpiricalMeasure, brolin_pullback,
                               measure_from_complex_atoms, pair, pushforward,
@@ -11,6 +13,7 @@ from qbrolin.measures import (EmpiricalMeasure, brolin_pullback,
 from qbrolin.policy import CLUSTER_TOL, REAL_AXIS_TOL
 from qbrolin.poly import QPolynomial
 from qbrolin.quat import sphere_quadrature
+from writer_refs import ref_measure_rows
 
 CHEB = QPolynomial.from_real([-2.0, 0.0, 1.0])
 SQ = QPolynomial.from_real([0.0, 0.0, 1.0])
@@ -39,10 +42,17 @@ def test_non_finite_complex_atoms_are_refused():
             measure_from_complex_atoms([0.5, z], [0.5, 0.5])
 
 
-def test_measure_sorted_and_json():
+def test_measure_sorted_and_json(tmp_path):
     m = EmpiricalMeasure([1.0, -1.0], [0.5, 0.0], [0.5, 0.5], {"tag": 1})
-    assert m.rows() == [("point", -1.0, 0.0, 0.5), ("sphere", 1.0, 0.5, 0.5)]
-    again = EmpiricalMeasure.from_json(m.to_json())
+    assert ref_measure_rows(m) == [("point", -1.0, 0.0, 0.5),
+                                   ("sphere", 1.0, 0.5, 0.5)]
+    # measure.json reads back to the same arrays and meta
+    cli.write_json(tmp_path / "m.json", m)
+    data = json.loads((tmp_path / "m.json").read_text())
+    assert [d["kind"] for d in data["atoms"]] == ["point", "sphere"]
+    again = EmpiricalMeasure(*([d[k] for d in data["atoms"]]
+                               for k in ("alpha", "rho", "weight")),
+                             data["meta"])
     assert all(np.array_equal(x, y) for x, y in zip(_arrays(again), _arrays(m)))
     assert again.meta == m.meta
 
@@ -130,8 +140,8 @@ def test_real_points_and_spheres_merge_apart():
     # real point is within its merge box: kinds still never merge
     sphere = complex(-1.0 - 1e-9, 2e-7 + 1e-14)
     m = measure_from_complex_atoms([sphere, -1.0], [0.5, 0.5])
-    assert m.rows() == [("point", -1.0, 0.0, 0.5),
-                        ("sphere", sphere.real, sphere.imag, 0.5)]
+    assert ref_measure_rows(m) == [("point", -1.0, 0.0, 0.5),
+                                   ("sphere", sphere.real, sphere.imag, 0.5)]
 
 
 def test_pullback_mass_one():
@@ -166,7 +176,8 @@ def test_axial_pair_matches_quadrature():
         vals = f(q[:, 0], np.linalg.norm(q[:, 1:], axis=1))
         return np.sum(weights * vals) / (4.0 * np.pi)
 
-    slow = sum(w * sphere_average(a, r) for _, a, r, w in m.rows())
+    slow = sum(w * sphere_average(a, r)
+               for a, r, w in zip(m.alpha, m.rho, m.weight))
     assert pair(m, f) == pytest.approx(slow, abs=1e-10)
 
 

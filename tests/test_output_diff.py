@@ -18,6 +18,8 @@ def test_output_diff_reports_each_changed_file(tmp_path):
               "run/m.csv": "n,c\n0,0.5\n1,2\n",
               "run/same.csv": "n\n1\n",
               "run/keys.json": '{"a": 1}\n',
+              "run/meta.json": '{"atoms": [1.0, 2.0], '
+                               '"meta": {"bin": "x", "t": 0.5}}\n',
               "run/text.csv": "check,pass\nk,True\n",
               "run/img.pgm": "P5\n",
               "run/only_a.json": "{}\n"})
@@ -25,13 +27,19 @@ def test_output_diff_reports_each_changed_file(tmp_path):
               "run/m.csv": "n,c\n0,0.5\n1,2.5\n",
               "run/same.csv": "n\n1\n",
               "run/keys.json": '{"b": 1}\n',
+              "run/meta.json": '{"atoms": [1.0, 2.0], '
+                               '"meta": {"t": 0.5, "u": [1]}}\n',
               "run/text.csv": "check,pass\nk,False\n",
               "run/img.pgm": "P6\n"})
     r = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
                        capture_output=True, text=True, check=True)
     assert r.stdout.splitlines() == [
         "run/img.pgm: structure differs",
-        "run/keys.json: structure differs",
+        "run/keys.json: max relative difference 0 over 0 shared leaves; "
+        "removed a; added b",
         "run/m.csv: max relative difference 0.2",
         "run/m.json: max relative difference 2.22e-16",
+        # the keys changed, and the leaves both files share are equal
+        "run/meta.json: max relative difference 0 over 3 shared leaves; "
+        "removed meta.bin; added meta.u",
         "run/text.csv: structure differs"]
