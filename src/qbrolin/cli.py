@@ -36,8 +36,9 @@ from .grids import SliceGrid
 from .laplacian import kernel_pairings, refinement_order
 from .measures import (EmpiricalMeasure, brolin_pullback, pushforward,
                        standard_panel, weak_distance)
-from .poly import ComplexPoly, QPolynomial, evaluate
-from .quat import hamilton, inverse, norm_sq, sphere_quadrature
+from .poly import (ComplexPoly, QPolynomial, evaluate, star,
+                   star_conjugation_point)
+from .quat import hamilton, norm_sq, sphere_quadrature
 from .slicecases import (annulus_probes, brolin3_gap, gn_pullback_measure,
                          mu_prime_estimate)
 
@@ -343,6 +344,35 @@ def run_general_gap(cfg, out: Path):
     return 0
 
 
+def _star_algebra_worst(seed):
+    """Worst errors of (f*g)^c = g^c * f^c, of the realness of f^c * f and
+    of (f*g)(q) = f(q) g(T_f(q)), each over 100 trials of f (degree 3),
+    g (degree 2) and q drawn in turn, checked as one batch."""
+    rng = np.random.default_rng(seed)
+
+    def trials(*shapes):
+        draws = [[rng.normal(size=s) for s in shapes] for _ in range(100)]
+        return [np.stack(x) for x in zip(*draws)]
+
+    conj = np.array([1.0, -1.0, -1.0, -1.0])
+    f, g = trials((4, 4), (3, 4))
+    diff = star(f, g) * conj - star(g * conj, f * conj)
+    antihom = float(np.max(np.linalg.norm(diff, axis=-1)))
+    f, = trials((4, 4))
+    x, y, z = np.moveaxis(star(f * conj, f)[..., 1:], -1, 0)
+    realness = float(np.max(np.sqrt(x * x + y * y + z * z)))
+    f, g, q = trials((4, 4), (3, 4), (4,))
+    fq = evaluate(f, q)
+    ok = np.sqrt(norm_sq(fq)) > 1e-12
+    want = np.zeros_like(fq)
+    want[ok] = hamilton(fq[ok], evaluate(
+        g[ok], star_conjugation_point(f[ok], q[ok])))
+    got = evaluate(star(f, g), q)
+    identity = float(np.max(np.sqrt(norm_sq(got - want))
+                            / (1.0 + np.sqrt(norm_sq(got)))))
+    return antihom, realness, identity
+
+
 def run_verify(cfg, out: Path):
     """Fast invariant suite; InvariantViolation (exit 3) names the failed
     checks, after the files and the summary are written."""
@@ -352,40 +382,10 @@ def run_verify(cfg, out: Path):
     def check(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    rng = np.random.default_rng(seed)
-
-    def rand_qpoly(deg):
-        return QPolynomial(rng.normal(size=(deg + 1, 4)))
-
-    worst = 0.0
-    for _ in range(100):
-        f, g = rand_qpoly(3), rand_qpoly(2)
-        lhs, rhs = f.star_mul(g).conj(), g.conj().star_mul(f.conj())
-        diff = np.linalg.norm((lhs - rhs).coeffs, axis=1)
-        worst = max(worst, float(np.max(diff, initial=0.0)))
-    check("conj antihomomorphism", worst < 1e-10, f"worst {worst:.2e}")
-
-    worst = max(rand_qpoly(3).symmetrize().max_imag_coeff()
-                for _ in range(100))
-    check("symmetrization realness", worst < 1e-10, f"worst {worst:.2e}")
-
-    # (f*g)(q) = f(q) g(T_f(q)), T_f(q) = f(q)^-1 q f(q), over 100 trials
-    # drawn one by one and evaluated as one batch
-    rows = []
-    for _ in range(100):
-        f, g = rand_qpoly(3), rand_qpoly(2)
-        rows.append((f.coeffs, g.coeffs, f.star_mul(g).coeffs,
-                     rng.normal(size=4)))
-    f, g, fg, q = map(np.stack, zip(*rows))
-    fq = evaluate(f, q)
-    ok = np.sqrt(norm_sq(fq)) > 1e-12
-    t = hamilton(hamilton(inverse(fq[ok]), q[ok]), fq[ok])
-    want = np.zeros_like(fq)
-    want[ok] = hamilton(fq[ok], evaluate(g[ok], t))
-    got = evaluate(fg, q)
-    worst = float(np.max(np.sqrt(norm_sq(got - want))
-                         / (1.0 + np.sqrt(norm_sq(got)))))
-    check("star evaluation identity", worst < 1e-9, f"worst {worst:.2e}")
+    anti, sym, ident = _star_algebra_worst(seed)
+    check("conj antihomomorphism", anti < 1e-10, f"worst {anti:.2e}")
+    check("symmetrization realness", sym < 1e-10, f"worst {sym:.2e}")
+    check("star evaluation identity", ident < 1e-9, f"worst {ident:.2e}")
 
     weights = sphere_quadrature(3)[1]
     check("quadrature total weight",

@@ -233,18 +233,21 @@ def mixing_correlation(p: ComplexPoly, phi, psi, n_max: int, samples: int,
     return out
 
 
-def fit_log_slope(pairs, n_min=1, n_max=None):
-    """Least-squares slope of log|value| vs n over [n_min, n_max]."""
-    xs, ys = [], []
-    for n, v in pairs:
-        if n < n_min or (n_max is not None and n > n_max) or v == 0:
-            continue
-        xs.append(n)
-        ys.append(math.log(abs(v)))
-    if len(xs) < 2:
+def _line_fit(pairs):
+    """Least-squares line through the (n, y) pairs: (slope, rms residual)."""
+    xs = np.array([n for n, _ in pairs], dtype=float)
+    ys = np.array([y for _, y in pairs])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    return float(slope), resid
+
+
+def fit_log_slope(pairs, n_min=1):
+    """Least-squares slope of log|value| vs n over n >= n_min, value != 0."""
+    logs = [(n, math.log(abs(v))) for n, v in pairs if n >= n_min and v != 0]
+    if len(logs) < 2:
         raise InvariantViolation("not enough points for a slope fit")
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    return _line_fit(logs)[0]
 
 
 @dataclass(frozen=True)
@@ -390,17 +393,6 @@ def separated_count(orbits, eps: float) -> int:
     return count
 
 
-def _tail_fit(pairs, n_max):
-    """Least-squares line through the last max(3, n_max//2) (n, y) pairs:
-    (slope, rms residual)."""
-    tail = pairs[-max(3, n_max // 2):]
-    xs = np.array([n for n, _ in tail], dtype=float)
-    ys = np.array([y for _, y in tail])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return float(slope), resid
-
-
 def topological_entropy(pc: ComplexPoly, box: AxialBox, n_max: int,
                         eps_list, grid_density: int = 20000,
                         seed: int = 0) -> EstimateReport:
@@ -422,7 +414,8 @@ def topological_entropy(pc: ComplexPoly, box: AxialBox, n_max: int,
     for eps in eps_list:
         counts = [(n, separated_count(orbits[:, :n, :], eps))
                   for n in range(1, n_max + 1)]
-        slope, resid = _tail_fit([(n, math.log(c)) for n, c in counts], n_max)
+        logs = [(n, math.log(c)) for n, c in counts]
+        slope, resid = _line_fit(logs[-max(3, n_max // 2):])
         if best is None or slope > best[0]:
             best = (slope, resid, eps, counts)
     slope, resid, eps, counts = best
@@ -431,11 +424,10 @@ def topological_entropy(pc: ComplexPoly, box: AxialBox, n_max: int,
                            "counts": counts})
 
 
-def interval_partition(lo: float, hi: float, cells: int,
-                       beta_hi: float = math.inf):
-    """cells equal boxes S x ([a_i, a_{i+1}] x [0, beta_hi])."""
+def interval_partition(lo: float, hi: float, cells: int):
+    """cells equal boxes S x ([a_i, a_{i+1}] x [0, inf))."""
     edges = np.linspace(lo, hi, cells + 1)
-    return [AxialBox(edges[i], edges[i + 1], 0.0, beta_hi)
+    return [AxialBox(edges[i], edges[i + 1], 0.0, math.inf)
             for i in range(cells)]
 
 
@@ -481,7 +473,7 @@ def partition_entropy(pc: ComplexPoly, partition, n_max: int,
         h = float(-np.sum(probs * np.log(probs)))
         h += (len(counts) - 1) / (2.0 * counts.sum())  # Miller-Madow
         hs.append((n, h))
-    slope, resid = _tail_fit(hs, n_max)
+    slope, resid = _line_fit(hs[-max(3, n_max // 2):])
     return EstimateReport("partition_entropy", slope, resid, n_inside,
                           {"n_max": n_max, "seed": seed,
                            "cells": len(partition), "H_n": hs})

@@ -40,6 +40,7 @@ __all__ = [
     "weak_distance",
     "pushforward",
     "measure_from_complex_atoms",
+    "uniform_measure",
 ]
 
 
@@ -131,18 +132,14 @@ def brolin_pullback(p: QPolynomial, a: float, n: int) -> EmpiricalMeasure:
     if not p.has_real_coeffs():
         raise ValueError("brolin_pullback requires real coefficients")
     pc = p.restrict_to_slice()
-    d = pc.degree
-    if d < 2:
+    if pc.degree < 2:
         raise ValueError("degree must be >= 2")
     if is_exceptional(pc, complex(a)):
         raise ExceptionalTarget(f"target {a} is exceptional for this polynomial")
     with np.errstate(over="ignore", invalid="ignore"):   # _fold_merge checks
         points = preimage_tree(pc, complex(a), n)
-    meta = {"polynomial": p.to_json(), "target": a, "depth": n}
-    m = _fold_merge(points, np.full(len(points), 1.0 / float(d) ** n), meta)
-    if abs(m.total_mass() - 1.0) > 1e-9:
-        raise InvariantViolation(f"pullback mass {m.total_mass()} != 1")
-    return m
+    return uniform_measure(points, {"polynomial": p.to_json(), "target": a,
+                                    "depth": n})
 
 
 def pair(m: EmpiricalMeasure, f) -> float:
@@ -185,3 +182,14 @@ def measure_from_complex_atoms(points, weights,
     weights = np.asarray(weights, dtype=float).reshape(-1)
     keep = ~(weights <= 0)  # a NaN weight is kept, and refused
     return _fold_merge(points[keep], weights[keep], meta or {})
+
+
+def uniform_measure(points, meta) -> EmpiricalMeasure:
+    """The complex slice atoms points, each at weight 1/len(points), by
+    `measure_from_complex_atoms`; InvariantViolation unless the folded
+    mass is 1 within 1e-9."""
+    m = measure_from_complex_atoms(points, np.full(len(points),
+                                                   1 / len(points)), meta)
+    if abs(m.total_mass() - 1.0) > 1e-9:
+        raise InvariantViolation(f"measure mass {m.total_mass()} != 1")
+    return m

@@ -1,8 +1,9 @@
 """Polynomials with quaternionic right coefficients: q |-> sum q^n a_n.
 
-Implements the star product (coefficient convolution), slice conjugate,
-symmetrization f^s = f^c * f, bullet composition, and restriction of
-one-slice polynomials to the reference slice C_i.
+Implements evaluation, the star product (coefficient convolution) and the
+star conjugation point T_f on (..., D, 4) stacks of coefficient arrays, and
+the slice conjugate, symmetrization f^s = f^c * f, bullet composition, and
+restriction of one-slice polynomials to the reference slice C_i.
 
 Both polynomial types keep their coefficients in one read-only array, and
 quaternions are [w, x, y, z] arrays multiplied by `quat.hamilton`; the
@@ -20,7 +21,8 @@ from .errors import CoefficientOffSlice
 from .policy import OFF_SLICE_TOL
 from .quat import hamilton, inverse
 
-__all__ = ["QPolynomial", "ComplexPoly", "evaluate", "horner"]
+__all__ = ["QPolynomial", "ComplexPoly", "evaluate", "horner", "star",
+           "star_conjugation_point"]
 
 # largest imaginary part (absolute) of a coefficient that counts as real
 _REAL_TOL = 1e-12
@@ -56,6 +58,26 @@ def evaluate(coeffs, q):
             power = hamilton(power, q)
         acc = acc + hamilton(power, coeffs[..., n, :])
     return acc
+
+
+def star(a, b):
+    """f*g for right coefficients a (..., Da, 4) and b (..., Db, 4),
+    broadcast over the leading axes: output row m sums the products a_j b_k
+    (j + k = m) from zero in ascending j, as a double loop would."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    prods = hamilton(a[..., :, None, :], b[..., None, :, :])
+    da, db = a.shape[-2], b.shape[-2]
+    out = np.zeros(prods.shape[:-3] + (max(da + db - 1, 0), 4))
+    for j in range(da):
+        out[..., j:j + db, :] += prods[..., j, :, :]
+    return out
+
+
+def star_conjugation_point(coeffs, q):
+    """T_f(q) = f(q)^-1 q f(q) at (..., 4) points q, f(q) as in `evaluate`;
+    ZeroDivisor where f(q) = 0."""
+    fq = evaluate(coeffs, q)
+    return hamilton(hamilton(inverse(fq), q), fq)
 
 
 class QPolynomial:
@@ -109,19 +131,8 @@ class QPolynomial:
         return evaluate(self.coeffs, q)
 
     def star_mul(self, other: "QPolynomial") -> "QPolynomial":
-        """(f*g) by coefficient convolution with order a_j b_k.
-
-        Each output row sums the products a_j b_k from zero in ascending j,
-        as a double loop would.
-        """
-        a, b = self.coeffs, other.coeffs
-        if not len(a) or not len(b):
-            return QPolynomial([])
-        prods = hamilton(a[:, None], b[None, :])
-        out = np.zeros((len(a) + len(b) - 1, 4))
-        for j in range(len(a)):
-            out[j:j + len(b)] += prods[j]
-        return QPolynomial(out)
+        """(f*g); see `star`."""
+        return QPolynomial(star(self.coeffs, other.coeffs))
 
     def conj(self) -> "QPolynomial":
         """Coefficient-wise quaternionic conjugation (the slice conjugate)."""
@@ -130,12 +141,6 @@ class QPolynomial:
     def symmetrize(self) -> "QPolynomial":
         """f^s = f^c * f: slice preserving, all coefficients real."""
         return self.conj().star_mul(self)
-
-    def star_conjugation_point(self, q):
-        """T_f(q) = f(q)^-1 q f(q) at (..., 4) points; ZeroDivisor where
-        f(q) = 0."""
-        fq = self.eval(q)
-        return hamilton(hamilton(inverse(fq), q), fq)
 
     def bullet_compose(self, w: "QPolynomial") -> "QPolynomial":
         """(self . w) = sum_n w^{*n} * a_n with a_n the coefficients of self."""

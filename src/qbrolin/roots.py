@@ -1,18 +1,18 @@
 """All-roots solver for complex polynomials.
 
-One Aberth-Ehrlich loop (`_aberth`) with a capped 3-step Newton polish runs
-on rows of start points and a callable giving the Newton pair (f, f') at
-them; it reads no coefficients. `fiber_roots` solves p(z) = t for many
-targets t at once (every p - t shares all but the constant term), certified
-by backward error; `all_roots` is its one-row case. Degrees 1 and 2 use
-closed forms, uncertified, degree 3 Cardano's formula (they dominate the
-preimage workloads), higher degrees Aberth from a Fujiwara circle with
-Horner pairs. `newton_roots` solves a function known only by its Newton
-pairs (the one-slice g_n, evaluated by composition) from given start points,
-crowded ones spread apart first, certified by Newton distance. Both return
-rows as `fiber_row` does: sorted, multiplicities detected by clustering.
-`merge_near` is the library's one rule for which points coincide: fiber
-clusters keep their mean, measures their head atom.
+One Aberth-Ehrlich loop (`_aberth`) with a capped 3-step Newton polish runs on
+rows of start points and a callable giving the Newton pair (f, f') at them; it
+reads no coefficients. `fiber_roots` solves p(z) = t for many targets t at
+once (every p - t shares all but the constant term), certified by backward
+error. Degrees 1 and 2 use closed forms, uncertified, degree 3 Cardano's
+formula (they dominate the preimage workloads), higher degrees Aberth from a
+Fujiwara circle with Horner pairs. `newton_roots` solves a function known only
+by its Newton pairs (the one-slice g_n, evaluated by composition) from given
+start points, crowded ones spread apart first, certified by Newton distance.
+Both return rows as `fiber_row` does: sorted, multiplicities detected by
+clustering. `all_roots` solves one polynomial, certified and sorted at every
+degree, unclustered. `merge_near` is the library's one rule for which points
+coincide: fiber clusters keep their mean, measures their head atom.
 """
 
 from __future__ import annotations

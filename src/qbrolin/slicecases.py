@@ -33,7 +33,7 @@ import numpy as np
 from .cdyn import is_exceptional, preimage_tree
 from .errors import (BudgetExceeded, ExceptionalTarget, InvariantViolation,
                      ProbeOnFiber)
-from .measures import EmpiricalMeasure, measure_from_complex_atoms
+from .measures import EmpiricalMeasure, uniform_measure
 from .policy import DEGREE_BUDGET, FIBER_RESIDUAL_TOL
 from .poly import ComplexPoly, QPolynomial
 from .roots import fiber_row, newton_roots
@@ -88,11 +88,12 @@ def _screen_gn_target(pc: ComplexPoly, a: float):
         raise ExceptionalTarget(f"target {a} is exceptional for g_n")
 
 
-def _trees(halves, n: int) -> np.ndarray:
-    """The depth-n preimage trees of t under Q, d^n within DEGREE_BUDGET,
-    for each (Q, t) of halves."""
-    return np.concatenate([preimage_tree(q, t, n, DEGREE_BUDGET)
-                           for q, t in halves])
+def _two_trees(pc: ComplexPoly, t: float, u: float, n: int) -> np.ndarray:
+    """The depth-n trees of t under P and of real u under P^c, the second
+    read as the conjugate of u's tree under P (t's when u = t), not solved."""
+    tree = preimage_tree(pc, t, n, DEGREE_BUDGET)
+    other = tree if u == t else preimage_tree(pc, u, n, DEGREE_BUDGET)
+    return np.concatenate([tree, np.conj(other)])
 
 
 def mu_prime_estimate(pc: ComplexPoly, n: int,
@@ -105,19 +106,16 @@ def mu_prime_estimate(pc: ComplexPoly, n: int,
     under P^c is the conjugate of the tree under P, and both fold onto the
     same (Re z, |Im z|) atoms: mu' is the fold of the one tree under P, each
     of its d^n points at weight d^-n. With real coefficients that is nu_n
-    (the slice-preserving corollary).
+    (the slice-preserving corollary). a is screened on g_1 and on P.
     """
-    d = pc.degree
-    if d < 2:
+    if pc.degree < 2:
         raise ValueError("degree must be >= 2")
     _screen_gn_target(pc, a)
+    if is_exceptional(pc, complex(a)):
+        raise ExceptionalTarget(f"target {a} is exceptional for P")
     points = preimage_tree(pc, complex(a), n, DEGREE_BUDGET)
-    meta = {"estimator": "mu_prime", "depth": n, "target": a}
-    m = measure_from_complex_atoms(
-        points, np.full(len(points), 1.0 / float(d) ** n), meta=meta)
-    if abs(m.total_mass() - 1.0) > 1e-9:
-        raise InvariantViolation(f"mu' mass {m.total_mass()} != 1")
-    return m
+    return uniform_measure(points, {"estimator": "mu_prime", "depth": n,
+                                    "target": a})
 
 
 def _gn_start(pc: ComplexPoly, n: int) -> np.ndarray:
@@ -127,11 +125,11 @@ def _gn_start(pc: ComplexPoly, n: int) -> np.ndarray:
     of 2 under P^c are taken. A polynomial has at most one finite
     exceptional point, so neither tree repeats a point, and they lie on the
     circles |c|^m |z|^(d^n) = 1 and 2 (m = (d^n - 1) / (d - 1)), so they
-    share none.
+    share none. Each P^c tree is read as the conjugate of a P tree.
     """
     if is_exceptional(pc, 0.0):
-        return _trees(((pc, 1.0), (pc.conj_coeffs(), 2.0)), n)
-    return _trees(((pc, 0.0), (pc.conj_coeffs(), 0.0)), n)
+        return _two_trees(pc, 1.0, 2.0, n)
+    return _two_trees(pc, 0.0, 0.0, n)
 
 
 def _gn_newton(pc: ComplexPoly, a: float, n: int):
@@ -154,15 +152,17 @@ def _gn_fiber(pc: ComplexPoly, a: float, n: int) -> np.ndarray:
 
     Where it is known exactly it is read off preimage trees: for real P,
     g_n = (P^n)^2 and the fiber is the trees of +-sqrt(a) under P (at a = 0
-    every root is double); at a = 0 it is the trees of 0 under P and P^c.
-    Otherwise `newton_roots` solves it on the composition `_gn_newton` from
-    the trees of `_gn_start`.
+    every root is double); at a = 0 it is the trees of 0 under P and P^c,
+    the second the conjugate of the first, so the fiber is closed under
+    conjugation bit for bit. Otherwise `newton_roots` solves it on the
+    composition `_gn_newton` from the trees of `_gn_start`.
     """
     if pc.is_real():
         s = np.sqrt(complex(a))
-        return fiber_row(_trees(((pc, s), (pc, -s)), n))
+        return fiber_row(np.concatenate([preimage_tree(pc, t, n, DEGREE_BUDGET)
+                                         for t in (s, -s)]))
     if a == 0.0:
-        return fiber_row(_trees(((pc, 0.0), (pc.conj_coeffs(), 0.0)), n))
+        return fiber_row(_two_trees(pc, 0.0, 0.0, n))
     return newton_roots(_gn_start(pc, n), _gn_newton(pc, a, n))
 
 
@@ -177,13 +177,8 @@ def gn_pullback_measure(pc: ComplexPoly, a: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     _screen_gn_target(pc, a)
-    fiber = _gn_fiber(pc, a, n)
-    meta = {"estimator": "gn_pullback", "depth": n, "target": a}
-    m = measure_from_complex_atoms(
-        fiber, np.full(len(fiber), 1.0 / (2 * pc.degree ** n)), meta=meta)
-    if abs(m.total_mass() - 1.0) > 1e-9:
-        raise InvariantViolation(f"g_n fiber mass {m.total_mass()} != 1")
-    return m
+    return uniform_measure(_gn_fiber(pc, a, n), {"estimator": "gn_pullback",
+                                                 "depth": n, "target": a})
 
 
 def hn_build(p: QPolynomial, n: int) -> QPolynomial:

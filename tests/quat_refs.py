@@ -12,6 +12,8 @@ holds no tests).
   from it, with the unit i = (1, 0, 0) written out.
 - `TupleQPolynomial`: the former QPolynomial, a tuple of Quaternions
   walked in Python loops.
+- `ref_star_algebra_worst`: the former per-trial loops of the `verify`
+  mode's three star algebra checks, returning their three worst errors.
 """
 
 import math
@@ -20,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbrolin.errors import ZeroDivisor
+from qbrolin.poly import QPolynomial, evaluate
+from qbrolin.quat import hamilton, inverse, norm_sq
 
 
 @dataclass(frozen=True)
@@ -180,3 +184,40 @@ class TupleQPolynomial:
             acc = acc + power.star_mul(TupleQPolynomial([a]))
             power = power.star_mul(w)
         return acc
+
+
+def ref_star_algebra_worst(seed):
+    rng = np.random.default_rng(seed)
+
+    def rand_qpoly(deg):
+        return QPolynomial(rng.normal(size=(deg + 1, 4)))
+
+    worst = 0.0
+    for _ in range(100):
+        f, g = rand_qpoly(3), rand_qpoly(2)
+        lhs, rhs = f.star_mul(g).conj(), g.conj().star_mul(f.conj())
+        diff = np.linalg.norm((lhs - rhs).coeffs, axis=1)
+        worst = max(worst, float(np.max(diff, initial=0.0)))
+    antihom = worst
+
+    worst = max(rand_qpoly(3).symmetrize().max_imag_coeff()
+                for _ in range(100))
+    realness = worst
+
+    # (f*g)(q) = f(q) g(T_f(q)), T_f(q) = f(q)^-1 q f(q), over 100 trials
+    # drawn one by one and evaluated as one batch
+    rows = []
+    for _ in range(100):
+        f, g = rand_qpoly(3), rand_qpoly(2)
+        rows.append((f.coeffs, g.coeffs, f.star_mul(g).coeffs,
+                     rng.normal(size=4)))
+    f, g, fg, q = map(np.stack, zip(*rows))
+    fq = evaluate(f, q)
+    ok = np.sqrt(norm_sq(fq)) > 1e-12
+    t = hamilton(hamilton(inverse(fq[ok]), q[ok]), fq[ok])
+    want = np.zeros_like(fq)
+    want[ok] = hamilton(fq[ok], evaluate(g[ok], t))
+    got = evaluate(fg, q)
+    worst = float(np.max(np.sqrt(norm_sq(got - want))
+                         / (1.0 + np.sqrt(norm_sq(got)))))
+    return antihom, realness, worst

@@ -426,6 +426,19 @@ def test_equilibrium_refuses_an_inexact_exceptional_target(tmp_path, capsys):
     assert code == 3 and err["error"] == "ExceptionalTarget"
 
 
+def test_one_slice_refuses_a_target_exceptional_for_p(tmp_path, capsys):
+    # P = 0.5 + I (q - 0.5)^2: 0.5 is exceptional for P, not for g_1. mu'
+    # once returned one real point of weight 1 there, and the run then
+    # failed in the g_n solve (SolverFailure, worst residual inf)
+    code, err = _config_error(tmp_path, capsys, {
+        "mode": "one-slice", "polynomial": {"coeffs": [
+            [0.5, 0.25, 0, 0], [0, -1, 0, 0], [0, 1, 0, 0]]},
+        "params": {"target": 0.5, "depth": 6}})
+    assert code == 3 and err["error"] == "ExceptionalTarget"
+    out = tmp_path / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_off_slice_coefficient_is_a_config_error(tmp_path, capsys):
     # j-component 0.3 in the constant term: off the reference slice C_i
     poly = {"coeffs": [[0, 0, 0.3, 0], [0, 0, 0, 0], [1, 0, 0, 0]]}

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qbrolin.cli import _star_algebra_worst
 from qbrolin.errors import ZeroDivisor
-from qbrolin.poly import QPolynomial, evaluate
+from qbrolin.poly import QPolynomial, evaluate, star, star_conjugation_point
 from qbrolin.quat import hamilton, inverse, norm_sq, sphere_quadrature
 from quat_refs import (Quaternion, TupleQPolynomial, ref_eval,
-                       ref_sphere_quadrature, ref_star_conjugation_point, rows)
+                       ref_sphere_quadrature, ref_star_algebra_worst,
+                       ref_star_conjugation_point, rows)
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 quats = st.tuples(finite, finite, finite, finite).map(np.array)
@@ -146,9 +148,9 @@ def test_array_arithmetic_matches_scalar_reference_bit_for_bit(fa, ga, qs,
             want_t = ref_star_conjugation_point(f.coeffs, p)
         except ZeroDivisor:
             with pytest.raises(ZeroDivisor):
-                f.star_conjugation_point(row)
+                star_conjugation_point(f.coeffs, row)
         else:
-            assert _bits(f.star_conjugation_point(row)) == _bits(
+            assert _bits(star_conjugation_point(f.coeffs, row)) == _bits(
                 rows([want_t])[0])
     assert _bits(f.star_mul(g).coeffs) == _bits(
         rows(TupleQPolynomial(fa).star_mul(TupleQPolynomial(ga)).coeffs))
@@ -156,3 +158,62 @@ def test_array_arithmetic_matches_scalar_reference_bit_for_bit(fa, ga, qs,
     ref_units, ref_weights = ref_sphere_quadrature(level)
     assert _bits(units) == _bits(ref_units)
     assert _bits(weights) == _bits(ref_weights)
+
+
+def _ref_t(coeffs, q):
+    """ref_star_conjugation_point as a [w, x, y, z] row, None where it
+    raises ZeroDivisor."""
+    try:
+        return rows([ref_star_conjugation_point(coeffs, q)])[0]
+    except ZeroDivisor:
+        return None
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_star_algebra_on_stacks_matches_the_per_item_references(data):
+    # m items of f (da rows), g (db rows) and q; star and T_f of the stacks,
+    # and of item 0's f broadcast against the g and q stacks, each item
+    # bit for bit the per-item reference (trailing zero rows trimmed)
+    m, da, db = (data.draw(st.integers(1, 4)) for _ in range(3))
+    fs, gs = ([data.draw(st.lists(edge_quat, min_size=d, max_size=d))
+               for _ in range(m)] for d in (da, db))
+    qs = data.draw(st.lists(edge_quat, min_size=m, max_size=m))
+    f, g = (np.stack([rows(x) for x in xs]) for xs in (fs, gs))
+    q = rows(qs)
+
+    def ref_star(a, b):
+        return rows(TupleQPolynomial(a).star_mul(TupleQPolynomial(b)).coeffs)
+
+    for got, pairs in ((star(f, g), zip(fs, gs)),
+                       (star(f[0], g), ((fs[0], b) for b in gs)),
+                       (star(f, g[0]), ((a, gs[0]) for a in fs))):
+        assert got.shape == (m, da + db - 1, 4)
+        for row, (a, b) in zip(got, pairs):
+            assert _bits(QPolynomial(row).coeffs) == _bits(ref_star(a, b))
+    for coeffs, items in ((f, f), (f[0], [f[0]] * m)):
+        want = [_ref_t(c, p) for c, p in zip(items, qs)]
+        if any(w is None for w in want):
+            with pytest.raises(ZeroDivisor):
+                star_conjugation_point(coeffs, q)
+        else:
+            assert _bits(star_conjugation_point(coeffs, q)) == _bits(want)
+
+
+def test_star_conjugation_point_refuses_a_stack_with_one_zero_value():
+    # f_0 = 1 and f_1 = q - 1, both at q = 1: f_1(1) = 0
+    f = np.array([[[1.0, 0, 0, 0], [0, 0, 0, 0]],
+                  [[-1.0, 0, 0, 0], [1, 0, 0, 0]]])
+    q = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
+    assert _bits(star_conjugation_point(f[:1], q[:1])) == _bits([[1.0, 0, 0, 0]])
+    with pytest.raises(ZeroDivisor):
+        star_conjugation_point(f, q)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_verify_star_checks_equal_the_former_per_trial_loops(seed):
+    # the verify mode's three worst errors, from one batch per check, are
+    # the floats its former per-trial loops gave, bit for bit
+    got, want = _star_algebra_worst(seed), ref_star_algebra_worst(seed)
+    assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -16,8 +16,8 @@ from qbrolin.poly import ComplexPoly, QPolynomial
 from qbrolin.policy import CLUSTER_TOL
 from qbrolin.quat import sphere_quadrature
 from qbrolin.roots import all_roots, fiber_roots, newton_roots
-from qbrolin.slicecases import (_g1, _gn_newton, _gn_start, _realify,
-                                annulus_probes, brolin3_gap,
+from qbrolin.slicecases import (_g1, _gn_fiber, _gn_newton, _gn_start,
+                                _realify, annulus_probes, brolin3_gap,
                                 gn_pullback_measure, hn_build,
                                 mu_prime_estimate)
 from quat_refs import Quaternion, ref_lift
@@ -83,6 +83,18 @@ def test_an_exceptional_target_is_refused_before_the_budget():
             gn_pullback_measure(P, 0.0, n)
         with pytest.raises(ExceptionalTarget):
             mu_prime_estimate(P, n)
+
+
+# P = 0.5 + i (z - 0.5)^2: 0.5 is P's exceptional point (its only
+# preimage), but not g_1's, and mu' takes its tree under P
+P_EXC_HALF = ComplexPoly([0.5 + 0.25j, -1j, 1j])
+
+
+def test_mu_prime_refuses_a_target_exceptional_for_p():
+    # it once screened g_1 alone and returned one real point of weight 1
+    assert not is_exceptional(_g1(P_EXC_HALF), 0.5)
+    with pytest.raises(ExceptionalTarget):
+        mu_prime_estimate(P_EXC_HALF, 6, 0.5)
 
 
 def test_one_slice_functions_build_no_expanded_iterate(monkeypatch):
@@ -325,6 +337,19 @@ def test_cardano_ties_give_conjugate_trees_only_to_rounding(coeffs, a):
     got = preimage_tree(P.conj_coeffs(), a, 5)
     want = np.conj(preimage_tree(P, a, 5))
     assert _match_distance(got, want) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_g_n_fiber_of_0_is_closed_under_conjugation(n):
+    # z^3 + c: Cardano rows of P^c are conj of those of P only to rounding
+    # (test above), so a fiber from two solved trees holds conjugate pairs
+    # about 2.5e-16 apart from n = 3 on; the P^c tree is read as conj of
+    # the P tree instead
+    c = -0.22580225758741745 - 0.09200826123290917j
+    fiber = _gn_fiber(ComplexPoly([c, 0.0, 0.0, 1.0]), 0.0, n)
+    assert len(fiber) == 2 * 3 ** n and np.all(fiber.imag != 0)
+    assert np.sort_complex(fiber).tobytes() == np.sort_complex(
+        np.conj(fiber)).tobytes()
 
 
 def test_depth_8_mu_prime_is_the_g8_fiber_of_0():
