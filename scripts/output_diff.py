@@ -4,10 +4,13 @@ For each file present under both ROOT_A and ROOT_B (matched by relative path)
 whose bytes differ, prints one line: the largest relative difference
 |a - b| / max(|a|, |b|) between corresponding numbers, the leaves of a JSON
 file or the cells of a CSV file, or ``structure differs`` when the two files
-do not pair up number for number (another shape, other text, or neither JSON
-nor CSV). A JSON file whose dict keys changed is compared over the leaves
-both files share; its line adds their count and names the removed and added
-keys by dotted path (``meta.bin_width``, ``atoms.3.kind``). Run it on the
+do not pair up number for number (other text where a number or string
+should match, or neither JSON nor CSV). A file whose dict keys or list
+lengths changed is compared over the leaves both files share (a list's
+common prefix); its line adds their count, names the removed and added keys
+by dotted path (``meta.bin_width``, ``atoms.3.kind``) and gives each changed
+length with its path (``length 16378 -> 16384 at atoms``; a CSV's row list
+is ``rows``). Run it on the
 ``--out-root`` directories that ``scripts/output_digest.py`` wrote for two
 checkouts: a rounding-level change reads about 1e-16.
 
@@ -43,23 +46,25 @@ def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _leaf_diffs(a, b, path, removed, added):
+def _leaf_diffs(a, b, path, changes):
     """The relative difference of each pair of leaves that two trees of
-    lists and dicts share. A dict key in one tree only is appended to removed
-    (in a) or added (in b) by its dotted path, and its subtree skipped;
+    lists and dicts share. A dict key in one tree only is appended to
+    changes["removed"] (in a) or changes["added"] (in b) by its dotted path,
+    and its subtree skipped; lists of two lengths are compared over their
+    common prefix, and "length m -> n at path" appended to changes["length"].
     _Mismatch where the trees do not pair up otherwise."""
     if isinstance(a, dict) and isinstance(b, dict):
-        removed += [f"{path}{k}" for k in a if k not in b]
-        added += [f"{path}{k}" for k in b if k not in a]
+        changes["removed"] += [f"{path}{k}" for k in a if k not in b]
+        changes["added"] += [f"{path}{k}" for k in b if k not in a]
         for k in a:   # in a's order, so nested key lists are deterministic
             if k in b:
-                yield from _leaf_diffs(a[k], b[k], f"{path}{k}.", removed,
-                                       added)
+                yield from _leaf_diffs(a[k], b[k], f"{path}{k}.", changes)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            raise _Mismatch
+            changes["length"].append(
+                f"{len(a)} -> {len(b)} at {path[:-1] or 'top'}")
         for i, (x, y) in enumerate(zip(a, b)):
-            yield from _leaf_diffs(x, y, f"{path}{i}.", removed, added)
+            yield from _leaf_diffs(x, y, f"{path}{i}.", changes)
     else:
         x, y = _number(a), _number(b)
         if x is not None and y is not None:
@@ -88,14 +93,15 @@ def compare(root_a: Path, root_b: Path):
         b = root_b / rel
         if not b.is_file() or a.read_bytes() == b.read_bytes():
             continue
-        removed, added = [], []
+        changes = {"removed": [], "added": [], "length": []}
+        root = "rows." if a.suffix == ".csv" else ""
         try:
-            rels = list(_leaf_diffs(_parse(a), _parse(b), "", removed, added))
+            rels = list(_leaf_diffs(_parse(a), _parse(b), root, changes))
             line = f"max relative difference {max(rels, default=0.0):.3g}"
-            if removed or added:
+            if any(changes.values()):
                 line += f" over {len(rels)} shared leaves" + "".join(
-                    f"; {name} {', '.join(keys)}" for name, keys
-                    in (("removed", removed), ("added", added)) if keys)
+                    f"; {name} {', '.join(items)}"
+                    for name, items in changes.items() if items)
         except (_Mismatch, UnicodeDecodeError, json.JSONDecodeError):
             line = "structure differs"
         out.append((rel, line))

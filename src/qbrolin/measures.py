@@ -4,11 +4,12 @@ The paper's equilibrium measure is mu = (1/4pi) int mu_I dI, so a measure is
 fully described by three arrays: alpha, rho and weight. An atom with rho = 0
 is a real point; one with rho > 0 is the 2-sphere S_{alpha+I rho}.
 
-Every measure built from complex slice atoms goes through one fold and one
-merge, which refuse a non-finite point. The fold sends z and its conjugate
-to the same (Re z, |Im z|), with rho snapped to 0 within REAL_AXIS_TOL of
-the real axis. The merge is `roots.merge_near`, run on real points and
-spheres apart; each cluster keeps its head atom with the summed weight. A
+Every measure built from complex slice atoms goes through one fold, which
+refuses a non-finite point and sends z and its conjugate to the same
+(Re z, |Im z|), with rho snapped to 0 within REAL_AXIS_TOL of the real
+axis. Atoms are one exactly when their (alpha, rho) are equal: Brolin's
+measure weights a preimage by its multiplicity, which fiber rows carry as
+exact repeats, and closed-form rows of real maps are conjugation-exact. A
 depth-n pullback gives each complex fiber root mass 1/d^n, so a real root
 of multiplicity m becomes a real point of weight m/d^n, and a conjugate
 pair {z, z bar} one sphere of weight 2m/d^n. Every pullback is then a
@@ -28,9 +29,8 @@ import numpy as np
 
 from .cdyn import is_exceptional, preimage_tree
 from .errors import ExceptionalTarget, InvariantViolation
-from .policy import CLUSTER_TOL, REAL_AXIS_TOL
+from .policy import REAL_AXIS_TOL
 from .poly import QPolynomial
-from .roots import merge_near
 
 __all__ = [
     "EmpiricalMeasure",
@@ -99,30 +99,6 @@ def standard_panel():
     }
 
 
-def _fold_merge(z, weight, meta) -> EmpiricalMeasure:
-    """Complex slice atoms -> one measure: z and its conjugate fold onto
-    (Re z, rho = |Im z|), rho = 0 when |Im z| <= REAL_AXIS_TOL * (1 + |z|);
-    then each kind (rho = 0, rho > 0) goes through merge_near on alpha + i
-    rho at radius CLUSTER_TOL * (1 + |alpha| + rho), heads keeping the
-    weights summed in (alpha, rho) order. Non-finite z: InvariantViolation."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(z)):
-        raise InvariantViolation(f"{np.sum(~np.isfinite(z))} of {len(z)} "
-                                 "atom points are not finite")
-    weight = np.asarray(weight, dtype=float).reshape(-1)
-    rho = np.abs(z.imag)
-    rho[rho <= REAL_AXIS_TOL * (1.0 + np.abs(z))] = 0.0
-    parts, sphere = [], rho > 0
-    for kind in (~sphere, sphere):
-        a, r, w = z.real[kind], rho[kind], weight[kind]
-        order, head = merge_near(a + 1j * r,
-                                 CLUSTER_TOL * (1.0 + np.abs(a) + r))
-        heads, cluster = np.unique(head, return_inverse=True)
-        parts.append((a[order][heads], r[order][heads],
-                      np.bincount(cluster, w[order])))
-    return EmpiricalMeasure(*(np.concatenate(x) for x in zip(*parts)), meta)
-
-
 def brolin_pullback(p: QPolynomial, a: float, n: int) -> EmpiricalMeasure:
     """nu_n: the depth-n normalized preimage measure of a real target a.
 
@@ -136,7 +112,7 @@ def brolin_pullback(p: QPolynomial, a: float, n: int) -> EmpiricalMeasure:
         raise ValueError("degree must be >= 2")
     if is_exceptional(pc, complex(a)):
         raise ExceptionalTarget(f"target {a} is exceptional for this polynomial")
-    with np.errstate(over="ignore", invalid="ignore"):   # _fold_merge checks
+    with np.errstate(over="ignore", invalid="ignore"):   # refused in the fold
         points = preimage_tree(pc, complex(a), n)
     return uniform_measure(points, {"polynomial": p.to_json(), "target": a,
                                     "depth": n})
@@ -166,22 +142,33 @@ def pushforward(p: QPolynomial, m: EmpiricalMeasure) -> EmpiricalMeasure:
     if not p.has_real_coeffs():
         raise ValueError("pushforward requires real coefficients")
     pc = p.restrict_to_slice()
-    images = pc(m.alpha + 1j * m.rho)
-    return _fold_merge(images, m.weight, m.meta)
+    return measure_from_complex_atoms(pc(m.alpha + 1j * m.rho), m.weight,
+                                      m.meta)
 
 
 def measure_from_complex_atoms(points, weights,
                                meta=None) -> EmpiricalMeasure:
-    """Build an axially symmetric measure from complex slice atoms.
-
-    Conjugate mass is folded onto rho = |Im z|; callers supply both halves
-    (or a density raster covering both half-planes). Atoms of weight <= 0
-    are dropped.
-    """
-    points = np.asarray(points, dtype=complex).reshape(-1)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    keep = ~(weights <= 0)  # a NaN weight is kept, and refused
-    return _fold_merge(points[keep], weights[keep], meta or {})
+    """Build an axially symmetric measure from complex slice atoms: those of
+    weight <= 0 dropped, a non-finite point refused (InvariantViolation), z
+    folded onto (Re z + 0.0, rho = |Im z|), rho = 0 when |Im z| <=
+    REAL_AXIS_TOL (1 + |z|), so a conjugate pair lands on one sphere.
+    Callers supply both halves (or a raster covering both half-planes).
+    Atoms with equal (alpha, rho) are one, their weights summed in input
+    order: no two distinct points merge."""
+    z = np.asarray(points, dtype=complex).reshape(-1)
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    keep = ~(w <= 0)  # a NaN weight is kept, and refused
+    z, w = z[keep], w[keep]
+    if not np.all(np.isfinite(z)):
+        raise InvariantViolation(f"{np.sum(~np.isfinite(z))} of {len(z)} "
+                                 "atom points are not finite")
+    alpha, rho = z.real + 0.0, np.abs(z.imag)
+    rho[rho <= REAL_AXIS_TOL * (1.0 + np.abs(z))] = 0.0
+    order = np.lexsort((rho, alpha))
+    a, r = alpha[order], rho[order]
+    new = (np.diff(a, prepend=np.nan) != 0) | (np.diff(r, prepend=np.nan) != 0)
+    return EmpiricalMeasure(a[new], r[new], np.bincount(np.cumsum(new) - 1,
+                                                        w[order]), meta)
 
 
 def uniform_measure(points, meta) -> EmpiricalMeasure:

@@ -11,8 +11,10 @@ by its Newton pairs (the one-slice g_n, evaluated by composition) from given
 start points, crowded ones spread apart first, certified by Newton distance.
 Both return rows as `fiber_row` does: sorted, multiplicities detected by
 clustering. `all_roots` solves one polynomial, certified and sorted at every
-degree, unclustered. `merge_near` is the library's one rule for which points
-coincide: fiber clusters keep their mean, measures their head atom.
+degree, unclustered. `merge_near` is the one rule for which roots of a row
+coincide (clusters keep their mean); measures join equal points only. Closed
+forms are conjugation-equivariant, and a real row's is closed under
+conjugation bit for bit: exactly real roots and exact conjugate pairs.
 """
 
 from __future__ import annotations
@@ -137,14 +139,20 @@ def _newton_certified(z, newton):
 
 
 def _closed_form(coeffs, c0s):
+    """Closed-form rows, conjugation-equivariant by construction: a row whose
+    first nonzero imaginary part (c_d down to c0) is negative is solved
+    conjugated and conjugated back (a real quadratic's formula already is)."""
     deg = len(coeffs) - 1
-    if deg < 1:
-        return np.empty((len(c0s), 0), dtype=complex)
-    if deg == 1:
-        return (-c0s / coeffs[1])[:, None]
-    if deg == 3:
-        return _cubic_rows(coeffs, c0s)
-    return quadratic_roots_many(c0s, coeffs[1], coeffs[2])
+    if deg < 2:   # no root at degree 0: (N, 1) / (0,) broadcasts to (N, 0)
+        return -c0s[:, None] / coeffs[1:]
+    lead = next((x for x in coeffs[:0:-1].imag.tolist() if x), 0.0)
+    if lead < 0:
+        return np.conj(_closed_form(np.conj(coeffs), np.conj(c0s)))
+    if deg == 2:
+        return quadratic_roots_many(c0s, coeffs[1], coeffs[2])
+    flip = (lead == 0) & (c0s.imag < 0)
+    rows = _cubic_rows(coeffs, np.where(flip, np.conj(c0s), c0s))
+    return np.conjugate(rows, out=rows, where=flip[:, None])
 
 
 def _certified_rows(coeffs, c0s):
@@ -183,8 +191,11 @@ def _cubic_rows(coeffs, c0s):
     """Roots of c3 z^3 + c2 z^2 + c1 z + c0, c0 in c0s, as (N, 3) rows, by
     Cardano (Blinn; Kahan) on y^3 + p y + q, y = z + a/3 (a = c2/c3). u^3 is
     the larger root of x^2 + q x - p^3/27; of u w + v/w (w^3 = 1, v = -p/3u)
-    the largest, z1, is kept; Vieta's z^2 - s z - c/z1 (c = c0/c3) gives the
-    others, s = z2 + z3 taken the way that rounds less. u = 0: all are -a/3."""
+    the largest, z1, is kept; Vieta's z^2 - s z - c/z1 (c = c0/c3) gives
+    the others, s = z2 + z3 taken the way that rounds less. u = 0: all are
+    -a/3. A real row (a, b, c real) is exactly closed under conjugation: if
+    another candidate is nearer conj z1 than z1 is, the others are conj z1
+    and the real -c/|z1|^2; else z1 is taken real, and Vieta's is real."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b, c = coeffs[2] / coeffs[3], coeffs[1] / coeffs[3], c0s / coeffs[3]
         p = b - a * a / 3.0
@@ -194,17 +205,28 @@ def _cubic_rows(coeffs, c0s):
         v = np.divide(-p / 3.0, u, out=np.zeros_like(u), where=u != 0)
         z = u[:, None] * _UNITY + v[:, None] * _UNITY.conj() - a / 3.0
         z1 = z[np.arange(len(z)), np.argmax(np.abs(z), axis=1)]
+        real = (c.imag == 0) & (a.imag == 0 == b.imag)
+        pair = real   # all False unless some row is real
+        if real.any():   # |z1 - conj z1| = 2 |Im z1|: a candidate nearer?
+            near = np.abs(z - np.conj(z1)[:, None]).min(axis=1)
+            pair = real & (near < 2.0 * np.abs(z1.imag))
+            z1[real & ~pair] = z1[real & ~pair].real
         prod = np.divide(-c, z1, out=np.zeros_like(z1), where=z1 != 0)
         # rounding bounds of the two sums (z1 = 0 only when every root is)
         use_b = (abs(b) + np.abs(prod)) / np.abs(z1) < abs(a) + np.abs(z1)
         s = np.where(use_b, (b - prod) / z1, -a - z1)
-        return np.column_stack([z1, quadratic_roots_many(prod, -s, 1.0)])
+        rows = np.column_stack([z1, quadratic_roots_many(prod, -s, 1.0)])
+        if pair.any():
+            rows[pair, 1], rows[pair, 2] = np.conj(z1[pair]), (
+                -c[pair] / np.abs(z1[pair]) / np.abs(z1[pair])).real
+        return rows
 
 
 def quadratic_roots_many(c0s, c1, c2):
     """Vectorized stable quadratic roots for many constant terms c0s.
 
     Solves c2 z^2 + c1 z + c0 = 0 for each c0 in c0s; returns (n, 2) array.
+    Real c0, c1, c2 with non-real roots give the exact pair (r, conj r).
     """
     c0s = np.asarray(c0s, dtype=complex)
     disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0s)
@@ -214,6 +236,11 @@ def quadratic_roots_many(c0s, c1, c2):
     nz = qq != 0
     np.divide(qq, c2, out=out[..., 0])
     np.divide(c0s, qq, out=out[..., 1], where=nz)
+    real = c0s.imag == 0
+    if real.any():   # real data, non-real roots: the exact pair (r, conj r)
+        real &= (np.imag(c1) == 0) & (np.imag(c2) == 0)
+        np.conjugate(out[..., 0], out=out[..., 1],
+                     where=real & (out[..., 0].imag != 0))
     if not nz.all():
         r = np.sqrt(-c0s[~nz] / c2)
         out[~nz, 0] = r
@@ -347,36 +374,21 @@ def merge_near(points, tol):
 
     Points are sorted by (real, imag). In that order each point x + iy not
     yet merged heads a cluster and absorbs every later unmerged point in
-    [x, x + tol] x [y - tol, y + tol] (tol: a scalar or one per point).
-    Returns (order, head): the sort order, and for each sorted point the
-    sorted position of its head. A head's run up its column (equal real
-    parts) is found by array operations; later columns in reach are scanned.
+    [x, x + tol] x [y - tol, y + tol], tol a scalar. Returns (order, head):
+    the sort order, and for each sorted point the sorted position of its
+    head. Equal points share a head, so the rule runs on the distinct ones,
+    visiting only those with a later one in reach.
     """
     z = np.asarray(points, dtype=complex).reshape(-1)
     order = np.lexsort((z.imag, z.real))
-    z, t = z[order], (np.zeros(len(z)) + tol)[order]
-    x, y, idx = z.real, z.imag, np.arange(len(z))
-    lo, hi = y - t, y + t
-    # k's run ends before top[k]; later columns start at col[k] and leave
-    # reach at right[k]
-    top = np.searchsorted(z, x + 1j * hi, side="right")
-    col = np.searchsorted(x, x, side="right")
-    right = np.searchsorted(x, x + t, side="right")
-    head, run_heads, scanned, last = idx.copy(), [], set(), -1
-    starts = np.flatnonzero((top > idx + 1) | (right > col)).tolist()
-    top_l, col_l, right_l = top.tolist(), col.tolist(), right.tolist()
-    for k in starts:
-        if k <= last or k in scanned:
-            continue  # k already belongs to a cluster
-        run_heads.append(k)
-        last = top_l[k] - 1
-        if right_l[k] > col_l[k]:
-            w = np.arange(col_l[k], right_l[k])
-            w = w[(head[w] == w) & (y[w] >= lo[k]) & (y[w] <= hi[k])]
+    u, first, inv = np.unique(z[order], return_index=True, return_inverse=True)
+    x, y, head = u.real, u.imag, np.arange(len(u))
+    # in reach: k's column before top[k], later columns col[k]..right[k]
+    top = np.searchsorted(u, x + 1j * (y + tol), side="right")
+    col, right = (np.searchsorted(x, x + t, side="right") for t in (0, tol))
+    for k in np.flatnonzero((top > head + 1) | (right > col)).tolist():
+        if head[k] == k:   # k is not merged: it heads a cluster
+            w = np.arange(k + 1, right[k])
+            w = w[(head[w] == w) & (y[w] >= y[k] - tol) & (y[w] <= y[k] + tol)]
             head[w] = k
-            scanned.update(w.tolist())
-    # runs do not overlap: a point's run head is the last one at or before it
-    owner = np.maximum.accumulate(np.where(np.isin(idx, run_heads), idx, -1))
-    run = (owner >= 0) & (head == idx) & (idx < top[owner])
-    head[run] = owner[run]
-    return order, head
+    return order, first[head][inv]

@@ -15,7 +15,7 @@ under P^c is the conjugate of the tree under P, so in axial coordinates
 g_n = P^n (P^c)^n, so its fiber of 0 is the depth-n preimage trees of 0
 under P and P^c, and the fiber of another target is solved by composition
 from those trees; g_n's 2 d^n coefficients are never built. Targets are
-screened on g_1 = P^c P.
+screened on g_1 = P^c P and on P.
 
 General case: arbitrary quaternionic coefficients. The bullet iterate
 p^{bullet n} symmetrizes to a real-coefficient h_n of degree 2 d^n, and the
@@ -83,9 +83,11 @@ def _g1(pc: ComplexPoly) -> ComplexPoly:
 
 
 def _screen_gn_target(pc: ComplexPoly, a: float):
-    """Exceptional screening of a real target through g_1."""
+    """Screen a real target on g_1 and on P, whose tree of it mu' folds."""
     if is_exceptional(_g1(pc), complex(a)):
         raise ExceptionalTarget(f"target {a} is exceptional for g_n")
+    if is_exceptional(pc, complex(a)):
+        raise ExceptionalTarget(f"target {a} is exceptional for P")
 
 
 def _two_trees(pc: ComplexPoly, t: float, u: float, n: int) -> np.ndarray:
@@ -111,8 +113,6 @@ def mu_prime_estimate(pc: ComplexPoly, n: int,
     if pc.degree < 2:
         raise ValueError("degree must be >= 2")
     _screen_gn_target(pc, a)
-    if is_exceptional(pc, complex(a)):
-        raise ExceptionalTarget(f"target {a} is exceptional for P")
     points = preimage_tree(pc, complex(a), n, DEGREE_BUDGET)
     return uniform_measure(points, {"estimator": "mu_prime", "depth": n,
                                     "target": a})
@@ -172,7 +172,8 @@ def gn_pullback_measure(pc: ComplexPoly, a: float,
 
     g_n has real coefficients and degree 2 d^n; its fiber is found without
     them (`_gn_fiber`). Each complex fiber root (a multiple one repeated)
-    carries 1/(2 d^n), and conjugate roots fold onto one sphere.
+    carries 1/(2 d^n), and conjugate roots fold onto one sphere. a is
+    screened on g_1 and on P.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

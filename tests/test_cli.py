@@ -96,7 +96,10 @@ def test_julia_non_monic_escape_radius(tmp_path):
 
 
 def test_equilibrium_on_a_cubic_with_a_tiny_leading_coefficient(tmp_path):
-    # a cubic whose roots span 1e-3 .. 3.5e7: every tree level certifies
+    # a cubic whose roots span 1e-3 .. 3.5e7: every tree level certifies.
+    # The 27 preimages hold 9 distinct points (a 3.5e7-scale row clusters
+    # its two small roots into one double mean), some 3e-10 apart: one atom
+    # each, where the former 1e-7 proximity merge joined them into 4
     cfg = _write(tmp_path, "c.json", {
         "mode": "equilibrium", "polynomial": {"coeffs": [
             [-5.82, 0, 0, 0], [-2098.7, 0, 0, 0], [4301.6, 0, 0, 0],
@@ -104,7 +107,7 @@ def test_equilibrium_on_a_cubic_with_a_tiny_leading_coefficient(tmp_path):
         "params": {"depth": 3, "target": 0.0}, "out": str(tmp_path / "out")})
     assert main([cfg]) == 0
     rows = (tmp_path / "out" / "measure.csv").read_text().split()[1:]
-    assert len(rows) == 4
+    assert len(rows) == 9
     assert math.isclose(sum(float(r.split(",")[3]) for r in rows), 1.0)
 
 

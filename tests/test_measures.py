@@ -57,37 +57,24 @@ def test_measure_sorted_and_json(tmp_path):
     assert again.meta == m.meta
 
 
-# Reference for the fold and merge, on plain tuples: the former per-atom fold
-# of measure_from_complex_atoms, then merge_near's rule atom by atom (each
-# atom not yet merged absorbs every later unmerged atom of its kind in
-# [alpha, alpha + tol] x [rho - tol, rho + tol], not only a run of
-# consecutive ones).
+# Reference for the fold and merge, on plain tuples: the per-atom fold of
+# measure_from_complex_atoms, then atoms with equal (alpha, rho) summed in
+# input order; distinct atoms stay apart however near.
 _Atom = namedtuple("_Atom", "alpha rho weight")
 
 
 def _reference_fold_merge(points, weights):
-    atoms = []
+    atoms = {}
     for z, w in zip(points, weights):
         if w <= 0:
             continue
         rho = abs(z.imag)
         if rho <= REAL_AXIS_TOL * (1.0 + abs(z)):
             rho = 0.0
-        atoms.append(_Atom(z.real, rho, float(w)))
-    atoms = sorted(atoms, key=lambda a: (a.rho > 0, a.alpha, a.rho))
-    merged, used = [], [False] * len(atoms)
-    for i, b in enumerate(atoms):
-        if used[i]:
-            continue
-        tol = CLUSTER_TOL * (1.0 + abs(b.alpha) + b.rho)
-        weight = b.weight
-        for j, a in enumerate(atoms[i + 1:], i + 1):
-            if (not used[j] and (a.rho > 0) == (b.rho > 0)
-                    and a.alpha <= b.alpha + tol
-                    and b.rho - tol <= a.rho <= b.rho + tol):
-                used[j] = True
-                weight += a.weight
-        merged.append(_Atom(b.alpha, b.rho, weight))
+        key = (z.real + 0.0, rho)
+        atoms[key] = atoms.get(key, 0.0) + float(w)
+    merged = sorted((_Atom(a, r, w) for (a, r), w in atoms.items()),
+                    key=lambda a: (a.rho > 0, a.alpha, a.rho))
     return tuple(np.array([getattr(a, k) for a in merged], dtype=float)
                  for k in _Atom._fields)
 
@@ -123,9 +110,10 @@ def _clouds(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_clouds())
-# 1.5e-7 + 0.5i is in reach of 0.5i, but i sorts between them: a run of
-# consecutive atoms would keep it apart
+# 1.5e-7 + 0.5i is within the former merge radius of 0.5i: it stays apart
 @example(([1j, 0.5j, 1.5e-7 + 0.5j], [0.25, 0.25, 0.25]))
+# a conjugate pair with i between them in input order: one sphere
+@example(([0.5j, 1j, -0.5j], [0.25, 0.5, 0.25]))
 def test_fold_merge_matches_reference(cloud):
     points, weights = cloud
     want = _reference_fold_merge(points, weights)
@@ -136,8 +124,8 @@ def test_fold_merge_matches_reference(cloud):
 
 
 def test_real_points_and_spheres_merge_apart():
-    # the sphere lies off the real axis by more than real_axis_tol, and the
-    # real point is within its merge box: kinds still never merge
+    # the sphere lies off the real axis by more than REAL_AXIS_TOL, 1e-9
+    # from the real point in alpha: distinct atoms never merge
     sphere = complex(-1.0 - 1e-9, 2e-7 + 1e-14)
     m = measure_from_complex_atoms([sphere, -1.0], [0.5, 0.5])
     assert ref_measure_rows(m) == [("point", -1.0, 0.0, 0.5),
@@ -235,3 +223,20 @@ def test_basilica_pullback_has_spheres():
     kinds = set((m.rho == 0.0).tolist())
     assert kinds == {True, False}
     assert m.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_deep_chebyshev_pullback_keeps_every_preimage():
+    # the 65,536 preimages of 0.5 under z^2 - 2 are distinct real points,
+    # some closer than 1e-7 near +-2: one atom each, at weight 2^-16
+    m = brolin_pullback(CHEB, 0.5, 16)
+    assert len(m) == 2 ** 16 and np.all(m.rho == 0.0)
+    assert np.all(m.weight == 2.0 ** -16)
+
+
+def test_huge_constant_pullback_has_two_spheres():
+    # the depth-2 preimages of 0 under z^2 + 1e300 are +-0.5 +- 1e150 i
+    # (to rounding): two spheres 1 apart in alpha, whose radius 1e150 once
+    # put them inside one merge box
+    m = brolin_pullback(QPolynomial.from_real([1e300, 0.0, 1.0]), 0.0, 2)
+    assert m.alpha.tolist() == [-0.5, 0.5]
+    assert np.all(m.rho > 1e149) and m.weight.tolist() == [0.5, 0.5]

@@ -22,6 +22,9 @@ def test_output_diff_reports_each_changed_file(tmp_path):
                                '"meta": {"bin": "x", "t": 0.5}}\n',
               "run/text.csv": "check,pass\nk,True\n",
               "run/img.pgm": "P5\n",
+              "run/atoms.json": '{"atoms": [{"a": 1.0}, {"a": 2.0}], '
+                                '"n": 2}\n',
+              "run/atoms.csv": "a,w\n1,0.5\n2,0.5\n",
               "run/only_a.json": "{}\n"})
     _tree(b, {"run/m.json": '{"v": [1.0, 2.0000000000000004], "name": "x"}\n',
               "run/m.csv": "n,c\n0,0.5\n1,2.5\n",
@@ -30,10 +33,18 @@ def test_output_diff_reports_each_changed_file(tmp_path):
               "run/meta.json": '{"atoms": [1.0, 2.0], '
                                '"meta": {"t": 0.5, "u": [1]}}\n',
               "run/text.csv": "check,pass\nk,False\n",
-              "run/img.pgm": "P6\n"})
+              "run/img.pgm": "P6\n",
+              "run/atoms.json": '{"atoms": [{"a": 1.0}, {"a": 2.5}, '
+                                '{"a": 3.0}], "n": 3}\n',
+              "run/atoms.csv": "a,w\n1,0.25\n2,0.5\n3,0.25\n"})
     r = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
                        capture_output=True, text=True, check=True)
     assert r.stdout.splitlines() == [
+        # a list of another length: its common prefix is compared
+        "run/atoms.csv: max relative difference 0.5 over 6 shared leaves; "
+        "length 3 -> 4 at rows",
+        "run/atoms.json: max relative difference 0.333 over 3 shared "
+        "leaves; length 2 -> 3 at atoms",
         "run/img.pgm: structure differs",
         "run/keys.json: max relative difference 0 over 0 shared leaves; "
         "removed a; added b",

@@ -2,15 +2,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gn_refs import gn_build
-from merge_refs import (ref_cluster_roots, ref_fold, ref_measure_merge,
-                        ref_merge_level)
+from merge_refs import ref_cluster_roots, ref_merge_level
 from qbrolin import roots as roots_module
 from qbrolin.cdyn import solve_fiber
 from qbrolin.errors import SolverFailure
-from qbrolin.measures import measure_from_complex_atoms
 from qbrolin.policy import ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL
 from qbrolin.poly import ComplexPoly
 from qbrolin.roots import (all_roots, cluster_roots, fiber_roots,
@@ -256,6 +254,57 @@ def test_cubic_rows_certify_and_match_two_oracles(cubic):
         assert np.all(near <= 1e-10 * (1.0 + np.abs(z)))
 
 
+# -- conjugation-exact closed forms ------------------------------------------
+
+def _conj_bytes(row):
+    """The sorted bytes of conj(row), and of row; + 0.0 clears the sign of a
+    zero imaginary part, which conjugation flips."""
+    return (np.sort_complex(np.conj(row) + 0.0).tobytes(),
+            np.sort_complex(row + 0.0).tobytes())
+
+
+def _near_triple(row):
+    # three roots within twice the cluster radius: cluster_roots' greedy box
+    # heads at the lowest point, so it can split a conjugate-closed chain
+    # unevenly (0 and +-1e-7 i: {-1e-7 i, 0} and {1e-7 i})
+    return roots_module._crowded(row[None])[0].sum() >= 3
+
+
+# parts 0 or of modulus >= 1e-150: numpy's complex division by a
+# subnormal overflows, so quadratic_roots_many gives NaN roots where its
+# larger root is subnormal (0 / -1.1e-311 is NaN), and a cubic row then
+# takes the Aberth solve, which is not conjugation-exact (CHANGES.md FOUND)
+_PART = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) >= 1e-150)
+_REAL = _PART | st.integers(-4, 4).map(float)
+_COMPLEX = st.builds(complex, _PART, _PART)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_REAL, min_size=2, max_size=3), st.sampled_from([1.0, -0.5, 3.0]),
+       st.lists(_REAL, min_size=1, max_size=8))
+def test_real_rows_over_real_targets_equal_their_conjugates(low, lead, targets):
+    # a real quadratic or cubic: each row is exactly real roots and exact
+    # conjugate pairs, integer coefficients giving multiple roots at times
+    for row in fiber_roots(np.array(low + [lead]), targets):
+        got, want = _conj_bytes(row)
+        assert got == want or _near_triple(row)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_COMPLEX, min_size=2, max_size=3),
+       st.sampled_from([1.0, -0.5, 1j]), st.lists(_COMPLEX, min_size=1,
+                                                   max_size=8))
+@example([0.3 + 0.5j, 0.0, 0.0], 1.0, [0.2, 0.25 + 0.1j])   # z^3 + c
+@example([-1.0, 0.0], 1.0, [0.3 + 0.7j])   # a real map at complex targets
+def test_rows_at_conjugate_targets_are_conjugate(low, lead, targets):
+    # P^c's row of conj t is conj of P's row of t, as multisets bit for bit
+    coeffs = np.array(low + [lead], dtype=complex)
+    rows = fiber_roots(coeffs, targets)
+    mirror = fiber_roots(np.conj(coeffs), np.conj(targets))
+    for row, other in zip(rows, mirror):
+        assert _conj_bytes(row)[0] == _conj_bytes(other)[1] or _near_triple(row)
+
+
 def test_cubic_with_a_tiny_leading_coefficient():
     # roots 1e-3 .. 3.5e7: Cardano's three roots put the two small ones
     # 0.06 off; taken from Vieta's relations with the large root they match
@@ -369,7 +418,7 @@ def test_crowded_start_points_are_spread_apart():
     assert np.allclose(roots, [-1.0, 1.0, 1.0], rtol=0, atol=1e-8)
 
 
-# -- merge_near against the three merges it replaced -------------------------
+# -- merge_near against the row merges it replaced ----------------------------
 
 _NEAR = 1.5e-8   # offsets inside a cluster: every pair within tol/2 (tol >= 1e-7)
 _GRID = 0.125    # cluster sites lie on this lattice: other pairs >= 2 tol apart
@@ -427,31 +476,15 @@ def test_merge_near_matches_former_level_merge(points, rnd):
     assert _same_bits(points[order][heads], np.array(want_p))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_separated(runs=True), st.randoms(use_true_random=False))
-def test_merge_near_matches_former_measure_merge(points, rnd):
-    weights = np.array([rnd.choice([0.0, 0.25, rnd.uniform(1e-6, 1.0)])
-                        for _ in points])
-    keep = weights > 0
-    want = ref_measure_merge(*ref_fold(points[keep], weights[keep]), {})
-    got = measure_from_complex_atoms(points, weights)
-    for g, w in zip((got.alpha, got.rho, got.weight),
-                    (want.alpha, want.rho, want.weight)):
-        assert _same_bits(g, w)
-
-
 def test_double_roots_of_a_real_g5_form_32_clusters():
     # g_5 = (P^5)^2 for P = z^2 - 0.12: every root of P^5 is double, and
     # conjugate roots tie in real part, so a run of consecutive roots within
-    # a disc splits pairs (50 runs); the window rule keeps all 32
+    # a disc splits pairs (50 runs); the box rule keeps all 32
     g = gn_build(ComplexPoly([-0.12, 0.0, 1.0]), 5).restrict_to_slice()
     roots = all_roots(g.coeffs)
     scale = 1.0 + float(np.max(np.abs(roots)))
     assert [m for _, m in cluster_roots(roots, scale)] == [2] * 32
     assert [m for _, m in solve_fiber(g, 0.0)] == [2] * 32
-    measure_tol = CLUSTER_TOL * (1.0 + np.abs(roots.real)
-                                 + np.abs(roots.imag))
-    assert len(np.unique(merge_near(roots, measure_tol)[1])) == 32
     assert len(ref_merge_level(roots, np.ones(64, int), scale)[0]) == 50
 
 
@@ -468,15 +501,14 @@ def _greedy_reference(points, tol):
     z = np.asarray(points, dtype=complex)
     order = np.lexsort((z.imag, z.real))
     pts = [(float(v.real), float(v.imag)) for v in z[order]]
-    tols = np.broadcast_to(np.asarray(tol, dtype=float), z.shape)[order]
     head = [-1] * len(pts)
     for i, (x, y) in enumerate(pts):
         if head[i] >= 0:
             continue
         head[i] = i
         for j in range(i + 1, len(pts)):
-            if (head[j] < 0 and pts[j][0] <= x + tols[i]
-                    and y - tols[i] <= pts[j][1] <= y + tols[i]):
+            if (head[j] < 0 and pts[j][0] <= x + tol
+                    and y - tol <= pts[j][1] <= y + tol):
                 head[j] = i
     return order, np.array(head, dtype=int)
 
@@ -485,16 +517,11 @@ def _greedy_reference(points, tol):
 def _crowded(draw):
     """Points a few radii apart on a lattice of step 0.1 (so differences
     round either side of the radius): long runs, columns of equal real
-    part, windows that span columns, duplicates; a scalar radius or one per
-    point."""
+    part, windows that span columns, duplicates."""
     n = draw(st.integers(0, 60))
     cells = st.integers(0, draw(st.integers(0, 12)))
     points = [complex(draw(cells), draw(cells)) * 0.1 for _ in range(n)]
-    radii = st.sampled_from([0.0, 0.1, 0.15, 0.2, 0.3, 1.2])
-    if draw(st.booleans()):
-        tol = np.array([draw(radii) for _ in range(n)])
-    else:
-        tol = draw(radii)
+    tol = draw(st.sampled_from([0.0, 0.1, 0.15, 0.2, 0.3, 1.2]))
     return np.array(points, dtype=complex), tol
 
 

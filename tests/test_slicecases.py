@@ -97,6 +97,13 @@ def test_mu_prime_refuses_a_target_exceptional_for_p():
         mu_prime_estimate(P_EXC_HALF, 6, 0.5)
 
 
+def test_gn_pullback_measure_refuses_a_target_exceptional_for_p():
+    # it once screened g_1 alone, and the composition solve then failed its
+    # Newton-distance check (worst residual inf) without naming the target
+    with pytest.raises(ExceptionalTarget, match="exceptional for P"):
+        gn_pullback_measure(P_EXC_HALF, 0.5, 6)
+
+
 def test_one_slice_functions_build_no_expanded_iterate(monkeypatch):
     # both run on ComplexPoly alone: no QPolynomial, no expanded P^n
     def refuse(*args):
@@ -327,24 +334,24 @@ def test_the_conjugate_map_has_the_conjugate_tree(pc, a, n):
 @pytest.mark.parametrize("coeffs, a", [
     ([0.3 + 0.5j, 0.0, 0.0, 1.0], 0.2),
     ([-0.1 + 1e-200j, -1.0, 0.0, 1.0], 0.3)])
-def test_cardano_ties_give_conjugate_trees_only_to_rounding(coeffs, a):
+def test_cardano_ties_give_conjugate_trees_exactly(coeffs, a):
     # Cardano's z1 is the largest of three candidates, which for z^3 + c
     # have one modulus (and for a real-up-to-1e-200 cubic come as a pair of
-    # one modulus): rounding picks it, and conjugation swaps the columns
-    # it picks from. Here the P^c tree is conj of the P tree only as a
-    # multiset, to rounding; mu' takes the P tree alone
+    # one modulus), and conjugation swaps the columns it picks from. A row
+    # whose data lie in the lower half is solved conjugated, so the P^c tree
+    # is conj of the P tree as a multiset, bit for bit
     P = ComplexPoly(coeffs)
     got = preimage_tree(P.conj_coeffs(), a, 5)
     want = np.conj(preimage_tree(P, a, 5))
-    assert _match_distance(got, want) <= 1e-14
+    assert np.sort_complex(got + 0.0).tobytes() == np.sort_complex(
+        want + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_the_g_n_fiber_of_0_is_closed_under_conjugation(n):
-    # z^3 + c: Cardano rows of P^c are conj of those of P only to rounding
-    # (test above), so a fiber from two solved trees holds conjugate pairs
-    # about 2.5e-16 apart from n = 3 on; the P^c tree is read as conj of
-    # the P tree instead
+    # z^3 + c: the P^c tree is read as conj of the P tree, never solved
+    # (its solve is the same multiset since conjugate rows are exact, test
+    # above)
     c = -0.22580225758741745 - 0.09200826123290917j
     fiber = _gn_fiber(ComplexPoly([c, 0.0, 0.0, 1.0]), 0.0, n)
     assert len(fiber) == 2 * 3 ** n and np.all(fiber.imag != 0)
@@ -365,13 +372,22 @@ def test_depth_8_mu_prime_is_the_g8_fiber_of_0():
 # -- the g_n fiber by composition ---------------------------------------------
 
 def _same_atoms(m, want, tol):
-    """Atoms matched one to one within tol in (alpha, rho), equal weights."""
-    assert len(m) == len(want)
-    dist = np.abs((m.alpha + 1j * m.rho)[:, None]
-                  - (want.alpha + 1j * want.rho)[None, :])
+    """The folded points of two fiber measures, each atom repeated by its
+    weight in units of the smallest weight of either, matched one to one
+    within tol in (alpha, rho). Atoms are compared as points: measures join
+    equal points only, so a fiber whose conjugate roots are not exact pairs
+    has more atoms than one whose are."""
+    unit = min(m.weight.min(), want.weight.min())
+    points = []
+    for x in (m, want):
+        counts = x.weight / unit
+        assert np.allclose(counts, np.rint(counts), rtol=1e-12, atol=0)
+        points.append(np.repeat(x.alpha + 1j * x.rho,
+                                np.rint(counts).astype(int)))
+    assert len(points[0]) == len(points[1])
+    dist = np.abs(points[0][:, None] - points[1][None, :])
     rows, cols = linear_sum_assignment(dist)
     assert np.max(dist[rows, cols]) <= tol
-    assert np.allclose(m.weight[rows], want.weight[cols], rtol=1e-14, atol=0)
 
 
 def _expanded_fiber(P, a, n):
