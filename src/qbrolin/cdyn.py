@@ -3,10 +3,11 @@ functions G_n and filled Julia masks, fibers and preimage trees, and
 exceptional-point screening.
 
 `_escape` iterates only the points still inside a threshold, compacting its
-arrays whenever one leaves; G_n takes log|z| once per point, at its exit step
-(past `_ledger_switch`) or at step n, and continues an exited point by the
-ledger log|p(z)| ~ d log|z| + log|c_d|. The escape radius R also covers
-non-monic maps: |z| > R implies |p(z)| > |z| and escape.
+arrays whenever one leaves, and a real map's raster only on its rows with
+beta >= 0 when the grid is mirror-exact. G_n takes log|z| once per point, at
+its exit step (past `_ledger_switch`) or at step n, and continues an exited
+point by the ledger log|p(z)| ~ d log|z| + log|c_d|. The escape radius R
+also covers non-monic maps: |z| > R implies |p(z)| > |z| and escape.
 A preimage tree returns its d^n points, a multiple fiber root repeated, and
 merges nothing: the measure built on them decides which coincide.
 """
@@ -80,6 +81,16 @@ def _escape(p: ComplexPoly, z, n: int, threshold: float):
     return step, mag
 
 
+def _raster_rows(p: ComplexPoly, grid: SliceGrid):
+    """Mesh rows to iterate, and the index taking them to the grid's rows:
+    those with beta >= 0 alone for exactly real p on a mirror-exact grid,
+    where p(conj z) = conj p(z) bit for bit but for the signs of zeros."""
+    betas, rows, lo = grid.betas(), np.arange(grid.ny), grid.ny // 2
+    if not p.coeffs.imag.any() and np.array_equal(betas[::-1], -betas):
+        betas, rows = betas[lo:], np.maximum(rows, rows[::-1]) - lo
+    return grid.alphas() + 1j * betas[:, None], rows
+
+
 def green_field(p: ComplexPoly, grid: SliceGrid, n: int) -> GridField:
     """G_n = d^-n log+|p^n| on every node of a slice raster; G_0 = log+|z|.
 
@@ -87,7 +98,8 @@ def green_field(p: ComplexPoly, grid: SliceGrid, n: int) -> GridField:
     x -> d x + log|c_d| for its n - k - 1 remaining steps.
     """
     d = p.degree
-    step, mag = _escape(p, grid.mesh(), n, _ledger_switch(d))
+    z, rows = _raster_rows(p, grid)
+    step, mag = _escape(p, z, n, _ledger_switch(d))
     # an 8- or 16-bit copy takes numpy's stable radix sort
     order = np.argsort(step.astype(np.min_scalar_type(n)), kind="stable")
     x = np.log(np.maximum(mag[order], 1e-320))
@@ -99,7 +111,7 @@ def green_field(p: ComplexPoly, grid: SliceGrid, n: int) -> GridField:
     log_mag = np.empty_like(x)
     log_mag[order] = x
     values = np.maximum(0.0, log_mag) / (d ** n)
-    return GridField(grid, values.reshape(grid.ny, grid.nx))
+    return GridField(grid, values.reshape(-1, grid.nx)[rows])
 
 
 def solve_fiber(p: ComplexPoly, w: complex):
@@ -134,8 +146,9 @@ def filled_julia_mask(p: ComplexPoly, grid: SliceGrid,
                       max_iter: int) -> np.ndarray:
     """Boolean raster: node is inside iff its orbit stays within
     escape_radius(p) for max_iter steps."""
-    step, _ = _escape(p, grid.mesh(), max_iter, escape_radius(p))
-    return (step == max_iter).reshape(grid.ny, grid.nx)
+    z, rows = _raster_rows(p, grid)
+    step, _ = _escape(p, z, max_iter, escape_radius(p))
+    return (step == max_iter).reshape(-1, grid.nx)[rows]
 
 
 def is_exceptional(p: ComplexPoly, a: complex) -> bool:

@@ -45,7 +45,10 @@ class SliceGrid:
         return np.linspace(self.alpha_min, self.alpha_max, self.nx)
 
     def betas(self):
-        return np.linspace(self.beta_min, self.beta_max, self.ny)
+        """`linspace`, made exactly antisymmetric when beta_min == -beta_max
+        (each value moves by at most 1 ulp of beta_max): rows mirror-exact."""
+        b = np.linspace(self.beta_min, self.beta_max, self.ny)
+        return (b - b[::-1]) / 2 if self.beta_min == -self.beta_max else b
 
     def mesh(self):
         """Complex node coordinates, shape (ny, nx); row = beta, col = alpha."""

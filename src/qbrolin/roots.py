@@ -37,6 +37,7 @@ _BLOCK = 1 << 18
 # radius, relative to 1 + |z|, of the circle that crowded start points of
 # newton_roots are spread on
 _SPREAD = 1e-3
+_TINY = np.finfo(float).tiny   # smallest normal float
 # cube roots of unity, w and conj(w) exact: conjugate targets, conjugate rows
 _UNITY = np.array([1.0, -0.5 + 0.75 ** 0.5 * 1j, -0.5 - 0.75 ** 0.5 * 1j])
 
@@ -233,15 +234,20 @@ def quadratic_roots_many(c0s, c1, c2):
     sign = np.where((np.conj(c1) * disc).real >= 0, 1.0, -1.0)
     qq = -(c1 + sign * disc) / 2.0
     out = np.empty(c0s.shape + (2,), dtype=complex)
-    nz = qq != 0
+    nz = np.abs(qq) >= _TINY
     np.divide(qq, c2, out=out[..., 0])
     np.divide(c0s, qq, out=out[..., 1], where=nz)
+    rare = not nz.all()
+    if rare:   # numpy's c0 / qq overflows to NaN at a subnormal qq
+        sub = ~nz & (qq != 0)
+        out[sub, 1] = c0s[sub] * 2.0 ** 64 / (qq[sub] * 2.0 ** 64)
+        nz |= sub
     real = c0s.imag == 0
     if real.any():   # real data, non-real roots: the exact pair (r, conj r)
         real &= (np.imag(c1) == 0) & (np.imag(c2) == 0)
         np.conjugate(out[..., 0], out=out[..., 1],
                      where=real & (out[..., 0].imag != 0))
-    if not nz.all():
+    if rare:
         r = np.sqrt(-c0s[~nz] / c2)
         out[~nz, 0] = r
         out[~nz, 1] = -r

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from escape_refs import ref_filled_julia_mask, ref_green_field
 from merge_refs import ref_merge_level
-from qbrolin.cdyn import (_escape, _ledger_switch, escape_radius,
-                          filled_julia_mask, green_field, is_exceptional,
-                          preimage_tree, solve_fiber)
+from qbrolin.cdyn import (_escape, _ledger_switch, _raster_rows,
+                          escape_radius, filled_julia_mask, green_field,
+                          is_exceptional, preimage_tree, solve_fiber)
 from qbrolin.errors import BudgetExceeded
 from qbrolin.grids import SliceGrid
 from qbrolin.poly import ComplexPoly
@@ -101,16 +101,25 @@ _maps = st.builds(
     st.sampled_from([2, 3]),
     st.one_of(st.floats(-2.5, 0.5), st.complex_numbers(max_magnitude=1.5)),
     st.sampled_from([1.0, 1.0, 0.3, -2.5, 1e300, 1e308]))
-# dyadic spacing and half-width: every node exact, one of them 0; the
-# 2^53 raster leaves the ledger switch at the first step
+# symmetric about the real axis, so a real map iterates the upper rows
+# only; with dyadic spacing and half-width every node is exact, one of them
+# 0, while half-width 1.8 or 25 cells per half-width put nodes off the
+# dyadics; the 2^53 raster leaves the ledger switch at the first step
 _grids = st.builds(lambda hw, k: SliceGrid.square(0j, hw, hw / k),
-                   st.sampled_from([2.0, 0.5, 2.0 ** 53]),
-                   st.sampled_from([1, 4, 8, 16]))
+                   st.sampled_from([2.0, 0.5, 2.0 ** 53, 1.8]),
+                   st.sampled_from([1, 4, 8, 16, 25]))
 
 
 # depth 1 and max_iter 1: every exit is at the first and the last step;
 # the cubic maps overflow to NaN orbits, in the ledger and in the mask
 @example(SQ, SliceGrid.square(0j, 2.0, 0.25), 1, 1)
+# non-dyadic mirror-exact rasters, ny even (462) and odd (923); a map with a
+# 1e-13 imaginary part takes all rows
+@example(BASILICA, SliceGrid.square(0j, 1.8, 1 / 128), 12, 60)
+@example(ComplexPoly([-1.2, 0.0, 1.0]), SliceGrid.square(0j, 1.8, 1 / 256),
+         14, 40)
+@example(ComplexPoly([-1.0 + 1e-13j, 0.0, 1.0]),
+         SliceGrid.square(0j, 1.8, 1 / 128), 12, 60)
 @example(ComplexPoly([0.3, 0.0, 0.0, 1e300]),
          SliceGrid.square(0j, 2.0 ** 53, 2.0 ** 51), 5, 5)
 @example(ComplexPoly([0.3, 0.0, 0.0, 1e308]), SliceGrid.square(0j, 2.0, 0.5), 5, 5)
@@ -124,6 +133,23 @@ def test_escape_kernel_bit_identical_to_full_raster_loops(p, grid, n, max_iter):
         ref_mask = ref_filled_julia_mask(p, grid, esc)
     assert got.values.tobytes() == want.values.tobytes()
     assert mask.shape == ref_mask.shape and np.array_equal(mask, ref_mask)
+
+
+def test_real_map_iterates_the_upper_rows_of_a_mirror_exact_grid():
+    grid = SliceGrid.square(0j, 1.8, 1 / 128)    # 462 rows, none at 0
+    mesh = grid.mesh()
+    z, rows = _raster_rows(BASILICA, grid)
+    assert z.shape == (231, 462) and np.all(z.imag > 0)
+    assert np.array_equal(np.where(mesh.imag < 0, np.conj(z[rows]), z[rows]),
+                          mesh)
+    z, rows = _raster_rows(CHEB, SliceGrid.square(0j, 1.8, 1 / 256))
+    assert z.shape == (462, 923) and z[0, 0].imag == 0.0
+    # a 1e-13 imaginary part, a grid off the real axis: every row
+    for p, g in ((ComplexPoly([-1.0 + 1e-13j, 0.0, 1.0]), grid),
+                 (BASILICA, SliceGrid.square(0.1j, 1.8, 1 / 128))):
+        z, rows = _raster_rows(p, g)
+        assert np.array_equal(z, g.mesh())
+        assert np.array_equal(rows, np.arange(g.ny))
 
 
 def test_solve_fiber_multiplicity():

@@ -109,6 +109,19 @@ def test_measure_from_green_clamp_limit():
         measure_from_green(p, 8, SliceGrid.square(0j, 2.5, 1.0 / 16))
 
 
+def test_green_raster_measure_has_one_atom_per_axial_node():
+    # on a mirror-exact grid every node and its mirror image fold onto one
+    # sphere: 84,096 nodes of positive mass, 42,048 atoms (66,560 atoms when
+    # 41.6% of the beta values had their negation)
+    grid = SliceGrid.square(0j, 1.8, 1.0 / 128)
+    p = QPolynomial.from_real([-1.0, 0.0, 1.0])
+    density, _ = measure_from_green(p, 10, grid)
+    m = raster_to_measure(density)
+    z = grid.mesh()[density.values * grid.h ** 2 > 0.0]
+    axial = np.unique(np.stack([z.real, np.abs(z.imag)]), axis=1)
+    assert len(m) == axial.shape[1] == 42048 and len(z) == 84096
+
+
 def test_raster_vs_preimage_measure():
     p = QPolynomial.from_real([-2.0, 0.0, 1.0])
     density, _ = measure_from_green(p, 8, SliceGrid.square(0j, 2.5, 1.0 / 128))

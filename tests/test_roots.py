@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gn_refs import gn_build
 from merge_refs import ref_cluster_roots, ref_merge_level
+from roots_refs import ref_quadratic_roots_many
 from qbrolin import roots as roots_module
 from qbrolin.cdyn import solve_fiber
 from qbrolin.errors import SolverFailure
@@ -81,6 +82,40 @@ def test_quadratic_roots_many_matches_scalar():
 def test_quadratic_roots_many_pure_square_root():
     out = quadratic_roots_many(np.array([-4.0 + 0j]), 0.0, 1.0)
     assert np.allclose(np.sort(out[0].real), [-2.0, 2.0])
+
+
+_TINY_PART = (st.sampled_from([0.0, 5e-324, -2.2e-311, 1e-309, -2e-308])
+              | st.floats(-4, 4))
+_TINY_COMPLEX = st.builds(complex, _TINY_PART, _TINY_PART)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TINY_COMPLEX | _TINY_PART, min_size=1, max_size=6),
+       _TINY_COMPLEX, st.sampled_from([1.0, -0.5, 1j, 2.0 ** -60]))
+@example([0.0], 2.2e-311, 1.0)
+def test_quadratic_roots_many_at_a_subnormal_larger_root(c0s, c1, c2):
+    # rows whose larger root qq is 0 or normal keep the former bits; at a
+    # subnormal qq the former c0 / qq is NaN, and now the quotient's
+    c0s = np.array(c0s, dtype=complex)
+    with np.errstate(all="ignore"):
+        got, want = quadratic_roots_many(c0s, c1, c2), \
+            ref_quadratic_roots_many(c0s, c1, c2)
+    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0s)
+    qq = -(c1 + np.where((np.conj(c1) * disc).real >= 0, 1.0, -1.0) * disc) / 2
+    sub = (qq != 0) & (np.abs(qq) < np.finfo(float).tiny)
+    assert got[~sub].tobytes() == want[~sub].tobytes()
+    assert got[sub, 0].tobytes() == want[sub, 0].tobytes()
+    assert np.all(np.isfinite(got[sub]))
+    scaled = got[sub, 1] * (qq[sub] * 2.0 ** 64)
+    assert np.allclose(scaled, c0s[sub] * 2.0 ** 64, rtol=1e-15, atol=0.0)
+
+
+def test_quadratic_with_a_subnormal_linear_term():
+    # z^2 + 2.2e-311 z over 0: qq = -1.1e-311 (c1^2 underflows), c0 / qq is 0
+    with np.errstate(all="ignore"):
+        assert np.isnan(ref_quadratic_roots_many([0j], 2.2e-311, 1.0)).any()
+    row = fiber_roots(np.array([0.0, 2.2e-311, 1.0], dtype=complex), [0.0])
+    assert row.tolist() == [[-1.1e-311, 0j]]
 
 
 def test_cluster_roots():
@@ -270,12 +305,16 @@ def _near_triple(row):
     return roots_module._crowded(row[None])[0].sum() >= 3
 
 
-# parts 0 or of modulus >= 1e-150: numpy's complex division by a
-# subnormal overflows, so quadratic_roots_many gives NaN roots where its
-# larger root is subnormal (0 / -1.1e-311 is NaN), and a cubic row then
-# takes the Aberth solve, which is not conjugation-exact (CHANGES.md FOUND)
+# real data draw subnormals too, where quadratic_roots_many's c0 / qq was NaN
+# (its larger root qq subnormal) before it scaled the division, and a cubic
+# row then took the Aberth solve, which is not conjugation-exact; complex
+# data draw parts 0 or of modulus >= 1e-150: a tiny imaginary part can put
+# a cubic row on a branch cut, where the sign of c0's zero imaginary part,
+# which conjugation does not carry through fiber_roots, picks the side
+# (CHANGES.md FOUND)
 _PART = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) >= 1e-150)
-_REAL = _PART | st.integers(-4, 4).map(float)
+_REAL = (_PART | st.integers(-4, 4).map(float)
+         | st.sampled_from([5e-324, -2.2e-311, 1e-309, -2e-308, 1e-160]))
 _COMPLEX = st.builds(complex, _PART, _PART)
 
 
