@@ -5,7 +5,10 @@ whose bytes differ, prints one line: the largest relative difference
 |a - b| / max(|a|, |b|) between corresponding numbers, the leaves of a JSON
 file or the cells of a CSV file, or ``structure differs`` when the two files
 do not pair up number for number (other text where a number or string
-should match, or neither JSON nor CSV). A file whose dict keys or list
+should match, or neither JSON nor CSV). A file whose numbers all pair up
+with the same float (``0`` and ``0.0``, ``0.10000000000000001`` and ``0.1``,
+but not ``-0`` and ``0``) and whose other text is equal reads ``numbers
+equal; text differs``: a pure re-encoding. A file whose dict keys or list
 lengths changed is compared over the leaves both files share (a list's
 common prefix); its line adds their count, names the removed and added keys
 by dotted path (``meta.bin_width``, ``atoms.3.kind``) and gives each changed
@@ -47,12 +50,13 @@ def _rel(a, b):
 
 
 def _leaf_diffs(a, b, path, changes):
-    """The relative difference of each pair of leaves that two trees of
-    lists and dicts share. A dict key in one tree only is appended to
-    changes["removed"] (in a) or changes["added"] (in b) by its dotted path,
-    and its subtree skipped; lists of two lengths are compared over their
-    common prefix, and "length m -> n at path" appended to changes["length"].
-    _Mismatch where the trees do not pair up otherwise."""
+    """(relative difference, same float) for each pair of leaves that two
+    trees of lists and dicts share, (0.0, True) for equal text. A dict key
+    in one tree only is appended to changes["removed"] (in a) or
+    changes["added"] (in b) by its dotted path, and its subtree skipped;
+    lists of two lengths are compared over their common prefix, and
+    "length m -> n at path" appended to changes["length"]. _Mismatch where
+    the trees do not pair up otherwise."""
     if isinstance(a, dict) and isinstance(b, dict):
         changes["removed"] += [f"{path}{k}" for k in a if k not in b]
         changes["added"] += [f"{path}{k}" for k in b if k not in a]
@@ -68,11 +72,11 @@ def _leaf_diffs(a, b, path, changes):
     else:
         x, y = _number(a), _number(b)
         if x is not None and y is not None:
-            yield _rel(x, y)
+            yield _rel(x, y), repr(x) == repr(y)
         elif a != b:
             raise _Mismatch
         else:
-            yield 0.0
+            yield 0.0, True
 
 
 def _parse(path: Path):
@@ -96,12 +100,15 @@ def compare(root_a: Path, root_b: Path):
         changes = {"removed": [], "added": [], "length": []}
         root = "rows." if a.suffix == ".csv" else ""
         try:
-            rels = list(_leaf_diffs(_parse(a), _parse(b), root, changes))
+            diffs = list(_leaf_diffs(_parse(a), _parse(b), root, changes))
+            rels = [r for r, _ in diffs]
             line = f"max relative difference {max(rels, default=0.0):.3g}"
             if any(changes.values()):
                 line += f" over {len(rels)} shared leaves" + "".join(
                     f"; {name} {', '.join(items)}"
                     for name, items in changes.items() if items)
+            elif all(same for _, same in diffs):
+                line = "numbers equal; text differs"
         except (_Mismatch, UnicodeDecodeError, json.JSONDecodeError):
             line = "structure differs"
         out.append((rel, line))

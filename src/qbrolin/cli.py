@@ -51,29 +51,33 @@ _GRID_MAX_SIDE = 8193
 _BUMP = lambda al, be: np.exp(-((al - 0.1) ** 2 + be ** 2))  # noqa: E731
 
 
-def _atom_columns(m: EmpiricalMeasure, fmt):
+class _AtomColumns(NamedTuple):
+    """A measure as text: what its JSON and CSV files are written from."""
+    columns: list
+    meta: dict
+
+
+def _atom_columns(m: EmpiricalMeasure) -> _AtomColumns:
     """Text columns kind, alpha, rho, weight of a measure's atoms, kind
-    "point" where rho == 0. fmt runs on each alpha, and once per distinct
-    bit pattern of rho and of weight: these repeat (-0.0 keeps its sign)."""
+    "point" where rho == 0, each float its repr: the one text of both measure
+    files. repr runs on each alpha, and once per distinct bit pattern of rho
+    and of weight: these repeat (-0.0 keeps its sign)."""
     kind = list(map(("sphere", "point").__getitem__, (m.rho == 0.0).tolist()))
-    columns = [kind, list(map(fmt, m.alpha.tolist()))]
+    columns = [kind, list(map(float.__repr__, m.alpha.tolist()))]
     for x in (m.rho, m.weight):
         bits = x.view(np.int64).tolist()
-        memo = {b: fmt(v) for b, v in dict(zip(bits, x.tolist())).items()}
+        memo = {b: repr(v) for b, v in dict(zip(bits, x.tolist())).items()}
         columns.append(list(map(memo.__getitem__, bits)))
-    return columns
-
-
-_ATOM_JSON = '{"alpha": %s, "kind": "%s", "rho": %s, "weight": %s}'
+    return _AtomColumns(columns, m.meta)
 
 
 def write_csv(path: Path, header, rows):
-    """%.17g for numbers (bools too), else str: one % format per row type.
-    An EmpiricalMeasure as rows writes one (kind, alpha, rho, weight) row per
-    atom, encoded from its arrays."""
+    """A measure's _AtomColumns: one kind,alpha,rho,weight row per atom, the
+    repr text of measure.json joined by commas. Any other rows: %.17g for
+    numbers (bools too), else str, one % format per row type."""
     lines, formats = [",".join(header)], {}
-    if isinstance(rows, EmpiricalMeasure):
-        lines += map(",".join, zip(*_atom_columns(rows, "%.17g".__mod__)))
+    if isinstance(rows, _AtomColumns):
+        lines += map(",".join, zip(*rows.columns))
     else:
         for row in map(tuple, rows):
             sig = tuple(map(type, row))
@@ -85,18 +89,22 @@ def write_csv(path: Path, header, rows):
 
 
 def write_json(path: Path, obj):
-    """One line with sorted keys, as json.dumps writes it. An EmpiricalMeasure
-    is {"atoms": [{"alpha", "kind", "rho", "weight"}, ...], "meta": ...},
-    encoded from its arrays: a finite float's json text is its repr."""
-    if isinstance(obj, EmpiricalMeasure):
-        kind, alpha, rho, weight = _atom_columns(obj, float.__repr__)
-        atoms = ", ".join(map(_ATOM_JSON.__mod__,
-                              zip(alpha, kind, rho, weight)))
-        text = '{"atoms": [%s], "meta": %s}' % (
-            atoms, json.dumps(obj.meta, sort_keys=True))
+    """One line with sorted keys, as json.dumps writes it. A measure's
+    _AtomColumns is {"atoms": [{"alpha", "kind", "rho", "weight"}, ...],
+    "meta": ...}: its text slotted between the literals, joined once."""
+    if isinstance(obj, _AtomColumns):
+        parts = ['{"alpha": ', 0, ', "kind": "', 0, '", "rho": ', 0,
+                 ', "weight": ', 0, "}, "] * len(obj.columns[0])
+        # the columns are kind, alpha, rho, weight; the keys sort alpha first
+        parts[3::9], parts[1::9], parts[5::9], parts[7::9] = obj.columns
+        if parts:
+            parts[-1] = "}"     # no comma after the last atom
+        parts[:0] = ['{"atoms": [']
+        parts += ['], "meta": ', json.dumps(obj.meta, sort_keys=True), "}\n"]
+        text = "".join(parts)
     else:
-        text = json.dumps(obj, sort_keys=True)  # C encoder: no indent
-    path.write_text(text + "\n")
+        text = json.dumps(obj, sort_keys=True) + "\n"  # C encoder: no indent
+    path.write_text(text)
 
 
 def write_pgm(path: Path, image: np.ndarray):
@@ -160,10 +168,8 @@ def _manifest(out: Path, stem: str, cfg, extra=None):
     # the output directory is run-local plumbing; dropping it keeps two
     # runs of one config byte-identical wherever they land
     cfg = {k: v for k, v in cfg.items() if k != "out"}
-    man = {"config": cfg, "version": __version__}
-    if extra:
-        man.update(extra)
-    write_json(out / f"{stem}.manifest.json", man)
+    write_json(out / f"{stem}.manifest.json",
+               {"config": cfg, "version": __version__, **(extra or {})})
 
 
 def run_julia(cfg, out: Path):
@@ -186,8 +192,9 @@ def run_equilibrium(cfg, out: Path):
         raise ConfigError("equilibrium mode needs real coefficients")
     params = cfg["params"]
     m = brolin_pullback(p, params["target"], params["depth"])
-    write_json(out / "measure.json", m)
-    write_csv(out / "measure.csv", ["kind", "alpha", "rho", "weight"], m)
+    text = _atom_columns(m)
+    write_json(out / "measure.json", text)
+    write_csv(out / "measure.csv", ["kind", "alpha", "rho", "weight"], text)
     _manifest(out, "measure", cfg, {"atoms": len(m)})
     print(f"equilibrium: {len(m)} atoms, mass {m.total_mass():.6f}")
     return 0
@@ -318,8 +325,8 @@ def run_one_slice(cfg, out: Path):
     mp = mu_prime_estimate(pc, depth, target)
     mg = gn_pullback_measure(pc, target, depth)
     dist = weak_distance(mg, mp)
-    write_json(out / "mu_prime.json", mp)
-    write_json(out / "gn_pullback.json", mg)
+    write_json(out / "mu_prime.json", _atom_columns(mp))
+    write_json(out / "gn_pullback.json", _atom_columns(mg))
     write_json(out / "one_slice.json",
                {"weak_distance": dist, "depth": depth, "target": target,
                 "real_mass": sum(mp.weight[mp.rho == 0.0].tolist())})
@@ -520,10 +527,7 @@ def load_config(path: str, overrides) -> dict:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = dict(raw)
-    for key, value in overrides.items():
-        if value is not None:
-            cfg[key] = value
+    cfg = dict(raw, **{k: v for k, v in overrides.items() if v is not None})
     mode = cfg.get("mode")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,11 +55,7 @@ class SliceGrid:
         return self.alphas() + 1j * self.betas()[:, None]
 
     def to_json(self):
-        return {
-            "alpha_min": self.alpha_min, "alpha_max": self.alpha_max,
-            "beta_min": self.beta_min, "beta_max": self.beta_max,
-            "nx": self.nx, "ny": self.ny,
-        }
+        return asdict(self)
 
 
 class GridField:

@@ -805,6 +805,44 @@ _MEASURE_HEADER = ["kind", "alpha", "rho", "weight"]
 @settings(max_examples=300, deadline=None)
 def test_measure_files_equal_the_former_encoders(atoms, meta):
     m = EmpiricalMeasure(*np.array(atoms, dtype=float).reshape(-1, 3).T, meta)
-    assert _written(cli.write_json, m) == _written(ref_write_measure_json, m)
-    assert (_written(cli.write_csv, _MEASURE_HEADER, m)
-            == _written(ref_write_csv, _MEASURE_HEADER, ref_measure_rows(m)))
+    text = cli._atom_columns(m)
+    json_bytes = _written(cli.write_json, text)
+    assert json_bytes == _written(ref_write_measure_json, m)
+    got = _written(cli.write_csv, _MEASURE_HEADER, text).decode().split("\n")
+    former = _written(ref_write_csv, _MEASURE_HEADER,
+                      ref_measure_rows(m)).decode().split("\n")
+    assert got[0] == former[0] and got[-1] == former[-1] == ""
+    # each CSV field is the JSON atom's text for it, and each cell parses
+    # to the former %.17g cell's float, bit for bit
+    assert [r.split(",") for r in got[1:-1]] == _atom_text(json_bytes.decode())
+    assert _cell_floats(got[1:-1]) == _cell_floats(former[1:-1])
+
+
+def _atom_text(measure_json):
+    """[kind, alpha, rho, weight] per atom of a measure.json, each number as
+    the text the file holds for it."""
+    atoms = json.loads(measure_json, parse_float=str)["atoms"]
+    return [[a[k] for k in _MEASURE_HEADER] for a in atoms]
+
+
+def _cell_floats(rows):
+    # kind, then the repr of each number cell's float: repr tells -0.0 from
+    # 0.0, so equal lists mean bit-equal floats
+    return [[k] + [repr(float(x)) for x in xs]
+            for k, *xs in (r.split(",") for r in rows)]
+
+
+def test_equilibrium_files_hold_the_same_atom_text(tmp_path):
+    # q^2 - 1 over 0: real points (one double, at 0), and spheres
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "c.json", {
+        "mode": "equilibrium",
+        "polynomial": {"coeffs": [[-1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]]},
+        "params": {"target": 0.0, "depth": 5}, "out": str(out)})
+    assert main([cfg]) == 0
+    csv = (out / "measure.csv").read_text().splitlines()
+    atoms = _atom_text((out / "measure.json").read_text())
+    assert csv[0] == ",".join(_MEASURE_HEADER)
+    assert [line.split(",") for line in csv[1:]] == atoms
+    assert {a[0] for a in atoms} == {"point", "sphere"}
+    assert len({a[3] for a in atoms}) > 1

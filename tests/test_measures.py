@@ -47,7 +47,7 @@ def test_measure_sorted_and_json(tmp_path):
     assert ref_measure_rows(m) == [("point", -1.0, 0.0, 0.5),
                                    ("sphere", 1.0, 0.5, 0.5)]
     # measure.json reads back to the same arrays and meta
-    cli.write_json(tmp_path / "m.json", m)
+    cli.write_json(tmp_path / "m.json", cli._atom_columns(m))
     data = json.loads((tmp_path / "m.json").read_text())
     assert [d["kind"] for d in data["atoms"]] == ["point", "sphere"]
     again = EmpiricalMeasure(*([d[k] for d in data["atoms"]]

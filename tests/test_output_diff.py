@@ -25,6 +25,9 @@ def test_output_diff_reports_each_changed_file(tmp_path):
               "run/atoms.json": '{"atoms": [{"a": 1.0}, {"a": 2.0}], '
                                 '"n": 2}\n',
               "run/atoms.csv": "a,w\n1,0.5\n2,0.5\n",
+              "run/recoded.csv": "k,a\npoint,0\nsphere,0.10000000000000001\n",
+              "run/recoded.json": '{"a": [1, 0.5]}\n',
+              "run/zero.csv": "a\n-0\n",
               "run/only_a.json": "{}\n"})
     _tree(b, {"run/m.json": '{"v": [1.0, 2.0000000000000004], "name": "x"}\n',
               "run/m.csv": "n,c\n0,0.5\n1,2.5\n",
@@ -36,7 +39,10 @@ def test_output_diff_reports_each_changed_file(tmp_path):
               "run/img.pgm": "P6\n",
               "run/atoms.json": '{"atoms": [{"a": 1.0}, {"a": 2.5}, '
                                 '{"a": 3.0}], "n": 3}\n',
-              "run/atoms.csv": "a,w\n1,0.25\n2,0.5\n3,0.25\n"})
+              "run/atoms.csv": "a,w\n1,0.25\n2,0.5\n3,0.25\n",
+              "run/recoded.csv": "k,a\npoint,0.0\nsphere,0.1\n",
+              "run/recoded.json": '{"a": [1.0, 5e-1]}\n',
+              "run/zero.csv": "a\n0.0\n"})
     r = subprocess.run([sys.executable, str(SCRIPT), str(a), str(b)],
                        capture_output=True, text=True, check=True)
     assert r.stdout.splitlines() == [
@@ -53,4 +59,9 @@ def test_output_diff_reports_each_changed_file(tmp_path):
         # the keys changed, and the leaves both files share are equal
         "run/meta.json: max relative difference 0 over 3 shared leaves; "
         "removed meta.bin; added meta.u",
-        "run/text.csv: structure differs"]
+        # every number reads back to the same float: a pure re-encoding
+        "run/recoded.csv: numbers equal; text differs",
+        "run/recoded.json: numbers equal; text differs",
+        "run/text.csv: structure differs",
+        # -0 and 0.0 are equal numbers but not the same float
+        "run/zero.csv: max relative difference 0"]

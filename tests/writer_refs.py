@@ -10,7 +10,7 @@ holds no tests).
   `measure.csv` and `measure.json` were encoded from before the CLI encoded
   them from the measure's arrays; `ref_write_measure_json` is the C encoder
   over those dicts. `ref_write_csv` over `ref_measure_rows` gives the former
-  `measure.csv`.
+  `%.17g` `measure.csv`, written before it held `measure.json`'s text.
 """
 
 import json
