@@ -74,17 +74,13 @@ def _atom_columns(m: EmpiricalMeasure) -> _AtomColumns:
 def write_csv(path: Path, header, rows):
     """A measure's _AtomColumns: one kind,alpha,rho,weight row per atom, the
     repr text of measure.json joined by commas. Any other rows: %.17g for
-    numbers (bools too), else str, one % format per row type."""
-    lines, formats = [",".join(header)], {}
+    numbers (bools too), else str."""
+    lines = [",".join(header)]
     if isinstance(rows, _AtomColumns):
         lines += map(",".join, zip(*rows.columns))
     else:
-        for row in map(tuple, rows):
-            sig = tuple(map(type, row))
-            if sig not in formats:
-                formats[sig] = ",".join("%.17g" if issubclass(t, (int, float))
-                                        else "%s" for t in sig)
-            lines.append(formats[sig] % row)
+        lines += (",".join("%.17g" % v if isinstance(v, (int, float))
+                           else str(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -183,7 +179,6 @@ def run_julia(cfg, out: Path):
                "escape_radius": radius})
     print(f"julia: {inside.sum()} / {inside.size} nodes inside, "
           f"R = {radius:.3g}")
-    return 0
 
 
 def run_equilibrium(cfg, out: Path):
@@ -197,7 +192,6 @@ def run_equilibrium(cfg, out: Path):
     write_csv(out / "measure.csv", ["kind", "alpha", "rho", "weight"], text)
     _manifest(out, "measure", cfg, {"atoms": len(m)})
     print(f"equilibrium: {len(m)} atoms, mass {m.total_mass():.6f}")
-    return 0
 
 
 def run_green(cfg, out: Path):
@@ -214,7 +208,6 @@ def run_green(cfg, out: Path):
                ["zero_fraction", float(np.mean(g.values == 0.0))]])
     _manifest(out, "green", cfg, {"grid": grid.to_json(), "depth": depth})
     print(f"green: depth {depth}, max {vmax:.4f}")
-    return 0
 
 
 def run_delta_star(cfg, out: Path):
@@ -244,7 +237,6 @@ def run_delta_star(cfg, out: Path):
     _manifest(out, "delta_star", cfg)
     print(f"delta-star: rel errs {report['finest_real_rel_err']:.2e} / "
           f"{report['finest_pair_rel_err']:.2e}")
-    return 0
 
 
 def run_lyapunov(cfg, out: Path):
@@ -259,7 +251,6 @@ def run_lyapunov(cfg, out: Path):
     write_json(out / "lyapunov.json", result)
     _manifest(out, "lyapunov", cfg)
     print(f"lyapunov: {rep.value:.5f} +- {rep.stderr:.5f}")
-    return 0
 
 
 def run_entropy(cfg, out: Path):
@@ -281,7 +272,6 @@ def run_entropy(cfg, out: Path):
     write_json(out / "entropy.json", rep.to_json())
     _manifest(out, "entropy", cfg)
     print(f"entropy ({kind}): {rep.value:.4f} +- {rep.stderr:.4f}")
-    return 0
 
 
 def run_mixing(cfg, out: Path):
@@ -299,7 +289,6 @@ def run_mixing(cfg, out: Path):
                 "pair": ["abs2", "re"], "seed": cfg["seed"]})
     _manifest(out, "mixing", cfg)
     print(f"mixing: slope {slope:.4f} (log d = {math.log(pc.degree):.4f})")
-    return 0
 
 
 def run_clt(cfg, out: Path):
@@ -315,7 +304,6 @@ def run_clt(cfg, out: Path):
     write_json(out / "clt.json", report)
     _manifest(out, "clt", cfg)
     print(f"clt: ks {res.ks_statistic:.4f} vs null bar {bar:.4f}")
-    return 0
 
 
 def run_one_slice(cfg, out: Path):
@@ -332,7 +320,6 @@ def run_one_slice(cfg, out: Path):
                 "real_mass": sum(mp.weight[mp.rho == 0.0].tolist())})
     _manifest(out, "one_slice", cfg)
     print(f"one-slice: distance {dist:.4f} at depth {depth}")
-    return 0
 
 
 def run_general_gap(cfg, out: Path):
@@ -348,7 +335,6 @@ def run_general_gap(cfg, out: Path):
                {"a": a, "b": b, "final_gap": final_gap, "n_max": n_max})
     _manifest(out, "gap", cfg)
     print(f"general-gap: gap({n_max}) = {final_gap:.3e}")
-    return 0
 
 
 def _star_algebra_worst(seed):
@@ -432,7 +418,6 @@ def run_verify(cfg, out: Path):
     failed = [name for name, ok, _ in checks if not ok]
     if failed:
         raise InvariantViolation(f"verify checks failed: {failed}")
-    return 0
 
 
 class _Param(NamedTuple):
@@ -571,7 +556,8 @@ def load_config(path: str, overrides) -> dict:
 def run(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    return _MODES[cfg["mode"]][0](cfg, out)
+    _MODES[cfg["mode"]][0](cfg, out)
+    return 0
 
 
 def main(argv=None) -> int:

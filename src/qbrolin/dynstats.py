@@ -457,18 +457,17 @@ def partition_entropy(pc: ComplexPoly, partition, n_max: int,
     symbols = np.insert(symbols, np.cumsum(lengths)[:-1], -1)
     # gaps[t] = number of out-of-partition points among the first t
     gaps = np.concatenate([[0], np.cumsum(symbols < 0)])
-    m = len(partition) + 1
+    m, codes = len(partition) + 1, np.zeros_like(symbols)
     hs = []
     for n in range(1, n_max + 1):
         # word for position t is the itinerary of w = z_{t+n-1} read
-        # backwards, (p^{n-1} w, ..., p w, w): the same n-gram entropy
-        codes = np.zeros(len(symbols) - n + 1, dtype=np.int64)
-        for j in range(n):
-            codes = codes * m + symbols[j:len(symbols) - n + 1 + j]
-        codes = codes[gaps[n:] == gaps[:len(gaps) - n]]
-        if not len(codes):
+        # backwards, (p^{n-1} w, ..., p w, w): the same n-gram entropy;
+        # each length's codes extend the last length's by one symbol
+        codes = codes[:len(symbols) - n + 1] * m + symbols[n - 1:]
+        words = codes[gaps[n:] == gaps[:len(gaps) - n]]
+        if not len(words):
             raise InvariantViolation(f"no itinerary word of length {n}")
-        _, counts = np.unique(codes, return_counts=True)
+        _, counts = np.unique(words, return_counts=True)
         probs = counts / counts.sum()
         h = float(-np.sum(probs * np.log(probs)))
         h += (len(counts) - 1) / (2.0 * counts.sum())  # Miller-Madow

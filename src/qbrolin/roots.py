@@ -11,10 +11,11 @@ by its Newton pairs (the one-slice g_n, evaluated by composition) from given
 start points, crowded ones spread apart first, certified by Newton distance.
 Both return rows as `fiber_row` does: sorted, multiplicities detected by
 clustering. `all_roots` solves one polynomial, certified and sorted at every
-degree, unclustered. `merge_near` is the one rule for which roots of a row
-coincide (clusters keep their mean); measures join equal points only. Closed
-forms are conjugation-equivariant, and a real row's is closed under
-conjugation bit for bit: exactly real roots and exact conjugate pairs.
+degree, unclustered. `_components` is the one rule for which roots of a row
+coincide (clusters keep their mean): order-free, and those of conj(z) are
+the conjugates of those of z; measures join equal points only. Closed forms
+are conjugation-equivariant, and a real row's is closed under conjugation
+bit for bit: exactly real roots and exact conjugate pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .policy import (ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL,
 from .poly import horner
 
 __all__ = ["all_roots", "cluster_roots", "fiber_roots", "fiber_row",
-           "merge_near", "newton_roots", "quadratic_roots_many"]
+           "newton_roots", "quadratic_roots_many"]
 
 # complex entries in one pairwise block: a batched solve takes
 # max(1, _BLOCK // d^2) rows at a time, and the repulsion and the cluster
@@ -108,13 +109,13 @@ def fiber_row(points):
 
 
 def _spread_crowded(start):
-    """The start points with each cluster of crowded ones (merge_near at
+    """The start points with each cluster of crowded ones (`_components` at
     twice the cluster radius) moved evenly onto a circle of radius
     _SPREAD (1 + |mean|) about its mean."""
     crowded, scale = _crowded(start[None])
     idx = np.flatnonzero(crowded[0])
-    order, head = merge_near(start[idx],
-                             2.0 * CLUSTER_TOL * max(scale[0], 1.0))
+    order, head = _components(start[idx],
+                              2.0 * CLUSTER_TOL * max(scale[0], 1.0))
     idx, out = idx[order], start.copy()
     for h in np.unique(head):
         members = idx[head == h]
@@ -142,13 +143,15 @@ def _newton_certified(z, newton):
 def _closed_form(coeffs, c0s):
     """Closed-form rows, conjugation-equivariant by construction: a row whose
     first nonzero imaginary part (c_d down to c0) is negative is solved
-    conjugated and conjugated back (a real quadratic's formula already is)."""
+    conjugated and conjugated back (a real quadratic's formula already is);
+    + 0.0 makes the -0 imaginary parts of its conjugated constant terms +0,
+    as in P^c's own, so P^c takes the same side of each branch cut."""
     deg = len(coeffs) - 1
     if deg < 2:   # no root at degree 0: (N, 1) / (0,) broadcasts to (N, 0)
         return -c0s[:, None] / coeffs[1:]
     lead = next((x for x in coeffs[:0:-1].imag.tolist() if x), 0.0)
     if lead < 0:
-        return np.conj(_closed_form(np.conj(coeffs), np.conj(c0s)))
+        return np.conj(_closed_form(np.conj(coeffs), np.conj(c0s) + 0.0))
     if deg == 2:
         return quadratic_roots_many(c0s, coeffs[1], coeffs[2])
     flip = (lead == 0) & (c0s.imag < 0)
@@ -332,7 +335,9 @@ def _fujiwara_circle(coeffs, c0s):
 def _crowded(rows):
     """For each point of the (N, d) rows, whether another point of its row
     lies within twice the cluster radius CLUSTER_TOL max(scale, 1), scale
-    1 + the row's largest |z|; and the scales. Blocked like `_repulsion`."""
+    1 + the row's largest |z|; and the scales. Blocked like `_repulsion`.
+    Two points `_components` joins at the cluster radius lie within sqrt(2)
+    times it, so a row with no crowded point has no cluster to find."""
     scale = 1.0 + np.max(np.abs(rows), axis=1)
     tol = 2.0 * CLUSTER_TOL * np.maximum(scale, 1.0)[:, None, None]
     width = _block_width(rows)
@@ -360,11 +365,12 @@ def _clustered(rows):
 def cluster_roots(roots, scale):
     """Group near-identical roots; returns list of (center, multiplicity).
 
-    Clusters of merge_near at radius CLUSTER_TOL * max(scale, 1), centered
-    at their means and sorted by (real, imag).
+    Clusters of `_components` at radius CLUSTER_TOL * max(scale, 1), centered
+    at the means of their members in (real, imag) order, sorted by (real,
+    imag).
     """
     roots = np.asarray(roots, dtype=complex).reshape(-1)
-    order, head = merge_near(roots, CLUSTER_TOL * max(scale, 1.0))
+    order, head = _components(roots, CLUSTER_TOL * max(scale, 1.0))
     roots = roots[order]
     heads, cluster, counts = np.unique(head, return_inverse=True,
                                        return_counts=True)
@@ -375,26 +381,24 @@ def cluster_roots(roots, scale):
                   key=lambda c: (c[0].real, c[0].imag))
 
 
-def merge_near(points, tol):
-    """The one rule that decides which points coincide.
-
-    Points are sorted by (real, imag). In that order each point x + iy not
-    yet merged heads a cluster and absorbs every later unmerged point in
-    [x, x + tol] x [y - tol, y + tol], tol a scalar. Returns (order, head):
-    the sort order, and for each sorted point the sorted position of its
-    head. Equal points share a head, so the rule runs on the distinct ones,
-    visiting only those with a later one in reach.
-    """
+def _components(points, tol):
+    """The one rule that decides which points coincide: two are joined when
+    their real parts and their imaginary parts each differ by at most tol, a
+    scalar, and joins are transitive. Returns (order, head): the (real,
+    imag) sort order, and for each sorted point the sorted position of the
+    first point of its component. Step k joins the points k apart in that
+    order, while any two are within tol in real part: no n x n temporary."""
     z = np.asarray(points, dtype=complex).reshape(-1)
     order = np.lexsort((z.imag, z.real))
-    u, first, inv = np.unique(z[order], return_index=True, return_inverse=True)
-    x, y, head = u.real, u.imag, np.arange(len(u))
-    # in reach: k's column before top[k], later columns col[k]..right[k]
-    top = np.searchsorted(u, x + 1j * (y + tol), side="right")
-    col, right = (np.searchsorted(x, x + t, side="right") for t in (0, tol))
-    for k in np.flatnonzero((top > head + 1) | (right > col)).tolist():
-        if head[k] == k:   # k is not merged: it heads a cluster
-            w = np.arange(k + 1, right[k])
-            w = w[(head[w] == w) & (y[w] >= y[k] - tol) & (y[w] <= y[k] + tol)]
-            head[w] = k
-    return order, first[head][inv]
+    x, y, head = z.real[order], z.imag[order], np.arange(len(z))
+    for k in range(1, len(z)):
+        near = x[k:] - x[:-k] <= tol   # real parts ascend: none farther apart
+        if not near.any():
+            break
+        lo = np.flatnonzero(near & (np.abs(y[k:] - y[:-k]) <= tol))
+        while not np.array_equal(head[lo], head[lo + k]):
+            a, b = head[lo], head[lo + k]   # hook larger heads on least
+            np.minimum.at(head, np.maximum(a, b), np.minimum(a, b))
+            while not np.array_equal(head[head], head):
+                head = head[head]
+    return order, head

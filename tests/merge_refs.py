@@ -1,4 +1,4 @@
-"""Two near-point merges the library used before `roots.merge_near`, kept
+"""Two near-point merges the library used before `roots._components`, kept
 verbatim as test references (this module holds no tests). Measures no
 longer merge near points, so the former measure merge is gone from here.
 
@@ -8,8 +8,8 @@ longer merge near points, so the former measure merge is gone from here.
   first point, multiplicities summed (the former `cdyn._merge_level`).
 
 On clouds where every pair is either within tol/2 or at least 2 tol apart
-the first equals merge_near always, the run rule whenever no cluster is
-interleaved with another point in the (real, imag) order.
+the first has the clusters of `roots._components`; the run rule splits the
+double roots of a real polynomial, whose conjugates tie in real part.
 """
 
 import numpy as np

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,10 +8,10 @@ from roots_refs import ref_quadratic_roots_many
 from qbrolin import roots as roots_module
 from qbrolin.cdyn import solve_fiber
 from qbrolin.errors import SolverFailure
-from qbrolin.policy import ABERTH_MAX_ITER, ABERTH_TOL, CLUSTER_TOL
+from qbrolin.policy import ABERTH_MAX_ITER, ABERTH_TOL, FIBER_RESIDUAL_TOL
 from qbrolin.poly import ComplexPoly
 from qbrolin.roots import (all_roots, cluster_roots, fiber_roots,
-                           merge_near, newton_roots, quadratic_roots_many)
+                           newton_roots, quadratic_roots_many)
 
 
 def _poly_from_roots(roots):
@@ -298,35 +296,41 @@ def _conj_bytes(row):
             np.sort_complex(row + 0.0).tobytes())
 
 
-def _near_triple(row):
-    # three roots within twice the cluster radius: cluster_roots' greedy box
-    # heads at the lowest point, so it can split a conjugate-closed chain
-    # unevenly (0 and +-1e-7 i: {-1e-7 i, 0} and {1e-7 i})
-    return roots_module._crowded(row[None])[0].sum() >= 3
+def _aberth_row(coeffs, target):
+    """Whether fiber_roots solves the row of target by Aberth, which is not
+    conjugation-exact: a cubic row the closed form does not certify (past
+    roots of about 1e100, or a NaN Vieta pair from a subnormal z1)."""
+    if len(coeffs) != 4:
+        return False
+    col = np.array([[coeffs[0] - complex(target)]])
+    with np.errstate(all="ignore"):
+        z = roots_module._closed_form(coeffs, col[:, 0])
+        worst = roots_module._backward_error(coeffs, col, z)[0]
+    return not worst <= FIBER_RESIDUAL_TOL
 
 
-# real data draw subnormals too, where quadratic_roots_many's c0 / qq was NaN
-# (its larger root qq subnormal) before it scaled the division, and a cubic
-# row then took the Aberth solve, which is not conjugation-exact; complex
-# data draw parts 0 or of modulus >= 1e-150: a tiny imaginary part can put
-# a cubic row on a branch cut, where the sign of c0's zero imaginary part,
-# which conjugation does not carry through fiber_roots, picks the side
-# (CHANGES.md FOUND)
-_PART = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) >= 1e-150)
-_REAL = (_PART | st.integers(-4, 4).map(float)
+# parts draw subnormals too, where quadratic_roots_many's c0 / qq was NaN (its
+# larger root qq subnormal) before it scaled the division, and where a tiny
+# imaginary part puts a cubic row on a branch cut, whose side the sign of
+# c0's zero imaginary part picks
+_PART = (st.floats(-4, 4)
          | st.sampled_from([5e-324, -2.2e-311, 1e-309, -2e-308, 1e-160]))
+_REAL = _PART | st.integers(-4, 4).map(float)
 _COMPLEX = st.builds(complex, _PART, _PART)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_REAL, min_size=2, max_size=3), st.sampled_from([1.0, -0.5, 3.0]),
        st.lists(_REAL, min_size=1, max_size=8))
+# a triple root at 0 the former greedy clusters split about the real axis
+@example([0.0, 1e-14, 1e-14], 1.0, [0.0])
 def test_real_rows_over_real_targets_equal_their_conjugates(low, lead, targets):
     # a real quadratic or cubic: each row is exactly real roots and exact
     # conjugate pairs, integer coefficients giving multiple roots at times
-    for row in fiber_roots(np.array(low + [lead]), targets):
+    coeffs = np.array(low + [lead], dtype=complex)
+    for t, row in zip(targets, fiber_roots(coeffs, targets)):
         got, want = _conj_bytes(row)
-        assert got == want or _near_triple(row)
+        assert got == want or _aberth_row(coeffs, t)
 
 
 @settings(max_examples=500, deadline=None)
@@ -335,13 +339,16 @@ def test_real_rows_over_real_targets_equal_their_conjugates(low, lead, targets):
                                                    max_size=8))
 @example([0.3 + 0.5j, 0.0, 0.0], 1.0, [0.2, 0.25 + 0.1j])   # z^3 + c
 @example([-1.0, 0.0], 1.0, [0.3 + 0.7j])   # a real map at complex targets
+@example([0.0, 1 + 5e-324j, 0.0], 1.0, [0j])   # c0 on a branch cut
+@example([-1.0, 0.0, 9.5e-167 + 6.5e-309j], -0.5, [0j])
 def test_rows_at_conjugate_targets_are_conjugate(low, lead, targets):
     # P^c's row of conj t is conj of P's row of t, as multisets bit for bit
     coeffs = np.array(low + [lead], dtype=complex)
     rows = fiber_roots(coeffs, targets)
     mirror = fiber_roots(np.conj(coeffs), np.conj(targets))
-    for row, other in zip(rows, mirror):
-        assert _conj_bytes(row)[0] == _conj_bytes(other)[1] or _near_triple(row)
+    for t, row, other in zip(targets, rows, mirror):
+        assert (_conj_bytes(row)[0] == _conj_bytes(other)[1]
+                or _aberth_row(coeffs, t))
 
 
 def test_cubic_with_a_tiny_leading_coefficient():
@@ -457,27 +464,23 @@ def test_crowded_start_points_are_spread_apart():
     assert np.allclose(roots, [-1.0, 1.0, 1.0], rtol=0, atol=1e-8)
 
 
-# -- merge_near against the row merges it replaced ----------------------------
+# -- cluster_roots against the greedy disc it replaced ----------------------
 
 _NEAR = 1.5e-8   # offsets inside a cluster: every pair within tol/2 (tol >= 1e-7)
 _GRID = 0.125    # cluster sites lie on this lattice: other pairs >= 2 tol apart
 
 
 @st.composite
-def _separated(draw, runs=False):
+def _separated(draw):
     """Clusters of exact duplicates and near copies around lattice sites in
     [-2, 2]^2, in random order: conjugate sites tie in real part, and all
-    sites may share one column (equal real parts). With runs=True a copy
-    moves off a shared column only along imag, so no cluster interleaves
-    another point in (real, imag) order, the case where the run rules agree.
-    """
+    sites may share one column (equal real parts)."""
     sites = draw(st.lists(st.tuples(st.integers(-16, 16), st.integers(-16, 16)),
                           min_size=1, max_size=8, unique=True))
     if draw(st.booleans()):
         sites = list(dict.fromkeys((sites[0][0], j) for _, j in sites))
     if draw(st.booleans()):
         sites = list(dict.fromkeys(sites + [(i, -j) for i, j in sites]))
-    columns = Counter(i for i, _ in sites)
     near = st.floats(-_NEAR, _NEAR)
     points = []
     for i, j in sites:
@@ -486,33 +489,19 @@ def _separated(draw, runs=False):
             if draw(st.booleans()):
                 points.append(z)
             else:
-                dx = 0.0 if runs and columns[i] > 1 else draw(near)
-                points.append(z + complex(dx, draw(near)))
+                points.append(z + complex(draw(near), draw(near)))
     order = draw(st.permutations(range(len(points))))
     return np.array([points[k] for k in order])
 
 
 @settings(max_examples=200, deadline=None)
 @given(_separated())
-def test_merge_near_matches_former_cluster_roots(points):
+def test_cluster_roots_matches_former_cluster_roots(points):
     scale = 1.0 + float(np.max(np.abs(points)))
     got, want = cluster_roots(points, scale), ref_cluster_roots(points, scale)
     assert [m for _, m in got] == [m for _, m in want]
     assert _same_bits(np.array([c for c, _ in got]),
                       np.array([c for c, _ in want]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_separated(runs=True), st.randoms(use_true_random=False))
-def test_merge_near_matches_former_level_merge(points, rnd):
-    # preimage_tree's level merge: heads keep the summed multiplicity
-    mults = np.array([rnd.randint(1, 3) for _ in points])
-    scale = 1.0 + float(np.max(np.abs(points)))
-    order, head = merge_near(points, CLUSTER_TOL * scale)
-    heads, cluster = np.unique(head, return_inverse=True)
-    want_p, want_m = ref_merge_level(points, mults, scale)
-    assert np.bincount(cluster, mults[order]).tolist() == want_m
-    assert _same_bits(points[order][heads], np.array(want_p))
 
 
 def test_double_roots_of_a_real_g5_form_32_clusters():
@@ -527,31 +516,6 @@ def test_double_roots_of_a_real_g5_form_32_clusters():
     assert len(ref_merge_level(roots, np.ones(64, int), scale)[0]) == 50
 
 
-def test_merge_near_scalar_and_empty_input():
-    order, head = merge_near(np.array([], dtype=complex), 1e-7)
-    assert order.shape == head.shape == (0,)
-    order, head = merge_near([2.0, 1.0 + 1e-9j, 1.0, 5.0], 1e-7)
-    assert order.tolist() == [2, 1, 0, 3]
-    assert head.tolist() == [0, 0, 2, 3]
-
-
-def _greedy_reference(points, tol):
-    """merge_near's rule, point by point, on plain floats."""
-    z = np.asarray(points, dtype=complex)
-    order = np.lexsort((z.imag, z.real))
-    pts = [(float(v.real), float(v.imag)) for v in z[order]]
-    head = [-1] * len(pts)
-    for i, (x, y) in enumerate(pts):
-        if head[i] >= 0:
-            continue
-        head[i] = i
-        for j in range(i + 1, len(pts)):
-            if (head[j] < 0 and pts[j][0] <= x + tol
-                    and y - tol <= pts[j][1] <= y + tol):
-                head[j] = i
-    return order, np.array(head, dtype=int)
-
-
 @st.composite
 def _crowded(draw):
     """Points a few radii apart on a lattice of step 0.1 (so differences
@@ -564,10 +528,43 @@ def _crowded(draw):
     return np.array(points, dtype=complex), tol
 
 
+def _partition(points, tol):
+    """_components' clusters, as a set of sets of input positions."""
+    order, head = roots_module._components(points, tol)
+    clusters = {}
+    for pos, h in zip(order.tolist(), head.tolist()):
+        clusters.setdefault(h, set()).add(pos)
+    return {frozenset(c) for c in clusters.values()}
+
+
+def _union_find_partition(points, tol):
+    """Every pair within tol in real and in imaginary part, joined by a
+    plain union-find on floats."""
+    pts = [(float(v.real), float(v.imag)) for v in points]
+    parent = list(range(len(pts)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+    for a, (xa, ya) in enumerate(pts):
+        for b, (xb, yb) in enumerate(pts[:a]):
+            if abs(xa - xb) <= tol and abs(ya - yb) <= tol:
+                parent[find(a)] = find(b)
+    clusters = {}
+    for a in range(len(pts)):
+        clusters.setdefault(find(a), set()).add(a)
+    return {frozenset(c) for c in clusters.values()}
+
+
 @settings(max_examples=300, deadline=None)
-@given(_crowded())
-def test_merge_near_is_the_greedy_rule(cloud):
+@given(_crowded(), st.randoms(use_true_random=False))
+def test_components_are_order_free_and_conjugation_symmetric(cloud, rnd):
     points, tol = cloud
-    got, want = merge_near(points, tol), _greedy_reference(points, tol)
-    assert got[0].tolist() == want[0].tolist()
-    assert got[1].tolist() == want[1].tolist()
+    want = _union_find_partition(points, tol)
+    assert _partition(points, tol) == want
+    perm = list(range(len(points)))
+    rnd.shuffle(perm)
+    shuffled = _partition(points[perm], tol)
+    assert {frozenset(perm[k] for k in c) for c in shuffled} == want
+    assert _partition(np.conj(points), tol) == want

@@ -1,8 +1,9 @@
 """Former CLI text encoders, kept verbatim as test references (this module
 holds no tests).
 
-- `ref_write_csv`: one `_fmt` or `str` call per value (the `cli.write_csv`
-  before one format per CSV row type).
+- `ref_write_csv`: one `_fmt` or `str` call per value, as `cli.write_csv`
+  formats every CSV but `measure.csv` (it kept one format per row type for a
+  time).
 - `ref_write_json`: `indent=1`, which runs json's pure-Python encoder (the
   `cli.write_json` before the C encoder).
 - `ref_measure_rows`, `ref_measure_json`: a measure's per-atom tuples and
