@@ -479,8 +479,12 @@ _MODES = {
                       "finite increasing bounds, 4 (topological) or 2 "
                       "(partition)"),
         "n_max": _count(8, 2),
-        "eps_list": _Param([0.2, 0.3], lambda v, _: _numbers(v) and min(v) > 0,
-                           "a list of finite positive numbers"),
+        # separated_count compares float32 squared distances with eps^2
+        # (squared as a float: a large int's square has no float32 value)
+        "eps_list": _Param([0.2, 0.3], lambda v, _: _numbers(v) and all(
+            e > 0 and np.float32(float(e) * e) > 0 for e in v),
+                           "a list of finite numbers above about 2.6e-23, "
+                           "whose squares are positive in float32"),
         "grid_density": _count(20000, 1), "cells": _count(16, 1),
         "samples": _count(100000, 1)}),
     "mixing": (run_mixing, {"n_max": _count(10, 3),

@@ -56,6 +56,10 @@ _START = complex(0.41, 0.37)
 SAMPLER_CHAINS = 64
 # samples per batch of transfer-operator trees in _level_phi_means
 _PHI_BATCH = 1024
+# undecided orbits that one round of separated_count decides, and candidate
+# pairs per block of the round's removals
+_ROUND = 128
+_PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -355,6 +359,14 @@ def _candidate_points(pc: ComplexPoly, box: AxialBox, count: int, seed: int,
     return z, units_xyz
 
 
+def _sq_dists(x, y):
+    """Squared distances between the rows of two (k, 4) float32 arrays, the
+    four float32 terms summed left to right, as `np.sum` sums them."""
+    d = x - y
+    d *= d
+    return ((d[:, 0] + d[:, 1]) + d[:, 2]) + d[:, 3]
+
+
 def separated_count(orbits, eps: float) -> int:
     """Greedy maximal (n, eps)-separated subset size over an (N, n, 4) array
     of quaternion n-orbits (as `_orbit_matrix` builds them).
@@ -362,6 +374,15 @@ def separated_count(orbits, eps: float) -> int:
     dis_n(q1, q2) = max_{j<n} |p^j(q1) - p^j(q2)|; greedy gives a maximal
     (hence within-factor) separated set, an under-estimator with stable bias
     across n, which is what the entropy slope needs.
+
+    Two orbits conflict when `_sq_dists` is below float32 eps^2 at every
+    iterate; the count is that of the greedy that takes the orbits in index
+    order and keeps each one that conflicts with no orbit kept before it.
+    It runs in rounds: when a round starts, every undecided orbit is clear
+    of every kept one, so the greedy over the first _ROUND undecided orbits
+    alone decides them as the whole greedy does (Blelloch, Fineman & Shun,
+    SPAA 2012). Then the orbits the round keeps remove the undecided orbits
+    they conflict with, in blocks of bounded ball volume.
     """
     n = orbits.shape[1]
     with np.errstate(over="ignore"):   # checked on the last iterate below
@@ -372,24 +393,62 @@ def separated_count(orbits, eps: float) -> int:
         # escapes; no distance to a point at infinity can be measured
         raise SolverFailure(math.inf, f"forward orbit escaped within {n} "
                             "iterates; lower n")
-    # dis_n >= distance of the last iterate, the most spread out one, so a
-    # k-d tree on it gives every pair the exact float32 test below can
-    # accept; the inflated radius covers float32 rounding
+    eps2 = np.float32(float(eps) * eps)   # a large int squares to inf
+    if not (eps > 0 and eps2 > 0):
+        # no two orbits, equal ones included, could conflict
+        raise InvariantViolation(f"eps {eps!r} is not positive or squares "
+                                 "to 0 in float32")
+    # each iterate's four float32 coordinates as one 16-byte item, so a
+    # gather moves one item per point
+    rows = np.ascontiguousarray(orbits).view(np.dtype((np.void, 16)))[..., 0]
+
+    def conflicts(a, b):
+        """Positions k of the pairs (a[k], b[k]) that conflict."""
+        keep = np.arange(len(a))
+        # the last iterate last: the k-d trees below have bounded it already
+        for t in (*range(n - 2, -1, -1), n - 1):
+            d2 = _sq_dists(rows[a[keep], t].view(np.float32).reshape(-1, 4),
+                           rows[b[keep], t].view(np.float32).reshape(-1, 4))
+            keep = keep[d2 < eps2]
+        return keep
+
+    # dis_n >= distance of the last iterate, so k-d trees on it give every
+    # pair the exact test can accept; the inflated radius covers float32
+    # rounding
     from scipy.spatial import cKDTree
-    tree = cKDTree(last)
     radius = eps * (1.0 + 1e-4) + 1e-12
-    alive = np.ones(orbits.shape[0], dtype=bool)
+    alive = np.ones(len(last), dtype=bool)
+    live = np.arange(len(last))
+    tree_idx, tree = live, cKDTree(last)
     count = 0
-    eps2 = np.float32(eps * eps)
-    for i in range(orbits.shape[0]):
-        if not alive[i]:
-            continue
-        count += 1
-        near = np.array(tree.query_ball_point(last[i], radius), dtype=np.intp)
-        near = near[alive[near]]
-        diff = orbits[near] - orbits[i]
-        d2 = np.max(np.sum(diff * diff, axis=2), axis=1)
-        alive[near[d2 < eps2]] = False
+    while len(live):
+        s, live = live[:_ROUND], live[_ROUND:]
+        pairs = cKDTree(last[s]).query_pairs(radius, output_type="ndarray")
+        dead = np.zeros(len(s), dtype=bool)
+        # query_pairs gives i < j, so in order of i dead[i] is final here
+        for i, j in sorted(pairs[conflicts(s[pairs[:, 0]],
+                                           s[pairs[:, 1]])].tolist()):
+            if not dead[i]:
+                dead[j] = True
+        c = s[~dead]
+        count += len(c)
+        alive[s] = False
+        if not len(live):
+            break
+        if 2 * len(live) <= len(tree_idx):
+            tree_idx, tree = live, cKDTree(last[live])
+        # the kept orbits' balls in blocks that hold fewer than _PAIR_BLOCK
+        # candidate pairs past their first ball
+        balls = tree.query_ball_point(last[c], radius, return_length=True)
+        cuts = np.flatnonzero(np.diff(np.cumsum(balls) // _PAIR_BLOCK)) + 1
+        for block in np.split(c, cuts):
+            near = tree.sparse_distance_matrix(cKDTree(last[block]), radius,
+                                               output_type="ndarray")
+            j = tree_idx[near["i"]]
+            on = alive[j]
+            j, i = j[on], block[near["j"][on]]
+            alive[j[conflicts(i, j)]] = False
+        live = live[alive[live]]
     return count
 
 

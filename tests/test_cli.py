@@ -465,6 +465,8 @@ def test_bad_list_params_and_coefficients_are_config_errors(tmp_path, capsys):
             (_q2_minus_1("entropy", {"kind": "partition", "box": [1, 0]}),
              "params.box"),
             (_q2_minus_1("entropy", {"eps_list": []}), "params.eps_list"),
+            # eps^2 is 0 in float32
+            (_q2_minus_1("entropy", {"eps_list": [1e-30]}), "params.eps_list"),
             (_q2_minus_1("entropy", {"kind": "x"}), "kind"),
             (_q2_minus_1("general-gap", {"n_list": []}), "params.n_list"),
             (_q2_minus_1("general-gap", {"n_list": ["a"]}), "params.n_list"),

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from scipy import stats
 
+from entropy_refs import ref_separated_count
 from qbrolin import dynstats
 from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
-                              _orbit_matrix, calibrate_ks_null, clt_harness,
+                              _orbit_matrix, _sq_dists, calibrate_ks_null,
+                              clt_harness,
                               fit_log_slope, interval_partition, ks_distance,
                               lyapunov_slice, lyapunov_sphere_direction,
                               mixing_correlation, partition_entropy, sample_mu,
@@ -286,6 +289,80 @@ def test_separated_count_equals_former_greedy(coeffs, box, n_max, eps_list):
         for eps in eps_list:
             assert (separated_count(orbits[:, :n, :], eps)
                     == _former_separated_count(orbits[:, :n, :], eps))
+
+
+@st.composite
+def _orbit_arrays(draw):
+    """(orbits, eps): up to 300 orbits of up to 6 iterates on a dyadic grid
+    of step eps/4, where a pair can sit at exactly eps (float32 d^2 equal to
+    eps^2). Orbits gather in a few clusters, some rows are duplicated, and
+    eps runs from 2^-70 (subnormal squares) to 2^63 (squares that overflow);
+    a shift by 2^20 or -3e7 rounds the grid in float32."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    N, n = draw(st.integers(1, 300)), draw(st.integers(1, 6))
+    eps = 2.0 ** draw(st.sampled_from([-70, -30, -2, 0, 30, 63]))
+    centres = 4 * rng.integers(-12, 13, size=(draw(st.integers(1, 8)), n, 4))
+    spread = draw(st.sampled_from([1, 4, 8]))
+    steps = (centres[rng.integers(0, len(centres), N)]
+             + rng.integers(-spread, spread + 1, size=(N, 1, 4)))
+    if draw(st.booleans()):                 # orbits that do not move rigidly
+        steps = steps + rng.integers(-1, 2, size=(N, n, 4))
+    copies = rng.integers(0, N, size=draw(st.integers(0, N)))
+    steps[rng.integers(0, N, size=len(copies))] = steps[copies]
+    shift = draw(st.sampled_from([0.0, 0.0, 2.0 ** 20, -3e7]))
+    return steps * (eps / 4) + shift * eps, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_orbit_arrays(), round_size=st.sampled_from([1, 5, 128]),
+       pair_block=st.sampled_from([1, 50, 1 << 15]))
+@example(case=(np.array([[[0.0] * 4], [[0.5, 0, 0, 0]], [[0.0] * 4]]), 0.5),
+         round_size=128, pair_block=1 << 15)
+def test_separated_count_equals_the_former_loops(case, round_size,
+                                                 pair_block):
+    # the example: a pair at exactly eps is separated, a duplicate is not.
+    # Small rounds and blocks run the round and block splits at small N
+    orbits, eps = case
+    with mock.patch.multiple(dynstats, _ROUND=round_size,
+                             _PAIR_BLOCK=pair_block), \
+            np.errstate(over="ignore"):   # far pairs' squares overflow
+        count = separated_count(orbits, eps)
+        assert count == ref_separated_count(orbits, eps)
+        assert count == _former_separated_count(orbits, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 500),
+       scale=st.sampled_from([1e-22, 1.0, 1e18]))
+def test_sq_dists_is_the_numpy_sum_bit_for_bit(seed, k, scale):
+    rng = np.random.default_rng(seed)
+    x, y = (rng.standard_normal((2, k, 4)) * scale
+            * 10.0 ** rng.integers(-3, 4, size=(2, k, 4))).astype(np.float32)
+    with np.errstate(over="ignore"):   # inf squares compare bit for bit too
+        d = x - y
+        assert _sq_dists(x, y).tobytes() == np.sum(d * d, axis=-1).tobytes()
+
+
+def test_separated_count_keeps_its_counts_on_q2():
+    # the quadratic-rasters entropy op's map, box, size and eps; the counts
+    # the one-centre-at-a-time loop gave
+    pc = ComplexPoly([0.0, 0.0, 1.0])
+    z, units = _candidate_points(pc, AxialBox(-1.5, 1.5, 0.0, 1.5), 4000, 0,
+                                 n_units=6)
+    orbits = _orbit_matrix(pc, z, units, 6)
+    assert ([separated_count(orbits[:, :n, :], 0.3) for n in range(1, 7)]
+            == [41, 86, 174, 341, 657, 1170])
+
+
+def test_separated_count_refuses_an_eps_with_no_float32_square():
+    # rows 0 and 1 are one orbit: they conflict at any eps whose float32
+    # square is positive, and at 1e-30 (square 0) both would count
+    orbits = np.zeros((3, 2, 4))
+    orbits[2] = 1.0
+    assert separated_count(orbits, 1e-20) == 2
+    for eps in (1e-30, 0.0, -0.3):
+        with pytest.raises(InvariantViolation):
+            separated_count(orbits, eps)
 
 
 def test_separated_count_refuses_escaped_orbits():
