@@ -2,8 +2,9 @@
 
 The finite-sum statistic S_n = n^{-1/2} sum_i Re(p^i z) is measurably
 non-Gaussian at n_terms = 200 even with exact dynamics, so a plain Gaussian
-null would reject correct runs. This script reproduces the frozen bar used by
-the acceptance test (KS_NULL_BAR_N200_S10000 in tests/test_acceptance.py) by
+null would reject correct runs. This script reproduces the frozen bar that
+the `clt` mode and the acceptance test read
+(`qbrolin.dynstats.KS_NULL_BAR_N200_S10000`, through `clt_ks_bar`) by
 simulating the statistic exactly: on [-2, 2] the map conjugates to angle
 doubling, x_i = 2 cos(2 pi frac(2^i u)), and a 260-bit integer angle keeps
 every one of the 200 doublings exact. Each replication draws fresh starts,
@@ -48,8 +49,8 @@ def main():
     args = ap.parse_args()
     ks = [exact_ks(s, args.n_chains, args.n_terms) for s in range(args.reps)]
     print(f"reps      {len(ks)}")
-    print(f"mean      {np.mean(ks)!r}")
-    print(f"95th pct  {np.quantile(ks, 0.95)!r}")
+    print(f"mean      {float(np.mean(ks))!r}")
+    print(f"95th pct  {float(np.quantile(ks, 0.95))!r}")
     print(f"max       {max(ks)!r}")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbrolin.dynstats import (AxialBox, clt_harness, fit_log_slope,
+from qbrolin.dynstats import (AxialBox, clt_harness, clt_ks_bar, fit_log_slope,
                               interval_partition, lyapunov_slice,
                               lyapunov_sphere_direction, mixing_correlation,
                               partition_entropy, topological_entropy)
@@ -35,13 +35,6 @@ from qbrolin.poly import ComplexPoly
 CHEB = QPolynomial.from_real([-2.0, 0.0, 1.0])       # q^2 - 2
 BASILICA = QPolynomial.from_real([-1.0, 0.0, 1.0])   # q^2 - 1
 SQ = QPolynomial.from_real([0.0, 0.0, 1.0])          # q^2
-
-# 95th percentile of the kstest statistic over 50 replications of the exact
-# arithmetic surrogate for the q^2 - 2 sum (doubling map in 260-bit integer
-# angles, see scripts/calibrate_clt_null.py): the finite-n_terms sum is
-# measurably non-Gaussian, so the pass bar comes from the exact model of the
-# same statistic, not from a Gaussian null.
-KS_NULL_BAR_N200_S10000 = 0.018301627368235786
 
 
 def _report(num, name, ok, detail):
@@ -173,10 +166,15 @@ def test_criterion_06_mixing():
 
 def test_criterion_07_clt():
     phi = standard_panel()["re"]
-    res = clt_harness(CHEB.restrict_to_slice(), phi, 200, 10000, seed=4)
-    ok = (not res.degenerate) and res.ks_statistic <= KS_NULL_BAR_N200_S10000
+    pc = CHEB.restrict_to_slice()
+    # the exact-model bar (dynstats.KS_NULL_BAR_N200_S10000, derived by
+    # scripts/calibrate_clt_null.py), read as the CLI's clt mode reads it
+    bar = clt_ks_bar(pc, 200, 10000)
+    assert bar == 0.018301627368235786
+    res = clt_harness(pc, phi, 200, 10000, seed=4)
+    ok = (not res.degenerate) and res.ks_statistic <= bar
     _report(7, "central limit theorem", ok,
-            f"ks {res.ks_statistic:.4f} vs bar {KS_NULL_BAR_N200_S10000:.4f}, "
+            f"ks {res.ks_statistic:.4f} vs bar {bar:.4f}, "
             f"sigma {res.sigma_hat:.3f}")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbrolin import cli
+from qbrolin import cli, dynstats
 from qbrolin.cli import load_config, main
 from qbrolin.measures import EmpiricalMeasure
 from writer_refs import (ref_measure_rows, ref_write_csv, ref_write_json,
@@ -194,6 +194,50 @@ def test_general_gap_probe_count_reaches_brolin3_gap(tmp_path, monkeypatch):
                         dict(cfg, out=str(tmp_path / "b")))]) == 0
     # the default is annulus_probes()'s own 100 (10 x 10), then 3 x 3
     assert seen == [100, 100, 9, 9]
+
+
+CLT_CHEBYSHEV = Path(__file__).resolve().parents[1] / "scripts" / "configs" \
+    / "clt_chebyshev.json"
+
+
+def _clt_run(tmp_path, capsys, params, name="out"):
+    """clt.json and the stdout line of a clt run on q^2 - 2 at seed 4."""
+    cfg = _write(tmp_path, f"{name}.json", {
+        "mode": "clt", "polynomial": SQ_MINUS_2, "params": params, "seed": 4,
+        "out": str(tmp_path / name)})
+    assert main([cfg]) == 0
+    return (tmp_path / name / "clt.json").read_bytes(), capsys.readouterr().out
+
+
+def test_clt_passes_against_the_exact_bar_at_the_shipped_sizes(tmp_path,
+                                                               capsys):
+    shipped = json.loads(CLT_CHEBYSHEV.read_text())
+    raw, line = _clt_run(tmp_path, capsys, shipped["params"])
+    report = json.loads(raw)
+    bar = dynstats.KS_NULL_BAR_N200_S10000
+    assert report["ks"] == 0.013438101859022722
+    assert (report["null_95"], report["null"], report["pass"]) == (
+        bar, dynstats.CLT_NULL, True)
+    assert line == f"clt: ks 0.0134 vs null bar {bar}\n"
+
+
+def test_clt_claims_no_pass_or_fail_without_an_exact_null(tmp_path, capsys):
+    raw, line = _clt_run(tmp_path, capsys, {"n_terms": 3, "n_samples": 50})
+    report = json.loads(raw)
+    assert math.isfinite(report["ks"])
+    assert (report["null_95"], report["null"], report["pass"]) == (
+        None, None, None)
+    assert line.endswith(" vs null bar none\n")
+
+
+@pytest.mark.parametrize("n_terms, n_samples", [(3, 50), (200, 10000)])
+def test_clt_null_reps_changes_no_output(tmp_path, capsys, n_terms,
+                                         n_samples):
+    runs = [_clt_run(tmp_path, capsys, {"n_terms": n_terms,
+                                        "n_samples": n_samples,
+                                        "null_reps": reps}, f"reps{reps}")[0]
+            for reps in (2, 200)]
+    assert runs[0] == runs[1]
 
 
 def _config_error(tmp_path, capsys, cfg):

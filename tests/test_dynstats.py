@@ -11,7 +11,7 @@ from entropy_refs import ref_separated_count
 from qbrolin import dynstats
 from qbrolin.dynstats import (SAMPLER_CHAINS, AxialBox, _candidate_points,
                               _orbit_matrix, _sq_dists, calibrate_ks_null,
-                              clt_harness,
+                              clt_harness, clt_ks_bar,
                               fit_log_slope, interval_partition, ks_distance,
                               lyapunov_slice, lyapunov_sphere_direction,
                               mixing_correlation, partition_entropy, sample_mu,
@@ -154,6 +154,20 @@ def test_clt_harness_runs():
     assert not res.degenerate
     assert 0.0 < res.ks_statistic < 0.2
     assert res.sigma_hat > 0.5
+
+
+@pytest.mark.parametrize("coeffs, n_terms, n_samples", [
+    ([-2, 0, 1], 199, 10000), ([-2, 0, 1], 200, 9999),
+    ([-2 + 1e-300j, 0, 1], 200, 10000),
+    ([np.nextafter(-2.0, 0.0), 0, 1], 200, 10000),
+    ([-2, 1e-300, 1], 200, 10000), ([-2, 0, 0, 1], 200, 10000),
+    ([-1, 0, 1], 200, 10000)])
+def test_clt_ks_bar_is_the_exact_null_of_q2_minus_2_alone(coeffs, n_terms,
+                                                          n_samples):
+    # a trailing zero coefficient leaves the map exactly z^2 - 2
+    for p in (CHEB, ComplexPoly([-2, 0, 1, 0])):
+        assert clt_ks_bar(p, 200, 10000) == 0.018301627368235786
+    assert clt_ks_bar(ComplexPoly(coeffs), n_terms, n_samples) is None
 
 
 def test_calibrate_ks_null_deterministic():
